@@ -8,8 +8,10 @@ number of checks, same verdict) is asserted on every run.
 import argparse
 import os
 import time
+from math import factorial
 
 import permshape.verify as verify
+from permshape.oracle import effective_workers
 
 
 def main() -> None:
@@ -31,8 +33,9 @@ def main() -> None:
             baseline = elapsed
             reference = (result.passed, result.checks)
         assert (result.passed, result.checks) == reference, "merge mismatch"
+        effective = effective_workers(workers, factorial(args.n))
         print(
-            f"workers={workers:<2} time={elapsed:7.2f}s "
+            f"workers={workers:<2} effective={effective:<2} time={elapsed:7.2f}s "
             f"speedup={baseline / elapsed:5.2f}x checks={result.checks}"
         )
 

@@ -4,7 +4,6 @@ dotted tableaux, Bruhat order, and exact generating functions.
 """
 
 from .permutations import (
-    BorderProfile,
     InvalidPermutationError,
     Permutation,
     StatVector,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from multiprocessing import get_context
+from functools import partial
 
-from .oracle import avoiders_132, split_ranges
+from .oracle import avoiders_132, fan_out
 from .permutations import Permutation, inversion_count
 from .shapes import ShapePartition, shape_parts
 
@@ -162,18 +162,6 @@ def _poset_pairs(
     return checked, bad
 
 
-_POSET_ITEMS: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-
-
-def _poset_init(items) -> None:
-    global _POSET_ITEMS
-    _POSET_ITEMS = items
-
-
-def _poset_worker(bounds: tuple[int, int]):
-    return _poset_pairs(_POSET_ITEMS, *bounds)
-
-
 def verify_poset_equivalence(n: int, workers: int = 1) -> PosetReport:
     """
     Check, over every ordered pair of distinct 1-3-2-avoiders of {1..n},
@@ -185,16 +173,11 @@ def verify_poset_equivalence(n: int, workers: int = 1) -> PosetReport:
     items = [
         (word, rank_table(word), shape_parts(word)) for word in avoiders_132(n)
     ]
-    if workers <= 1 or len(items) < 64:
-        checked, bad = _poset_pairs(items, 0, len(items))
-    else:
-        bounds = split_ranges(len(items), workers)
-        with get_context("fork").Pool(
-            workers, initializer=_poset_init, initargs=(items,)
-        ) as pool:
-            parts = pool.map(_poset_worker, bounds)
-        checked = sum(c for c, _ in parts)
-        bad = [entry for _, chunk in parts for entry in chunk]
+    parts = fan_out(
+        partial(_poset_pairs, items), len(items), workers if len(items) >= 64 else 1
+    )
+    checked = sum(c for c, _ in parts)
+    bad = [entry for _, chunk in parts for entry in chunk]
     return PosetReport(
         n=n,
         pairs_checked=checked,

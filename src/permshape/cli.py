@@ -291,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config = _config_from_args(args)
     try:
+        if config.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {config.workers}")
         if config.subcommand == "map":
             return _print_map(config)
         if config.subcommand == "dist":

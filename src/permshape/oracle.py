@@ -7,6 +7,11 @@ lexicographic); arbitrary lexicographic ranges are served independently by
 factorial-base unranking plus the classical successor step, so that the work
 can be split across processes and merged.  Both routes must produce the same
 multiset, which the tests enforce.
+
+:func:`fan_out` is the library's one parallel layer: it decides the pool
+size (``workers`` clamped to the CPU count and to the amount of work), the
+start method (``fork``, else ``spawn``) and the range split, and returns the
+per-range results in range order for the caller to merge.
 """
 from __future__ import annotations
 
@@ -14,9 +19,11 @@ import csv
 import io
 import itertools
 import json
+import multiprocessing
+import os
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
-from multiprocessing import get_context
 from typing import Callable, Iterator
 
 from .permutations import (
@@ -42,6 +49,8 @@ __all__ = [
     "distribution",
     "shape_census",
     "split_ranges",
+    "effective_workers",
+    "fan_out",
 ]
 
 MAX_ENUM_N = 11
@@ -146,6 +155,32 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def effective_workers(workers: int, total: int) -> int:
+    """
+    The number of processes :func:`fan_out` uses for ``total`` units of work:
+    ``workers`` clamped to the CPU count and to ``total``, and at least 1.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    return max(1, min(workers, os.cpu_count() or 1, total))
+
+
+def fan_out(work: Callable[[int, int], object], total: int, workers: int) -> list:
+    """
+    Split [0, total) into :func:`effective_workers` contiguous ranges and
+    return ``[work(lo, hi) for each range]`` in range order.  One range runs
+    inline; several run in one process pool, so ``work`` must be picklable
+    (a module-level function, or a :func:`functools.partial` of one).
+    """
+    ranges = split_ranges(total, effective_workers(workers, total))
+    if len(ranges) == 1:
+        return [work(*ranges[0])]
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    with context.Pool(len(ranges)) as pool:
+        return pool.starmap(work, ranges)
+
+
 def avoiders_132(n: int) -> Iterator[tuple[int, ...]]:
     """
     All 1-3-2-avoiding permutations of {1..n}, built directly: around the
@@ -247,16 +282,28 @@ class Distribution:
         return buf.getvalue()
 
 
-def _dist_range_worker(
-    args: tuple[int, int, int, str],
-) -> dict[int, int]:
-    n, start, stop, stat_name = args
-    fn = STATISTICS[stat_name]
-    counts: dict[int, int] = {}
-    for word in permutation_range(n, start, stop):
-        v = fn(word)
+def _tally(words: Iterator[tuple[int, ...]], key: Callable) -> dict:
+    counts: dict = {}
+    for word in words:
+        v = key(word)
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+def _tally_range(n: int, key: Callable, lo: int, hi: int) -> dict:
+    return _tally(permutation_range(n, lo, hi), key)
+
+
+def _merge_tallies(partials: list[dict]) -> dict:
+    counts: dict = {}
+    for partial_counts in partials:
+        for v, c in partial_counts.items():
+            counts[v] = counts.get(v, 0) + c
+    return counts
+
+
+def _shape_key(word: tuple[int, ...]) -> str:
+    return ",".join(map(str, shape_parts(word)))
 
 
 def distribution(
@@ -273,16 +320,10 @@ def distribution(
     if avoid not in FILTERS:
         raise ValueError(f"unknown filter {avoid!r} (use None, '132' or '231')")
     fn = STATISTICS[statistic]
-    counts: dict[int, int] = {}
     if avoid is None and workers > 1 and n >= 6:
-        ranges = split_ranges(factorial(n), workers)
-        with get_context("fork").Pool(workers) as pool:
-            partials = pool.map(
-                _dist_range_worker, [(n, lo, hi, statistic) for lo, hi in ranges]
-            )
-        for partial in partials:
-            for v, c in partial.items():
-                counts[v] = counts.get(v, 0) + c
+        counts = _merge_tallies(
+            fan_out(partial(_tally_range, n, fn), factorial(n), workers)
+        )
     else:
         if avoid is None:
             source: Iterator[tuple[int, ...]] = enumerate_sn(n)
@@ -290,40 +331,19 @@ def distribution(
             source = avoiders_132(n)
         else:
             source = avoiders_231(n)
-        for word in source:
-            v = fn(word)
-            counts[v] = counts.get(v, 0) + 1
+        counts = _tally(source, fn)
     return Distribution(n=n, statistic=statistic, filter=avoid, counts=counts)
-
-
-def _census_range_worker(args: tuple[int, int, int]) -> dict[str, int]:
-    n, start, stop = args
-    counts: dict[str, int] = {}
-    for word in permutation_range(n, start, stop):
-        key = ",".join(map(str, shape_parts(word)))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def shape_census(n: int, workers: int = 1) -> dict[str, int]:
     """Exact count of permutations per shape, keyed by the shape text form."""
     if not 0 <= n <= 9:
         raise ValueError("shape census supports 0 <= n <= 9")
-    counts: dict[str, int] = {}
     if workers > 1 and n >= 6:
-        ranges = split_ranges(factorial(n), workers)
-        with get_context("fork").Pool(workers) as pool:
-            partials = pool.map(
-                _census_range_worker, [(n, lo, hi) for lo, hi in ranges]
-            )
-        for partial in partials:
-            for key, c in partial.items():
-                counts[key] = counts.get(key, 0) + c
-    else:
-        for word in enumerate_sn(n):
-            key = ",".join(map(str, shape_parts(word)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+        return _merge_tallies(
+            fan_out(partial(_tally_range, n, _shape_key), factorial(n), workers)
+        )
+    return _tally(enumerate_sn(n), _shape_key)
 
 
 def census_to_json(census: dict[str, int], n: int) -> str:

@@ -19,7 +19,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "InvalidPermutationError",
     "Permutation",
-    "BorderProfile",
     "StatVector",
     "TreeNode",
     "parse_permutation",
@@ -38,33 +37,11 @@ __all__ = [
     "contains_231",
     "avoids_word",
     "decreasing_tree_word",
-    "is_permutation_word",
 ]
 
 
 class InvalidPermutationError(ValueError):
     """Raised when a word is not a permutation of {1, ..., n}."""
-
-
-def is_permutation_word(word: Sequence[int]) -> bool:
-    """
-    Check that ``word`` is a rearrangement of 1..n where n = len(word).
-
-    >>> [is_permutation_word(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1)]]
-    [True, True, True, False, False]
-    """
-    n = len(word)
-    if n == 0:
-        return True
-    seen = 0
-    for v in word:
-        if not isinstance(v, int) or not 1 <= v <= n:
-            return False
-        bit = 1 << v
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
 
 
 def _check_word(word: Sequence[int]) -> None:
@@ -91,14 +68,6 @@ class StatVector:
     lbsum: int
     inv: int
     descent_set: frozenset[int]
-
-
-@dataclass(frozen=True)
-class BorderProfile:
-    """Left and right border numbers a_1..a_n and b_1..b_n."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -157,9 +126,6 @@ class Permutation:
     def right_border_numbers(self) -> tuple[int, ...]:
         return right_borders(self.entries)
 
-    def border_profile(self) -> BorderProfile:
-        return BorderProfile(left_borders(self.entries), right_borders(self.entries))
-
     def stats(self) -> StatVector:
         return stat_vector(self.entries)
 
@@ -194,16 +160,6 @@ def parse_permutation(text: str) -> Permutation:
             values.append(int(token))
         except ValueError:
             raise InvalidPermutationError(f"non-integer token {token!r}") from None
-    n = len(values)
-    seen = set()
-    for token, v in zip(tokens, values):
-        if not 1 <= v <= n:
-            raise InvalidPermutationError(
-                f"value {token!r} out of range for a permutation of 1..{n}"
-            )
-        if v in seen:
-            raise InvalidPermutationError(f"duplicate value {token!r}")
-        seen.add(v)
     return Permutation(tuple(values))
 
 

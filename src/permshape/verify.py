@@ -1,8 +1,8 @@
 """
 Umbrella verification suites: every structural claim of the library gets an
 exhaustive cross-check at small n, each suite timed and reporting its first
-counterexamples.  The heavy per-permutation suites can split the
-lexicographic enumeration across worker processes; partial results merge
+counterexamples.  The heavy per-permutation parts split the lexicographic
+enumeration through :func:`permshape.oracle.fan_out`; partial results merge
 associatively, so parallel and single-threaded runs agree exactly.
 """
 from __future__ import annotations
@@ -12,8 +12,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
-from multiprocessing import get_context
 
 from . import oracle
 from .bruhat import (
@@ -144,17 +144,6 @@ def _stats_check_word(word: tuple[int, ...]) -> str | None:
     return None
 
 
-def _stats_range_worker(args: tuple[int, int, int]) -> tuple[int, str | None]:
-    n, lo, hi = args
-    checks = 0
-    for word in oracle.permutation_range(n, lo, hi):
-        checks += 1
-        bad = _stats_check_word(word)
-        if bad is not None:
-            return checks, bad
-    return checks, None
-
-
 def _tree_parent_map(word: tuple[int, ...]) -> dict[int, tuple[int, str]]:
     """value -> (parent value, side) over the decreasing tree of the word."""
     out: dict[int, tuple[int, str]] = {}
@@ -171,20 +160,22 @@ def _tree_parent_map(word: tuple[int, ...]) -> dict[int, tuple[int, str]]:
     return out
 
 
-def _run_ranged(
-    result: SuiteResult, n: int, workers: int, worker
-) -> None:
-    total = factorial(n)
-    if workers > 1 and n >= 7:
-        ranges = oracle.split_ranges(total, workers)
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(worker, [(n, lo, hi) for lo, hi in ranges])
-        result.checks += sum(c for c, _ in parts)
-        for _, bad in parts:
-            if bad is not None:
-                result.fail(bad)
-    else:
-        checks, bad = worker((n, 0, total))
+def _first_failure(n: int, check, lo: int, hi: int) -> tuple[int, str | None]:
+    """(words checked, first failure or None) over one lexicographic range."""
+    checks = 0
+    for word in oracle.permutation_range(n, lo, hi):
+        checks += 1
+        bad = check(word)
+        if bad is not None:
+            return checks, bad
+    return checks, None
+
+
+def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> None:
+    parts = oracle.fan_out(
+        partial(_first_failure, n, check), factorial(n), workers if n >= 7 else 1
+    )
+    for checks, bad in parts:
         result.checks += checks
         if bad is not None:
             result.fail(bad)
@@ -193,7 +184,7 @@ def _run_ranged(
 def suite_stats(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("stats", max_n)
     for n in range(0, min(max_n, 9) + 1):
-        _run_ranged(result, n, workers, _stats_range_worker)
+        _run_ranged(result, n, workers, _stats_check_word)
         if not result.passed:
             return result
     for n in range(1, min(max_n, 8) + 1):
@@ -228,16 +219,10 @@ def suite_stats(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _cp_range_worker(args: tuple[int, int, int]) -> tuple[int, str | None]:
-    n, lo, hi = args
-    checks = 0
-    for word in oracle.permutation_range(n, lo, hi):
-        checks += 1
-        if sum(left_borders(word)) != inversion_count(word) + count_barred_132_word(
-            word
-        ):
-            return checks, f"border-sum identity fails at {word}"
-    return checks, None
+def _cp_check_word(word: tuple[int, ...]) -> str | None:
+    if sum(left_borders(word)) != inversion_count(word) + count_barred_132_word(word):
+        return f"border-sum identity fails at {word}"
+    return None
 
 
 def _naive_barred_132(word: tuple[int, ...]) -> int:
@@ -256,7 +241,7 @@ def _naive_barred_132(word: tuple[int, ...]) -> int:
 def suite_cp_pattern(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("cp-pattern", max_n)
     for n in range(0, min(max_n, 9) + 1):
-        _run_ranged(result, n, workers, _cp_range_worker)
+        _run_ranged(result, n, workers, _cp_check_word)
         if not result.passed:
             return result
     for n in range(0, min(max_n, 6) + 1):

@@ -123,6 +123,13 @@ class TestPosetEquivalence:
         report = verify_poset_equivalence(2)
         assert report.equivalence_holds and report.pairs_checked == 2
 
+    def test_parallel_matches_serial(self, pool_requests):
+        serial = verify_poset_equivalence(6, workers=1)
+        parallel = verify_poset_equivalence(6, workers=2)
+        assert len(pool_requests) == 1
+        assert serial.pairs_checked == 132 * 131 == 17292
+        assert parallel == serial and parallel.equivalence_holds
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             verify_poset_equivalence(1)

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from permshape.cli import main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
 
@@ -137,6 +139,19 @@ class TestPredictions:
     def test_no_prediction(self):
         assert predicted_distribution(4, "inv", "231") is None
         assert predicted_distribution(4, "maj", None) is None
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "--n", "7", "--stat", "lbsum"], ["verify", "stats", "--max-n", "7"]],
+    ids=["dist", "verify"],
+)
+def test_workers_below_one_rejected(argv, workers, capsys, no_pool):
+    assert main([*argv, "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
 
 
 class TestVerify:

@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from math import comb, factorial
 
 import pytest
@@ -12,6 +14,7 @@ from permshape.oracle import (
     census_to_json,
     distribution,
     enumerate_sn,
+    fan_out,
     next_permutation_inplace,
     permutation_range,
     shape_census,
@@ -71,6 +74,37 @@ class TestEnumeration:
                 for lo, hi in split_ranges(factorial(n), pieces):
                     merged.extend(permutation_range(n, lo, hi))
                 assert merged == list(enumerate_sn(n))
+
+
+class TestFanOut:
+    def test_rejects_workers_below_one(self, no_pool):
+        for workers in (0, -1):
+            with pytest.raises(ValueError, match="workers"):
+                fan_out(lambda lo, hi: (lo, hi), 10, workers)
+
+    def test_single_range_runs_inline(self, no_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert fan_out(lambda lo, hi: (lo, hi), 10, 4) == [(0, 10)]
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert fan_out(lambda lo, hi: (lo, hi), 1, 4) == [(0, 1)]
+
+    def test_one_cpu_opens_no_pool(self, no_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        serial = distribution(7, "lbsum")
+        assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
+
+    def test_clamped_to_cpu_count(self, pool_requests):
+        serial = distribution(7, "lbsum")
+        assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
+        assert [processes for _, processes in pool_requests] == [2]
+
+    def test_spawn_when_fork_is_missing(self, pool_requests, monkeypatch):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
+        assert shape_census(6, workers=2) == shape_census(6)
+        assert pool_requests == [("spawn", 2), ("spawn", 2)]
 
 
 class TestAvoiders:
