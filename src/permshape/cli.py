@@ -293,6 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if config.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {config.workers}")
+        if config.max_n < 0:
+            raise ValueError(f"--max-n must be at least 0, got {config.max_n}")
         if config.subcommand == "map":
             return _print_map(config)
         if config.subcommand == "dist":

@@ -15,14 +15,25 @@ series coefficients are fractions.  The central objects are
 * the exponential-type series g(x, y, p, q, z) assembled from the G_n,
   together with checks of its differential functional equation and of the
   specialization g(-1, 1, 1, 1, z) = 1 + tanh(z).
+
+All polynomial arithmetic runs on one sparse core, :class:`UniPolynomial`:
+int exponent -> exact ``int`` or ``Fraction`` coefficient.
+:class:`QuadPolynomial` is a view on it that packs (x, y, p, q) into the key
+``x << 48 | y << 32 | p << 16 | q``: y, p and q stay below 2**15 in 16-bit
+fields whose top bit catches a carry (an overflow raises ValueError), and x
+is unbounded.  Int order on keys is tuple order, and setting variables to
+one masks their fields away.  :class:`TruncatedSeries` is a list of such
+views with fraction coefficients, one per power of z.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial
-from typing import Mapping
+from operator import or_
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "UniPolynomial",
@@ -31,6 +42,7 @@ __all__ = [
     "ParityTable",
     "MomentReport",
     "SeriesReport",
+    "SERIES_MAX_ORDER",
     "lbsum_polynomial",
     "parity_table",
     "tangent_numbers",
@@ -42,14 +54,16 @@ __all__ = [
     "verify_series_identities",
 ]
 
+Coeff = int | Fraction
+
 
 class UniPolynomial:
-    """A sparse univariate polynomial with exact integer coefficients."""
+    """A sparse polynomial in x with exact int or Fraction coefficients."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
-        data = {e: c for e, c in (coeffs or {}).items() if c != 0}
+    def __init__(self, coeffs: Mapping[int, Coeff] | None = None) -> None:
+        data = {e: c for e, c in (coeffs or {}).items() if c}
         object.__setattr__(self, "_coeffs", data)
 
     @classmethod
@@ -61,13 +75,13 @@ class UniPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "UniPolynomial":
+    def monomial(cls, exponent: int, coeff: Coeff = 1) -> "UniPolynomial":
         return cls({exponent: coeff})
 
-    def coefficient(self, exponent: int) -> int:
+    def coefficient(self, exponent: int) -> Coeff:
         return self._coeffs.get(exponent, 0)
 
-    def terms(self) -> list[tuple[int, int]]:
+    def terms(self) -> list[tuple[int, Coeff]]:
         return sorted(self._coeffs.items())
 
     @property
@@ -91,32 +105,47 @@ class UniPolynomial:
             out[e] = out.get(e, 0) + c
         return UniPolynomial(out)
 
+    def __neg__(self) -> "UniPolynomial":
+        return UniPolynomial({e: -c for e, c in self._coeffs.items()})
+
     def __sub__(self, other: "UniPolynomial") -> "UniPolynomial":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return UniPolynomial(out)
+        return self + -other
 
     def __mul__(self, other: "UniPolynomial") -> "UniPolynomial":
-        out: dict[int, int] = {}
+        out: dict[int, Coeff] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return UniPolynomial(out)
 
-    def scaled(self, factor: int) -> "UniPolynomial":
+    def scaled(self, factor: Coeff) -> "UniPolynomial":
+        if factor == 1:
+            return self
         return UniPolynomial({e: factor * c for e, c in self._coeffs.items()})
 
     def shifted(self, exponent: int) -> "UniPolynomial":
-        """Multiply by x**exponent."""
+        """Multiply by x**exponent, or by the monomial of a packed key."""
         return UniPolynomial({e + exponent: c for e, c in self._coeffs.items()})
+
+    def merged(self, keep: int, shift: int = 0) -> "UniPolynomial":
+        """Send each key e to (e & keep) >> shift, adding the coefficients
+        that meet: on packed keys, set the variables ``keep`` clears to 1."""
+        out: dict[int, Coeff] = {}
+        for e, c in self._coeffs.items():
+            e = (e & keep) >> shift
+            out[e] = out.get(e, 0) + c
+        return UniPolynomial(out)
 
     def derivative(self) -> "UniPolynomial":
         return UniPolynomial({e - 1: e * c for e, c in self._coeffs.items() if e > 0})
 
     def evaluate(self, point):
-        return sum(c * point**e for e, c in self._coeffs.items())
+        return self._weighted_sum(lambda e: point**e)
+
+    def _weighted_sum(self, monomial_value: Callable[[int], object]):
+        """The sum of c * monomial_value(e) over the terms c x^e."""
+        return sum(c * monomial_value(e) for e, c in self._coeffs.items())
 
     def reversed_on_degree(self, degree: int) -> "UniPolynomial":
         """x**degree * P(1/x), valid when degree bounds the actual degree."""
@@ -124,7 +153,7 @@ class UniPolynomial:
             raise ValueError("reversal pivot below the degree")
         return UniPolynomial({degree - e: c for e, c in self._coeffs.items()})
 
-    def to_counts(self) -> dict[int, int]:
+    def to_counts(self) -> dict[int, Coeff]:
         return dict(self._coeffs)
 
     def to_json(self) -> str:
@@ -148,15 +177,54 @@ class UniPolynomial:
 
 QuadKey = tuple[int, int, int, int]  # exponents of (x, y, p, q)
 
+_BITS = 16  # width of the y, p and q fields of a packed key
+_LIMIT = 1 << (_BITS - 1)  # y, p and q exponents stay below this
+_FIELD = (1 << _BITS) - 1
+_FIELDS = {  # variable -> (its bits in a packed key, the shift down to them)
+    "x": (-1 << 3 * _BITS, 3 * _BITS),
+    "y": (_FIELD << 2 * _BITS, 2 * _BITS),
+    "p": (_FIELD << _BITS, _BITS),
+    "q": (_FIELD, 0),
+}
+_CARRY = _LIMIT << 2 * _BITS | _LIMIT << _BITS | _LIMIT  # the fields' top bits
+
+
+def _pack(key: QuadKey) -> int:
+    x, y, p, q = key
+    if x < 0 or not (0 <= y < _LIMIT and 0 <= p < _LIMIT and 0 <= q < _LIMIT):
+        raise ValueError(
+            f"exponent {tuple(key)} outside x >= 0 and 0 <= y, p, q < {_LIMIT}"
+        )
+    return x << 3 * _BITS | y << 2 * _BITS | p << _BITS | q
+
+
+def _unpack(e: int) -> QuadKey:
+    return (e >> 3 * _BITS, e >> 2 * _BITS & _FIELD, e >> _BITS & _FIELD, e & _FIELD)
+
+
+def _no_carry(poly: UniPolynomial) -> UniPolynomial:
+    """``poly``, whose keys are sums of packed keys, once no sum carried."""
+    if reduce(or_, poly._coeffs, 0) & _CARRY:
+        raise ValueError(f"a y, p or q exponent reached {_LIMIT}")
+    return poly
+
 
 class QuadPolynomial:
-    """A sparse polynomial in (x, y, p, q) with exact integer coefficients."""
+    """
+    A sparse polynomial in (x, y, p, q) with exact coefficients: a view on a
+    :class:`UniPolynomial` whose keys pack the four exponents.
+    """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_poly",)
 
-    def __init__(self, coeffs: Mapping[QuadKey, int] | None = None) -> None:
-        data = {k: c for k, c in (coeffs or {}).items() if c != 0}
-        object.__setattr__(self, "_coeffs", data)
+    def __init__(self, coeffs: Mapping[QuadKey, Coeff] | None = None) -> None:
+        self._poly = UniPolynomial({_pack(k): c for k, c in (coeffs or {}).items()})
+
+    @classmethod
+    def _of(cls, poly: UniPolynomial) -> "QuadPolynomial":
+        view = cls.__new__(cls)
+        view._poly = poly
+        return view
 
     @classmethod
     def zero(cls) -> "QuadPolynomial":
@@ -167,82 +235,59 @@ class QuadPolynomial:
         return cls({(0, 0, 0, 0): 1})
 
     @classmethod
-    def monomial(cls, key: QuadKey, coeff: int = 1) -> "QuadPolynomial":
+    def monomial(cls, key: QuadKey, coeff: Coeff = 1) -> "QuadPolynomial":
         return cls({key: coeff})
 
-    def coefficient(self, key: QuadKey) -> int:
-        return self._coeffs.get(key, 0)
+    def coefficient(self, key: QuadKey) -> Coeff:
+        return self._poly.coefficient(_pack(key))
 
-    def terms(self) -> list[tuple[QuadKey, int]]:
-        return sorted(self._coeffs.items())
+    def terms(self) -> list[tuple[QuadKey, Coeff]]:
+        return [(_unpack(e), c) for e, c in self._poly.terms()]
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._poly._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QuadPolynomial):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._poly == other._poly
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((QuadPolynomial, self._poly))
 
     def __add__(self, other: "QuadPolynomial") -> "QuadPolynomial":
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return QuadPolynomial(out)
+        return QuadPolynomial._of(self._poly + other._poly)
+
+    def __sub__(self, other: "QuadPolynomial") -> "QuadPolynomial":
+        return QuadPolynomial._of(self._poly - other._poly)
 
     def __mul__(self, other: "QuadPolynomial") -> "QuadPolynomial":
-        out: dict[QuadKey, int] = {}
-        for (x1, y1, p1, q1), c1 in self._coeffs.items():
-            for (x2, y2, p2, q2), c2 in other._coeffs.items():
-                k = (x1 + x2, y1 + y2, p1 + p2, q1 + q2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return QuadPolynomial(out)
+        return QuadPolynomial._of(_no_carry(self._poly * other._poly))
 
-    def times_monomial(self, key: QuadKey, coeff: int = 1) -> "QuadPolynomial":
-        dx, dy, dp, dq = key
-        return QuadPolynomial(
-            {
-                (x + dx, y + dy, p + dp, q + dq): coeff * c
-                for (x, y, p, q), c in self._coeffs.items()
-            }
-        )
+    def times_monomial(self, key: QuadKey, coeff: Coeff = 1) -> "QuadPolynomial":
+        shifted = _no_carry(self._poly.shifted(_pack(key)))
+        return QuadPolynomial._of(shifted.scaled(coeff))
 
     def with_p_one(self) -> "QuadPolynomial":
-        out: dict[QuadKey, int] = {}
-        for (x, y, _, q), c in self._coeffs.items():
-            k = (x, y, 0, q)
-            out[k] = out.get(k, 0) + c
-        return QuadPolynomial(out)
+        return QuadPolynomial._of(self._poly.merged(~_FIELDS["p"][0]))
 
     def with_q_one(self) -> "QuadPolynomial":
-        out: dict[QuadKey, int] = {}
-        for (x, y, p, _), c in self._coeffs.items():
-            k = (x, y, p, 0)
-            out[k] = out.get(k, 0) + c
-        return QuadPolynomial(out)
-
-    def evaluate(self, x, y, p, q):
-        return sum(
-            c * x**ex * y**ey * p**ep * q**eq
-            for (ex, ey, ep, eq), c in self._coeffs.items()
-        )
+        return QuadPolynomial._of(self._poly.merged(~_FIELDS["q"][0]))
 
     def marginal(self, variable: str) -> UniPolynomial:
         """Set the other three variables to 1 and keep ``variable``."""
-        index = {"x": 0, "y": 1, "p": 2, "q": 3}[variable]
-        out: dict[int, int] = {}
-        for key, c in self._coeffs.items():
-            e = key[index]
-            out[e] = out.get(e, 0) + c
-        return UniPolynomial(out)
+        return self._poly.merged(*_FIELDS[variable])
+
+    def evaluate(self, x, y, p, q):
+        def monomial_value(e: int):
+            ex, ey, ep, eq = _unpack(e)
+            return x**ex * y**ey * p**ep * q**eq
+
+        return self._poly._weighted_sum(monomial_value)
 
     def max_exponents(self) -> QuadKey:
-        if not self._coeffs:
-            return (0, 0, 0, 0)
-        return tuple(max(k[i] for k in self._coeffs) for i in range(4))  # type: ignore[return-value]
+        x, y, p, q = (max(self.marginal(v).degree, 0) for v in _FIELDS)
+        return x, y, p, q
 
     def to_json(self) -> str:
         return json.dumps(
@@ -257,6 +302,23 @@ _F_MAX = 60
 _f_cache: list[UniPolynomial] = [UniPolynomial.one()]
 
 
+def _split_recursion(
+    cache: list[UniPolynomial], n: int, weight: Callable[[int, int], tuple[int, int]]
+) -> UniPolynomial:
+    """
+    P_n from the splitting recursion P_m = sum_{k=1}^{m} c P_{k-1} P_{m-k} x^s,
+    with (c, s) = weight(m, k), extending ``cache`` = [P_0, P_1, ...] as needed.
+    """
+    while len(cache) <= n:
+        m = len(cache)
+        acc = UniPolynomial.zero()
+        for k in range(1, m + 1):
+            c, s = weight(m, k)
+            acc = acc + (cache[k - 1] * cache[m - k]).scaled(c).shifted(s)
+        cache.append(acc)
+    return cache[n]
+
+
 def lbsum_polynomial(n: int) -> UniPolynomial:
     """
     The polynomial F_n whose coefficient at x^m counts permutations of
@@ -269,14 +331,7 @@ def lbsum_polynomial(n: int) -> UniPolynomial:
     """
     if not 0 <= n <= _F_MAX:
         raise ValueError(f"lbsum_polynomial supports 0 <= n <= {_F_MAX}")
-    while len(_f_cache) <= n:
-        m = len(_f_cache)
-        acc = UniPolynomial.zero()
-        for k in range(1, m + 1):
-            term = _f_cache[k - 1] * _f_cache[m - k]
-            acc = acc + term.scaled(comb(m - 1, k - 1)).shifted(k * (m - k))
-        _f_cache.append(acc)
-    return _f_cache[n]
+    return _split_recursion(_f_cache, n, lambda m, k: (comb(m - 1, k - 1), k * (m - k)))
 
 
 # -- Parity of the area and tangent numbers ------------------------------------
@@ -429,13 +484,7 @@ def q_catalan(n: int) -> UniPolynomial:
     """
     if not 0 <= n <= _QC_MAX:
         raise ValueError(f"q_catalan supports 0 <= n <= {_QC_MAX}")
-    while len(_qc_cache) <= n:
-        m = len(_qc_cache)
-        acc = UniPolynomial.zero()
-        for k in range(1, m + 1):
-            acc = acc + (_qc_cache[k - 1] * _qc_cache[m - k]).shifted(k * (m - k))
-        _qc_cache.append(acc)
-    return _qc_cache[n]
+    return _split_recursion(_qc_cache, n, lambda m, k: (1, k * (m - k)))
 
 
 def q_catalan_alt(n: int) -> UniPolynomial:
@@ -449,13 +498,7 @@ def q_catalan_alt(n: int) -> UniPolynomial:
     """
     if not 0 <= n <= _QC_MAX:
         raise ValueError(f"q_catalan_alt supports 0 <= n <= {_QC_MAX}")
-    while len(_qc_alt_cache) <= n:
-        m = len(_qc_alt_cache)
-        acc = UniPolynomial.zero()
-        for k in range(1, m + 1):
-            acc = acc + (_qc_alt_cache[k - 1] * _qc_alt_cache[m - k]).shifted(k - 1)
-        _qc_alt_cache.append(acc)
-    return _qc_alt_cache[n]
+    return _split_recursion(_qc_alt_cache, n, lambda m, k: (1, k - 1))
 
 
 # -- Exact moments of the area --------------------------------------------------
@@ -578,43 +621,34 @@ def moments(n: int) -> MomentReport:
 
 # -- The exponential-type series g and its identities ---------------------------
 
-QuadFracDict = dict[QuadKey, Fraction]
-
-
-def _qd_add(dst: QuadFracDict, key: QuadKey, value: Fraction) -> None:
-    acc = dst.get(key, Fraction(0)) + value
-    if acc:
-        dst[key] = acc
-    elif key in dst:
-        del dst[key]
+SERIES_MAX_ORDER = 10  # the highest order verify_series_identities accepts
 
 
 class TruncatedSeries:
     """
-    A series in z, exact through z**order; each coefficient is a polynomial
-    in (x, y, p, q) with fraction coefficients.  Substituting z -> m*z for a
-    monomial m multiplies the n-th coefficient by m**n.
+    A series in z, exact through z**order; the coefficient of z**k is a
+    :class:`QuadPolynomial` in (x, y, p, q) with fraction coefficients.
+    Substituting z -> m*z for a monomial m multiplies the k-th coefficient
+    by m**k.
     """
 
     __slots__ = ("order", "_coeffs")
 
-    def __init__(self, coeffs: list[QuadFracDict], order: int) -> None:
+    def __init__(self, coeffs: Sequence[Mapping | QuadPolynomial], order: int) -> None:
         if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match the order")
         self.order = order
         self._coeffs = [
-            {k: v for k, v in c.items() if v != 0} for c in coeffs
+            c if isinstance(c, QuadPolynomial) else QuadPolynomial(c) for c in coeffs
         ]
 
     @classmethod
     def constant(cls, order: int, value: Fraction | int) -> "TruncatedSeries":
-        coeffs: list[QuadFracDict] = [{} for _ in range(order + 1)]
-        if value:
-            coeffs[0][(0, 0, 0, 0)] = Fraction(value)
-        return cls(coeffs, order)
+        head = QuadPolynomial.monomial((0, 0, 0, 0), Fraction(value))
+        return cls([head] + [QuadPolynomial.zero()] * order, order)
 
-    def coefficient(self, k: int) -> QuadFracDict:
-        return dict(self._coeffs[k])
+    def coefficient(self, k: int) -> dict[QuadKey, Fraction]:
+        return dict(self._coeffs[k].terms())
 
     def truncated(self, order: int) -> "TruncatedSeries":
         if order > self.order:
@@ -622,102 +656,45 @@ class TruncatedSeries:
         return TruncatedSeries(self._coeffs[: order + 1], order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = [dict(self._coeffs[k]) for k in range(order + 1)]
-        for k in range(order + 1):
-            for key, v in other._coeffs[k].items():
-                _qd_add(out[k], key, v)
-        return TruncatedSeries(out, order)
+        pairs = zip(self._coeffs, other._coeffs)
+        return TruncatedSeries([a + b for a, b in pairs], min(self.order, other.order))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = [dict(self._coeffs[k]) for k in range(order + 1)]
-        for k in range(order + 1):
-            for key, v in other._coeffs[k].items():
-                _qd_add(out[k], key, -v)
-        return TruncatedSeries(out, order)
+        pairs = zip(self._coeffs, other._coeffs)
+        return TruncatedSeries([a - b for a, b in pairs], min(self.order, other.order))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         order = min(self.order, other.order)
-        out: list[QuadFracDict] = [{} for _ in range(order + 1)]
-        for a in range(order + 1):
-            ca = self._coeffs[a]
-            if not ca:
-                continue
-            for b in range(order + 1 - a):
-                cb = other._coeffs[b]
-                if not cb:
-                    continue
-                dst = out[a + b]
-                for (x1, y1, p1, q1), v1 in ca.items():
-                    for (x2, y2, p2, q2), v2 in cb.items():
-                        _qd_add(
-                            dst, (x1 + x2, y1 + y2, p1 + p2, q1 + q2), v1 * v2
-                        )
+        a, b = self._coeffs, other._coeffs
+        out = [
+            sum((a[i] * b[k - i] for i in range(k + 1)), QuadPolynomial.zero())
+            for k in range(order + 1)
+        ]
         return TruncatedSeries(out, order)
 
+    def _map(self, f: Callable[[int, QuadPolynomial], QuadPolynomial]) -> "TruncatedSeries":
+        """The series whose z^k coefficient is f(k, [z^k] self)."""
+        return TruncatedSeries([f(k, c) for k, c in enumerate(self._coeffs)], self.order)
+
     def times_monomial(self, key: QuadKey, scalar: Fraction | int = 1) -> "TruncatedSeries":
-        dx, dy, dp, dq = key
-        scalar = Fraction(scalar)
-        out: list[QuadFracDict] = []
-        for c in self._coeffs:
-            out.append(
-                {
-                    (x + dx, y + dy, p + dp, q + dq): v * scalar
-                    for (x, y, p, q), v in c.items()
-                }
-            )
-        return TruncatedSeries(out, self.order)
+        return self._map(lambda _, c: c.times_monomial(key, Fraction(scalar)))
 
     def subst_z_scaled(self, key: QuadKey) -> "TruncatedSeries":
         """Substitute z -> (x^a y^b p^c q^d) z for the monomial exponents."""
-        dx, dy, dp, dq = key
-        out: list[QuadFracDict] = []
-        for k, c in enumerate(self._coeffs):
-            out.append(
-                {
-                    (x + k * dx, y + k * dy, p + k * dp, q + k * dq): v
-                    for (x, y, p, q), v in c.items()
-                }
-            )
-        return TruncatedSeries(out, self.order)
+        return self._map(lambda k, c: c.times_monomial(tuple(k * d for d in key)))
 
     def with_p_one(self) -> "TruncatedSeries":
-        out: list[QuadFracDict] = []
-        for c in self._coeffs:
-            dst: QuadFracDict = {}
-            for (x, y, _, q), v in c.items():
-                _qd_add(dst, (x, y, 0, q), v)
-            out.append(dst)
-        return TruncatedSeries(out, self.order)
+        return self._map(lambda _, c: c.with_p_one())
 
     def with_q_one(self) -> "TruncatedSeries":
-        out: list[QuadFracDict] = []
-        for c in self._coeffs:
-            dst: QuadFracDict = {}
-            for (x, y, p, _), v in c.items():
-                _qd_add(dst, (x, y, p, 0), v)
-            out.append(dst)
-        return TruncatedSeries(out, self.order)
+        return self._map(lambda _, c: c.with_q_one())
 
     def derivative_z(self) -> "TruncatedSeries":
-        out = [
-            {key: v * (k + 1) for key, v in self._coeffs[k + 1].items()}
-            for k in range(self.order)
-        ]
-        return TruncatedSeries(out, self.order - 1)
+        scaled = self._map(lambda k, c: c.times_monomial((0, 0, 0, 0), k))
+        return TruncatedSeries(scaled._coeffs[1:], self.order - 1)
 
     def evaluate_coefficients(self, x, y, p, q) -> list[Fraction]:
-        return [
-            sum(
-                (
-                    v * x**ex * y**ey * p**ep * q**eq
-                    for (ex, ey, ep, eq), v in c.items()
-                ),
-                Fraction(0),
-            )
-            for c in self._coeffs
-        ]
+        return [c.evaluate(x, y, p, q) for c in self._coeffs]
 
 
 def series_g(order: int) -> TruncatedSeries:
@@ -727,7 +704,7 @@ def series_g(order: int) -> TruncatedSeries:
     coefficient a genuine polynomial because the area never exceeds
     binom(n, 2).
     """
-    coeffs: list[QuadFracDict] = []
+    coeffs: list[dict[QuadKey, Fraction]] = []
     for m in range(order + 1):
         pivot = comb(m, 2)
         inv_fact = Fraction(1, factorial(m))
@@ -793,8 +770,10 @@ def verify_series_identities(order: int) -> SeriesReport:
     holds through z^(order-1), and that g(-1,1,1,1,z) matches 1 + tanh(z)
     coefficientwise through z^order.
     """
-    if not 1 <= order <= 10:
-        raise ValueError("verify_series_identities supports 1 <= order <= 10")
+    if not 1 <= order <= SERIES_MAX_ORDER:
+        raise ValueError(
+            f"verify_series_identities supports 1 <= order <= {SERIES_MAX_ORDER}"
+        )
     g = series_g(order)
     lhs = g.derivative_z()
     shifted = g.subst_z_scaled((1, 0, 0, 0))
@@ -804,29 +783,25 @@ def verify_series_identities(order: int) -> SeriesReport:
     )
     rhs = shifted - (left_factor * right_factor).times_monomial((0, 1, 1, 0))
     residual = lhs - rhs.truncated(order - 1)
-    equation_status = []
-    first_fail: int | None = None
-    failing: dict[str, str] | None = None
-    for k in range(order):
-        c = residual.coefficient(k)
-        equation_status.append(not c)
-        if c and first_fail is None:
-            first_fail = k
-            failing = {",".join(map(str, key)): str(v) for key, v in sorted(c.items())}
+    equation_status = tuple(not residual.coefficient(k) for k in range(order))
+    first_fail = _first_false(equation_status)
+    failing = None
+    if first_fail is not None:
+        c = sorted(residual.coefficient(first_fail).items())
+        failing = {",".join(map(str, key)): str(v) for key, v in c}
     values = g.evaluate_coefficients(Fraction(-1), Fraction(1), Fraction(1), Fraction(1))
-    tanh = _tanh_series(order)
-    tanh_status = [values[0] == 1]
-    tanh_first: int | None = None if values[0] == 1 else 0
-    for k in range(1, order + 1):
-        ok = values[k] == tanh[k]
-        tanh_status.append(ok)
-        if not ok and tanh_first is None:
-            tanh_first = k
+    one_plus_tanh = _tanh_series(order)
+    one_plus_tanh[0] += 1
+    tanh_status = tuple(v == t for v, t in zip(values, one_plus_tanh))
     return SeriesReport(
         order=order,
-        equation_status=tuple(equation_status),
+        equation_status=equation_status,
         first_failing_order=first_fail,
         failing_residual=failing,
-        tanh_status=tuple(tanh_status),
-        tanh_first_mismatch=tanh_first,
+        tanh_status=tanh_status,
+        tanh_first_mismatch=_first_false(tanh_status),
     )
+
+
+def _first_false(status: tuple[bool, ...]) -> int | None:
+    return next((k for k, ok in enumerate(status) if not ok), None)

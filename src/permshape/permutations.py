@@ -349,19 +349,29 @@ def decreasing_tree_word(word: Sequence[int]) -> TreeNode:
     if not word:
         raise ValueError("the empty permutation has no decreasing tree")
     values = tuple(word)
-
-    def build(lo: int, hi: int) -> TreeNode | None:
-        if lo >= hi:
-            return None
-        k = lo
-        for t in range(lo + 1, hi):
-            if values[t] > values[k]:
-                k = t
-        return TreeNode(values[k], build(lo, k), build(k + 1, hi))
-
-    root = build(0, len(values))
-    assert root is not None
-    return root
+    splits: list[tuple[int, int, int]] = []  # (lo, position of the maximum, hi)
+    pending: list[tuple[int, int]] = []  # right parts still to split
+    lo, hi = 0, len(values)
+    while True:
+        while lo < hi:
+            k = lo
+            for t in range(lo + 1, hi):
+                if values[t] > values[k]:
+                    k = t
+            splits.append((lo, k, hi))
+            pending.append((k + 1, hi))
+            hi = k
+        if not pending:
+            break
+        lo, hi = pending.pop()
+    # The splits are in pre-order, so in reverse each node comes right after
+    # its left subtree, which came right after its right subtree.
+    built: list[TreeNode] = []
+    for lo, k, hi in reversed(splits):
+        left = built.pop() if lo < k else None
+        right = built.pop() if k + 1 < hi else None
+        built.append(TreeNode(values[k], left, right))
+    return built[0]
 
 
 # -- Permutation-level wrappers ------------------------------------------------

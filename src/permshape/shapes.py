@@ -57,23 +57,23 @@ def dyck_word(word: Sequence[int]) -> str:
     >>> dyck_word((1, 2, 3))
     'uuurrr'
     """
-    out: list[str] = []
     values = tuple(word)
-
-    def emit(lo: int, hi: int) -> None:
-        if lo >= hi:
-            return
-        k = lo
-        for t in range(lo + 1, hi):
-            if values[t] > values[k]:
-                k = t
-        out.append(UP)
-        emit(lo, k)
+    out: list[str] = []
+    pending: list[tuple[int, int]] = []  # right parts, each written after an R
+    lo, hi = 0, len(values)
+    while True:
+        while lo < hi:  # the U of [lo, hi), then straight on into its left part
+            k = lo
+            for t in range(lo + 1, hi):
+                if values[t] > values[k]:
+                    k = t
+            out.append(UP)
+            pending.append((k + 1, hi))
+            hi = k
+        if not pending:
+            return "".join(out)
+        lo, hi = pending.pop()
         out.append(RIGHT)
-        emit(k + 1, hi)
-
-    emit(0, len(values))
-    return "".join(out)
 
 
 def dyck_path(p: Permutation) -> str:

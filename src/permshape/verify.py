@@ -25,6 +25,7 @@ from .bruhat import (
     verify_poset_equivalence,
 )
 from .genfun import (
+    SERIES_MAX_ORDER,
     lbsum_polynomial,
     moments,
     parity_table,
@@ -745,6 +746,8 @@ def run_suites(
         else:
             raise ValueError(f"unknown suite {item!r}")
     deduped = list(dict.fromkeys(names))
+    if "series" in deduped and not 1 <= order <= SERIES_MAX_ORDER:
+        raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {order}")
     return [run_suite(name, max_n, workers, order) for name in deduped]
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from permshape import verify
 from permshape.cli import main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
 
@@ -37,6 +38,10 @@ class TestMap:
         data = json.loads(capsys.readouterr().out)
         assert data["shape"] == "7,5,5,2,1,1,0"
         assert data["tableau"]["row_labels"] == [2, 4, 3, 6, 7, 8]
+
+    def test_long_increasing_word(self, capsys):
+        assert main(["map", ",".join(map(str, range(1, 1501)))]) == 0
+        assert "dyck_word: " + "u" * 1500 + "r" * 1500 in capsys.readouterr().out
 
     def test_parse_error_exit_code(self):
         proc = run_cli("map", "3,5,9,4")
@@ -152,6 +157,40 @@ def test_workers_below_one_rejected(argv, workers, capsys, no_pool):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
+
+
+def test_negative_max_n_rejected(capsys, no_pool):
+    assert main(["verify", "stats", "--max-n", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-n must be at least 0, got -3\n"
+
+
+class TestSeriesOrder:
+    @pytest.fixture
+    def suites_run(self, monkeypatch):
+        ran = []
+        real = verify.run_suite
+
+        def recording(name, *args, **kwargs):
+            ran.append(name)
+            return real(name, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "run_suite", recording)
+        return ran
+
+    @pytest.mark.parametrize("order", ["0", "11"])
+    def test_rejected_before_any_suite_runs(self, order, suites_run, capsys):
+        assert main(["verify", "all", "--order", order]) == 2
+        assert suites_run == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: series order must be in 1..10, got {order}\n"
+
+    def test_ignored_without_the_series_suite(self, suites_run, capsys):
+        assert main(["verify", "stats", "--max-n", "3", "--order", "11"]) == 0
+        assert suites_run == ["stats"]
+        assert "PASS stats" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,6 +9,7 @@ import pytest
 from permshape.genfun import (
     MomentReport,
     QuadPolynomial,
+    TruncatedSeries,
     UniPolynomial,
     lbsum_polynomial,
     moments,
@@ -31,6 +34,22 @@ from naive_oracles import naive_statistic_distribution
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+def digest(items):
+    """The coefficient digest of perfbench/jobs.py: sha256 of sorted JSON."""
+    text = json.dumps(sorted(items), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_exact_coefficients_pinned():
+    # Digests of the full coefficient lists, recorded before the polynomial
+    # classes were rebuilt on packed exponent keys.
+    assert digest(lbsum_polynomial(30).to_counts().items()) == "24d8622b8dab4d51"
+    assert digest((list(k), c) for k, c in quad_polynomial(13).terms()) == (
+        "69e4775a6039992f"
+    )
+    assert digest(q_catalan(28).to_counts().items()) == "c6cc3580d1af2f7c"
 
 
 class TestUniPolynomial:
@@ -167,6 +186,39 @@ class TestQuadPolynomial:
         assert g.with_q_one().coefficient((1, 1, 2, 0)) == 3
         assert g.times_monomial((1, 0, 0, 0), 2).coefficient((2, 1, 2, 1)) == 6
 
+    def test_terms_in_tuple_order(self):
+        keys = [(2, 0, 0, 0), (1, 9, 0, 0), (1, 0, 7, 3), (0, 0, 0, 20000)]
+        g = QuadPolynomial({k: 1 for k in keys})
+        assert [k for k, _ in g.terms()] == sorted(keys)
+        assert g.max_exponents() == (2, 9, 7, 20000)
+        assert QuadPolynomial().max_exponents() == (0, 0, 0, 0)
+        assert g.marginal("y").to_counts() == {0: 3, 9: 1}
+
+    def test_x_is_unbounded(self):
+        g = QuadPolynomial({(10**6, 1, 1, 1): 2})
+        assert (g * g).terms() == [((2 * 10**6, 2, 2, 2), 4)]
+
+    def test_field_overflow_raises(self):
+        big = 1 << 15
+        bad = [(0, big, 0, 0), (0, 0, big, 0), (0, 0, 0, big), (-1, 0, 0, 0), (0, 0, -1, 0)]
+        for key in bad:
+            with pytest.raises(ValueError):
+                QuadPolynomial({key: 1})
+        half = QuadPolynomial({(0, 0, big // 2, 0): 1})
+        with pytest.raises(ValueError):
+            half * half
+        with pytest.raises(ValueError):
+            half.times_monomial((0, 0, big // 2, 0))
+        almost = QuadPolynomial({(0, 0, big - 1, 0): 1})
+        assert almost.times_monomial((0, 1, 0, 0)).terms() == [((0, 1, big - 1, 0), 1)]
+
+    def test_equality_stays_within_one_variable_set(self):
+        assert QuadPolynomial.one() != UniPolynomial.one()
+        assert len({QuadPolynomial.one(), UniPolynomial.one()}) == 2
+        assert QuadPolynomial.one() == QuadPolynomial({(0, 0, 0, 0): 1})
+        assert hash(QuadPolynomial.one()) == hash(QuadPolynomial({(0, 0, 0, 0): 1}))
+        assert (QuadPolynomial.one() - QuadPolynomial.one()) == QuadPolynomial.zero()
+
 
 class TestQCatalan:
     def test_area_route(self):
@@ -273,6 +325,19 @@ class TestSeries:
         assert values[3] == Fraction(-1, 3)
         assert values[5] == Fraction(2, 15)
         assert values[7] == Fraction(-17, 315)
+
+    def test_series_arithmetic(self):
+        # (1 + x z)(1 - x z) = 1 - x^2 z^2 through z^2
+        a = TruncatedSeries([{(0, 0, 0, 0): 1}, {(1, 0, 0, 0): 1}, {}], 2)
+        b = TruncatedSeries.constant(2, 2) - a
+        assert (a * b).coefficient(2) == {(2, 0, 0, 0): Fraction(-1)}
+        assert (a * b).coefficient(1) == {}
+        assert a.subst_z_scaled((0, 1, 0, 0)).coefficient(1) == {(1, 1, 0, 0): 1}
+        assert a.derivative_z().coefficient(0) == {(1, 0, 0, 0): 1}
+        assert a.times_monomial((0, 0, 1, 0), Fraction(1, 2)).coefficient(0) == {
+            (0, 0, 1, 0): Fraction(1, 2)
+        }
+        assert (a + b).truncated(1).coefficient(0) == {(0, 0, 0, 0): Fraction(2)}
 
     def test_order_guard(self):
         with pytest.raises(ValueError):

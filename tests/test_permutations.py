@@ -16,6 +16,7 @@ from permshape.permutations import (
     count_classical_pattern,
     count_pattern_word,
     decreasing_tree,
+    decreasing_tree_word,
     identity,
     inversion_count,
     left_borders,
@@ -248,6 +249,10 @@ class TestDecreasingTree:
     def test_inorder_roundtrip(self, word):
         if word:
             assert decreasing_tree(Permutation(word)).inorder_values() == tuple(word)
+
+    def test_inorder_roundtrip_deeper_than_the_recursion_limit(self):
+        for word in (tuple(range(1, 3001)), tuple(range(3000, 0, -1))):
+            assert decreasing_tree_word(word).inorder_values() == word
 
 
 class TestPermutationClass:

@@ -47,6 +47,11 @@ class TestDyckWord:
     def test_empty(self):
         assert dyck_word(()) == ""
 
+    def test_long_words_with_the_maximum_at_an_end(self):
+        # Deeper than the interpreter's recursion limit on either side.
+        assert dyck_word(range(1, 3001)) == "u" * 3000 + "r" * 3000
+        assert dyck_word(range(3000, 0, -1)) == "ur" * 3000
+
     def test_not_injective_on_all_perms(self):
         assert dyck_word((1, 3, 2)) == dyck_word((2, 3, 1)) == "uurrur"
 
