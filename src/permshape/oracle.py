@@ -2,11 +2,10 @@
 Exhaustive enumeration of S_n with exact counting: statistic distributions,
 shape censuses, and direct generators for the two pattern-avoidance classes.
 
-Full-range enumeration goes through :func:`itertools.permutations` (which is
-lexicographic); arbitrary lexicographic ranges are served independently by
-factorial-base unranking plus the classical successor step, so that the work
-can be split across processes and merged.  Both routes must produce the same
-multiset, which the tests enforce.
+Every walk over S_n goes through :func:`itertools.permutations`, which is
+lexicographic (Knuth, TAOCP 4A, 7.2.1.2); a lexicographic range is a slice of
+that one stream, so work split into ranges across processes merges back into
+exactly the serial result.  :func:`tally` is the one counting path over S_n.
 
 :func:`fan_out` is the library's one parallel layer: it decides the pool
 size (``workers`` clamped to the CPU count and to the amount of work), the
@@ -40,12 +39,11 @@ __all__ = [
     "FILTERS",
     "Distribution",
     "enumerate_sn",
-    "unrank_permutation",
-    "next_permutation_inplace",
     "permutation_range",
     "avoiders_132",
     "avoiders_231",
     "all_shapes",
+    "tally",
     "distribution",
     "shape_census",
     "split_ranges",
@@ -98,48 +96,12 @@ def enumerate_sn(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.permutations(range(1, n + 1))
 
 
-def unrank_permutation(n: int, index: int) -> tuple[int, ...]:
-    """The permutation at a lexicographic index, via the factorial base."""
-    if not 0 <= index < factorial(n):
-        raise ValueError(f"index {index} outside 0..{factorial(n) - 1}")
-    available = list(range(1, n + 1))
-    out: list[int] = []
-    for radix in range(n - 1, -1, -1):
-        block = factorial(radix)
-        digit, index = divmod(index, block)
-        out.append(available.pop(digit))
-    return tuple(out)
-
-
-def next_permutation_inplace(word: list[int]) -> bool:
-    """Advance to the lexicographic successor; False at the last arrangement."""
-    n = len(word)
-    i = n - 2
-    while i >= 0 and word[i] >= word[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = n - 1
-    while word[j] <= word[i]:
-        j -= 1
-    word[i], word[j] = word[j], word[i]
-    word[i + 1 :] = reversed(word[i + 1 :])
-    return True
-
-
 def permutation_range(n: int, start: int, stop: int) -> Iterator[tuple[int, ...]]:
     """Permutations with lexicographic indices in [start, stop)."""
     _check_enum_n(n)
-    total = factorial(n)
-    if not 0 <= start <= stop <= total:
+    if not 0 <= start <= stop <= factorial(n):
         raise ValueError(f"bad range [{start}, {stop}) for n={n}")
-    if start == stop:
-        return
-    current = list(unrank_permutation(n, start))
-    for _ in range(stop - start):
-        yield tuple(current)
-        if not next_permutation_inplace(current):
-            break
+    return itertools.islice(enumerate_sn(n), start, stop)
 
 
 def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -306,13 +268,24 @@ def _shape_key(word: tuple[int, ...]) -> str:
     return ",".join(map(str, shape_parts(word)))
 
 
+def tally(n: int, key: Callable, workers: int = 1) -> dict:
+    """
+    Exact counts of ``key(word)`` over S_n.  From n = 6 on, ``workers``
+    splits the enumeration into lexicographic ranges counted by separate
+    processes, so ``key`` must be picklable (a module-level function).
+    """
+    return _merge_tallies(
+        fan_out(partial(_tally_range, n, key), factorial(n), workers if n >= 6 else 1)
+    )
+
+
 def distribution(
     n: int, statistic: str, avoid: str | None = None, workers: int = 1
 ) -> Distribution:
     """
     The exact distribution of a statistic over S_n, optionally restricted to
-    the 1-3-2- or 2-3-1-avoiding class.  ``workers`` splits the full
-    enumeration into lexicographic ranges handled by separate processes.
+    the 1-3-2- or 2-3-1-avoiding class.  Over full S_n it is a :func:`tally`,
+    so ``workers`` splits it into lexicographic ranges from n = 6 on.
     """
     _check_enum_n(n)
     if statistic not in STATISTICS:
@@ -320,18 +293,12 @@ def distribution(
     if avoid not in FILTERS:
         raise ValueError(f"unknown filter {avoid!r} (use None, '132' or '231')")
     fn = STATISTICS[statistic]
-    if avoid is None and workers > 1 and n >= 6:
-        counts = _merge_tallies(
-            fan_out(partial(_tally_range, n, fn), factorial(n), workers)
-        )
+    if avoid is None:
+        counts = tally(n, fn, workers)
+    elif avoid == "132":
+        counts = _tally(avoiders_132(n), fn)
     else:
-        if avoid is None:
-            source: Iterator[tuple[int, ...]] = enumerate_sn(n)
-        elif avoid == "132":
-            source = avoiders_132(n)
-        else:
-            source = avoiders_231(n)
-        counts = _tally(source, fn)
+        counts = _tally(avoiders_231(n), fn)
     return Distribution(n=n, statistic=statistic, filter=avoid, counts=counts)
 
 
@@ -339,11 +306,7 @@ def shape_census(n: int, workers: int = 1) -> dict[str, int]:
     """Exact count of permutations per shape, keyed by the shape text form."""
     if not 0 <= n <= 9:
         raise ValueError("shape census supports 0 <= n <= 9")
-    if workers > 1 and n >= 6:
-        return _merge_tallies(
-            fan_out(partial(_tally_range, n, _shape_key), factorial(n), workers)
-        )
-    return _tally(enumerate_sn(n), _shape_key)
+    return tally(n, _shape_key, workers)
 
 
 def census_to_json(census: dict[str, int], n: int) -> str:

@@ -72,11 +72,47 @@ class StatVector:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """A node of a decreasing binary tree; children carry smaller labels."""
+    """
+    A node of a decreasing binary tree; children carry smaller labels.
+
+    ``==`` and ``hash`` compare the whole tree and ``repr`` spells it out in
+    the dataclass form, each with an explicit stack, so they work on trees
+    deeper than the recursion limit.
+    """
 
     value: int
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
+
+    def _preorder(self) -> tuple[tuple[int, bool, bool], ...]:
+        """(value, has left child, has right child) in pre-order: the tree, flat."""
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.value, node.left is not None, node.right is not None))
+            stack.extend(c for c in (node.right, node.left) if c is not None)
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
+    def __repr__(self) -> str:
+        pieces: list[str] = []
+        stack: list[TreeNode | str | None] = [self]
+        while stack:
+            item = stack.pop()
+            if item is None or isinstance(item, str):
+                pieces.append(str(item))
+            else:
+                pieces.append(f"{type(item).__qualname__}(value={item.value!r}, left=")
+                stack += [")", item.right, ", right=", item.left]
+        return "".join(pieces)
 
     def inorder_values(self) -> tuple[int, ...]:
         out: list[int] = []

@@ -1,15 +1,16 @@
 """
 Umbrella verification suites: every structural claim of the library gets an
 exhaustive cross-check at small n, each suite timed and reporting its first
-counterexamples.  The heavy per-permutation parts split the lexicographic
-enumeration through :func:`permshape.oracle.fan_out`; partial results merge
-associatively, so parallel and single-threaded runs agree exactly.
+counterexamples.  Every per-word check over S_n runs through one runner,
+:func:`_run_ranged`, which splits the lexicographic enumeration through
+:func:`permshape.oracle.fan_out` from n = 7 on; counts over S_n go through
+:func:`permshape.oracle.tally`.  Partial results merge in range order, so
+parallel and single-threaded runs agree exactly.
 """
 from __future__ import annotations
 
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -115,71 +116,79 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _check_range(n: int, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
+    """One lexicographic range of S_n, up to its first failure."""
+    part, keys = SuiteResult("", n), set()
+    for word in oracle.permutation_range(n, lo, hi):
+        if not check(part, word, keys):
+            break
+    return part, keys
+
+
+def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> set:
+    """
+    Run ``check(result, word, keys) -> bool`` over S_n and return the union
+    of the keys it collected.  A check counts its ``require`` calls on one
+    word and returns False at the first that fails; ``keys`` carries what a
+    whole-S_n claim needs.  Each range stops at its first failure, and the
+    ranges merge in order, so a split run matches a single-process one.
+    """
+    union: set = set()
+    for part, keys in oracle.fan_out(
+        partial(_check_range, n, check), factorial(n), workers if n >= 7 else 1
+    ):
+        result.checks += part.checks
+        for message in part.failures:
+            result.fail(message)
+        union |= keys
+    return union
+
+
 # ---------------------------------------------------------------------------
 # stats: statistics of the path-derived shape match the permutation, border
 # laws hold, and decreasing trees are wired to the border numbers.
 # ---------------------------------------------------------------------------
 
 
-def _stats_check_word(word: tuple[int, ...]) -> str | None:
+def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
     n = len(word)
     parts = path_shape_parts(dyck_word(word))
     descents = descent_positions(word)
     nonzero = [v for v in parts if v]
-    if len(set(nonzero)) != len(descents):
-        return f"distinct nonzero parts != des at {word}"
-    if len(nonzero) != n - lr_maxima_count(word):
-        return f"nonzero parts != n - lrmax at {word}"
-    if (nonzero[0] if nonzero else 0) != (descents[-1] if descents else 0):
-        return f"largest part != last descent at {word}"
-    if sum(set(nonzero)) != sum(descents):
-        return f"sum of distinct parts != maj at {word}"
     a = left_borders(word)
-    if sum(parts) != sum(a):
-        return f"area != border sum at {word}"
-    if {v for v in a if v} != set(descents):
-        return f"nonzero borders != descent set at {word}"
-    rb = right_borders(word)
-    if tuple(n + 1 - rb[n - 1 - t] for t in range(n)) != left_borders(word[::-1]):
-        return f"right-border reflection law fails at {word}"
-    return None
-
-
-def _tree_parent_map(word: tuple[int, ...]) -> dict[int, tuple[int, str]]:
-    """value -> (parent value, side) over the decreasing tree of the word."""
-    out: dict[int, tuple[int, str]] = {}
-
-    def walk(node, parent: int | None, side: str) -> None:
-        if node is None:
-            return
-        if parent is not None:
-            out[node.value] = (parent, side)
-        walk(node.left, node.value, "left")
-        walk(node.right, node.value, "right")
-
-    walk(decreasing_tree_word(word), None, "")
-    return out
-
-
-def _first_failure(n: int, check, lo: int, hi: int) -> tuple[int, str | None]:
-    """(words checked, first failure or None) over one lexicographic range."""
-    checks = 0
-    for word in oracle.permutation_range(n, lo, hi):
-        checks += 1
-        bad = check(word)
-        if bad is not None:
-            return checks, bad
-    return checks, None
-
-
-def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> None:
-    parts = oracle.fan_out(
-        partial(_first_failure, n, check), factorial(n), workers if n >= 7 else 1
-    )
-    for checks, bad in parts:
-        result.checks += checks
-        if bad is not None:
-            result.fail(bad)
+    b = right_borders(word)
+    reflected = tuple(n + 1 - b[n - 1 - t] for t in range(n))
+    laws = {
+        "distinct nonzero parts != des": len(set(nonzero)) == len(descents),
+        "nonzero parts != n - lrmax": len(nonzero) == n - lr_maxima_count(word),
+        "largest part != last descent": (nonzero[0] if nonzero else 0)
+        == (descents[-1] if descents else 0),
+        "sum of distinct parts != maj": sum(set(nonzero)) == sum(descents),
+        "area != border sum": sum(parts) == sum(a),
+        "nonzero borders != descent set": {v for v in a if v} == set(descents),
+        "right-border reflection law fails": reflected == left_borders(word[::-1]),
+    }
+    broken = next((law for law, holds in laws.items() if not holds), None)
+    if not result.require(broken is None, f"{broken} at {word}" if broken else ""):
+        return False
+    if not 1 <= n <= 8:
+        return True
+    tree = decreasing_tree_word(word)
+    if not result.require(
+        tree.inorder_values() == word, f"in-order traversal broken at {word}"
+    ):
+        return False
+    # A left child hangs below its right border position, a right child
+    # below its left border position.
+    ok, stack = True, [tree]
+    while stack and ok:
+        node = stack.pop()
+        for borders, child in ((b, node.left), (a, node.right)):
+            if child is not None:
+                expected = borders[word.index(child.value)]
+                ok = ok and 1 <= expected <= n and word[expected - 1] == node.value
+                stack.append(child)
+    return result.require(ok, f"tree parent law fails at {word}")
 
 
 def suite_stats(max_n: int, workers: int = 1) -> SuiteResult:
@@ -188,42 +197,12 @@ def suite_stats(max_n: int, workers: int = 1) -> SuiteResult:
         _run_ranged(result, n, workers, _stats_check_word)
         if not result.passed:
             return result
-    for n in range(1, min(max_n, 8) + 1):
-        for word in oracle.enumerate_sn(n):
-            tree = decreasing_tree_word(word)
-            if not result.require(
-                tree.inorder_values() == word,
-                f"in-order traversal broken at {word}",
-            ):
-                return result
-            parents = _tree_parent_map(word)
-            a = left_borders(word)
-            b = right_borders(word)
-            ok = True
-            for pos, value in enumerate(word, start=1):
-                if value not in parents:
-                    continue
-                parent_value, side = parents[value]
-                # A left child hangs below its right border position, a right
-                # child below its left border position.
-                expected = b[pos - 1] if side == "left" else a[pos - 1]
-                if not (1 <= expected <= n) or word[expected - 1] != parent_value:
-                    ok = False
-                    break
-            if not result.require(ok, f"tree parent law fails at {word}"):
-                return result
     return result
 
 
 # ---------------------------------------------------------------------------
 # cp-pattern: border sum = inversions + uninterrupted 1-3-2 occurrences.
 # ---------------------------------------------------------------------------
-
-
-def _cp_check_word(word: tuple[int, ...]) -> str | None:
-    if sum(left_borders(word)) != inversion_count(word) + count_barred_132_word(word):
-        return f"border-sum identity fails at {word}"
-    return None
 
 
 def _naive_barred_132(word: tuple[int, ...]) -> int:
@@ -239,19 +218,26 @@ def _naive_barred_132(word: tuple[int, ...]) -> int:
     return count
 
 
+def _cp_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+    barred = count_barred_132_word(word)
+    return result.require(
+        sum(left_borders(word)) == inversion_count(word) + barred,
+        f"border-sum identity fails at {word}",
+    ) and (
+        len(word) > 6
+        or result.require(
+            barred == _naive_barred_132(word),
+            f"windowed and naive barred counts differ at {word}",
+        )
+    )
+
+
 def suite_cp_pattern(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("cp-pattern", max_n)
     for n in range(0, min(max_n, 9) + 1):
         _run_ranged(result, n, workers, _cp_check_word)
         if not result.passed:
             return result
-    for n in range(0, min(max_n, 6) + 1):
-        for word in oracle.enumerate_sn(n):
-            if not result.require(
-                count_barred_132_word(word) == _naive_barred_132(word),
-                f"windowed and naive barred counts differ at {word}",
-            ):
-                return result
     for n in range(0, min(max_n, 9) + 1):
         for word in oracle.avoiders_132(n):
             if not result.require(
@@ -268,35 +254,38 @@ def suite_cp_pattern(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _shapes_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+    n = len(word)
+    path = dyck_word(word)
+    parts = shape_from_path(path).parts
+    return (
+        result.require(
+            parts == shape_parts(word), f"path shape != border shape at {word}"
+        )
+        and result.require(
+            borders_from_shape(ShapePartition(parts, n)) == left_borders(word),
+            f"border reconstruction fails at {word}",
+        )
+        and result.require(
+            valleys(path) == tuple(2 * d for d in descent_positions(word)),
+            f"valleys != doubled descents at {word}",
+        )
+        and (
+            not n
+            or result.require(
+                first_return(path) == 2 * (word.index(n) + 1),
+                f"first return != twice the max position at {word}",
+            )
+        )
+    )
+
+
 def suite_shapes(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("shapes", max_n)
     for n in range(0, min(max_n, 9) + 1):
-        for word in oracle.enumerate_sn(n):
-            path = dyck_word(word)
-            parts = shape_from_path(path).parts
-            if not result.require(
-                parts == shape_parts(word),
-                f"path shape != border shape at {word}",
-            ):
-                return result
-            s = ShapePartition(parts, n)
-            if not result.require(
-                borders_from_shape(s) == left_borders(word),
-                f"border reconstruction fails at {word}",
-            ):
-                return result
-            descents = descent_positions(word)
-            if not result.require(
-                valleys(path) == tuple(2 * d for d in descents),
-                f"valleys != doubled descents at {word}",
-            ):
-                return result
-            if n:
-                if not result.require(
-                    first_return(path) == 2 * (word.index(n) + 1),
-                    f"first return != twice the max position at {word}",
-                ):
-                    return result
+        _run_ranged(result, n, workers, _shapes_check_word)
+        if not result.passed:
+            return result
         words = {dyck_word(w) for w in oracle.avoiders_231(n)}
         all_words = {path_from_shape(s) for s in oracle.all_shapes(n)}
         if not result.require(
@@ -356,27 +345,34 @@ def suite_count(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+    t = encode_tableau(Permutation(word))
+    if not result.require(
+        decode_tableau(t).entries == word, f"round trip broken at {word}"
+    ):
+        return False
+    if len(word) > 8:
+        return True
+    keys.add((t.shape.parts, t.dots))
+    return result.require(
+        count_132_from_tableau(t) == count_pattern_word(word, (1, 3, 2)),
+        f"tableau 1-3-2 count wrong at {word}",
+    ) and result.require(
+        count_231_from_tableau(t) == count_pattern_word(word, (2, 3, 1)),
+        f"tableau 2-3-1 count wrong at {word}",
+    )
+
+
 def suite_tableau(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("tableau", max_n)
     for n in range(0, min(max_n, 9) + 1):
-        seen: set[tuple] = set()
-        collect = n <= min(max_n, 8)
-        for word in oracle.enumerate_sn(n):
-            p = Permutation(word)
-            t = encode_tableau(p)
-            if not result.require(
-                decode_tableau(t).entries == word,
-                f"round trip broken at {word}",
-            ):
-                return result
-            if collect:
-                seen.add((t.shape.parts, t.dots))
-        if collect:
-            if not result.require(
-                len(seen) == factorial(n),
-                f"encode is not injective on S_{n}",
-            ):
-                return result
+        seen = _run_ranged(result, n, workers, _tableau_check_word)
+        if not result.passed:
+            return result
+        if n <= 8 and not result.require(
+            len(seen) == factorial(n), f"encode is not injective on S_{n}"
+        ):
+            return result
     for n in range(0, min(max_n, 9) + 1):
         for s in oracle.all_shapes(n):
             low = decode_tableau(min_filling(s))
@@ -395,19 +391,6 @@ def suite_tableau(max_n: int, workers: int = 1) -> SuiteResult:
                 shape_parts(low.entries) == s.parts
                 and shape_parts(high.entries) == s.parts,
                 f"extreme fillings of {s} do not preserve the shape",
-            ):
-                return result
-    for n in range(0, min(max_n, 8) + 1):
-        for word in oracle.enumerate_sn(n):
-            t = encode_tableau(Permutation(word))
-            if not result.require(
-                count_132_from_tableau(t) == count_pattern_word(word, (1, 3, 2)),
-                f"tableau 1-3-2 count wrong at {word}",
-            ):
-                return result
-            if not result.require(
-                count_231_from_tableau(t) == count_pattern_word(word, (2, 3, 1)),
-                f"tableau 2-3-1 count wrong at {word}",
             ):
                 return result
     return result
@@ -600,12 +583,38 @@ def suite_parity(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
+def _joint_key(word: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(area, des, last descent, n - lrmax): the exponents of G_n."""
+    descents = descent_positions(word)
+    return (
+        sum(left_borders(word)),
+        len(descents),
+        descents[-1] if descents else 0,
+        len(word) - lr_maxima_count(word),
+    )
+
+
+def _splitting_check_word(
+    result: SuiteResult, word: tuple[int, ...], keys: set
+) -> bool:
+    n = len(word)
+    k = word.index(n) + 1
+    left = standardize(word[: k - 1]).entries if k > 1 else ()
+    right = standardize(word[k:]).entries if k < n else ()
+    return result.require(
+        sum(left_borders(word))
+        == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),
+        f"splitting law fails at {word}",
+    )
+
+
 def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("genfun", max_n)
+    areas: dict[int, dict[int, int]] = {}
     for n in range(0, min(max_n, 9) + 1):
-        dist = oracle.distribution(n, "lbsum", workers=workers)
+        areas[n] = oracle.distribution(n, "lbsum", workers=workers).counts
         if not result.require(
-            lbsum_polynomial(n).to_counts() == dist.counts,
+            lbsum_polynomial(n).to_counts() == areas[n],
             f"F_{n} disagrees with the enumerated distribution",
         ):
             return result
@@ -625,29 +634,15 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
             f"degree bound fails for F_{n}",
         )
     for n in range(0, min(max_n, 8) + 1):
-        truth: Counter = Counter()
-        for word in oracle.enumerate_sn(n):
-            descents = descent_positions(word)
-            truth[
-                (
-                    sum(left_borders(word)),
-                    len(descents),
-                    descents[-1] if descents else 0,
-                    n - lr_maxima_count(word),
-                )
-            ] += 1
         if not result.require(
-            dict(quad_polynomial(n).terms()) == dict(truth),
+            dict(quad_polynomial(n).terms()) == oracle.tally(n, _joint_key, workers),
             f"G_{n} disagrees with the enumerated joint distribution",
         ):
             return result
     for n in range(0, min(max_n, 10) + 1):
-        counts: dict[int, int] = {}
-        for word in oracle.avoiders_132(n):
-            v = inversion_count(word)
-            counts[v] = counts.get(v, 0) + 1
         if not result.require(
-            q_catalan(n).to_counts() == counts,
+            q_catalan(n).to_counts()
+            == oracle.distribution(n, "inv", avoid="132").counts,
             f"q-Catalan {n} disagrees with inversions over the avoiders",
         ):
             return result
@@ -665,10 +660,9 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
         moments(n)  # raises when the two routes disagree
         result.checks += 1
     for n in range(2, min(max_n, 8) + 1):
-        dist = oracle.distribution(n, "lbsum")
         total = factorial(n)
-        mean = Fraction(sum(v * c for v, c in dist.counts.items()), total)
-        second = Fraction(sum(v * v * c for v, c in dist.counts.items()), total)
+        mean = Fraction(sum(v * c for v, c in areas[n].items()), total)
+        second = Fraction(sum(v * v * c for v, c in areas[n].items()), total)
         report = moments(n)
         result.require(
             report.mean == mean and report.variance == second - mean * mean,
@@ -676,18 +670,9 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
         )
     # The splitting law behind every recursion, pointwise.
     for n in range(1, min(max_n, 9) + 1):
-        for word in oracle.enumerate_sn(n):
-            k = word.index(n) + 1
-            left = standardize(word[: k - 1]).entries if k > 1 else ()
-            right = standardize(word[k:]).entries if k < n else ()
-            if not result.require(
-                sum(left_borders(word))
-                == sum(left_borders(left))
-                + sum(left_borders(right))
-                + k * (n - k),
-                f"splitting law fails at {word}",
-            ):
-                return result
+        _run_ranged(result, n, workers, _splitting_check_word)
+        if not result.passed:
+            return result
     return result
 
 

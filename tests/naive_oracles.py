@@ -66,6 +66,11 @@ def naive_barred_132(word):
     return count
 
 
+def naive_permutations(n):
+    """All permutations of 1..n in lexicographic order, by sorting."""
+    return sorted(itertools.permutations(range(1, n + 1)))
+
+
 def naive_statistic_distribution(n, fn):
     counts = Counter()
     for word in itertools.permutations(range(1, n + 1)):

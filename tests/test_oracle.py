@@ -15,15 +15,17 @@ from permshape.oracle import (
     distribution,
     enumerate_sn,
     fan_out,
-    next_permutation_inplace,
     permutation_range,
     shape_census,
     split_ranges,
-    unrank_permutation,
 )
 from permshape.shapes import ShapePartition, count_permutations_with_shape
 
-from naive_oracles import naive_avoiders, naive_statistic_distribution
+from naive_oracles import (
+    naive_avoiders,
+    naive_permutations,
+    naive_statistic_distribution,
+)
 
 
 def catalan(n):
@@ -46,20 +48,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_sn(12))
 
-    def test_unrank(self):
-        words = list(enumerate_sn(4))
-        for idx, word in enumerate(words):
-            assert unrank_permutation(4, idx) == word
-        with pytest.raises(ValueError):
-            unrank_permutation(3, 6)
-
-    def test_successor(self):
-        current = [1, 2, 3]
-        seen = [tuple(current)]
-        while next_permutation_inplace(current):
-            seen.append(tuple(current))
-        assert seen == list(enumerate_sn(3))
-
     @given(st.integers(0, 7), st.data())
     def test_range_matches_slice(self, n, data):
         total = factorial(n)
@@ -74,6 +62,20 @@ class TestEnumeration:
                 for lo, hi in split_ranges(factorial(n), pieces):
                     merged.extend(permutation_range(n, lo, hi))
                 assert merged == list(enumerate_sn(n))
+
+    def test_full_range_is_lexicographic(self):
+        for n in range(7):
+            assert list(permutation_range(n, 0, factorial(n))) == naive_permutations(n)
+
+    def test_range_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            permutation_range(4, 5, 3)
+        with pytest.raises(ValueError):
+            permutation_range(4, 0, 25)
+        with pytest.raises(ValueError):
+            permutation_range(4, -1, 3)
+        with pytest.raises(ValueError):
+            permutation_range(12, 0, 1)
 
 
 class TestFanOut:

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -223,6 +224,21 @@ class TestBarred132:
         assert sum(left_borders(word)) >= inversion_count(word)
 
 
+@dataclass(frozen=True)
+class GeneratedNode:
+    """The dataclass-generated structural methods, as a reference."""
+
+    value: int
+    left: "GeneratedNode | None" = None
+    right: "GeneratedNode | None" = None
+
+
+def _generated(node):
+    if node is None:
+        return None
+    return GeneratedNode(node.value, _generated(node.left), _generated(node.right))
+
+
 class TestDecreasingTree:
     def test_small(self):
         root = decreasing_tree(Permutation((2, 1, 3)))
@@ -253,6 +269,26 @@ class TestDecreasingTree:
     def test_inorder_roundtrip_deeper_than_the_recursion_limit(self):
         for word in (tuple(range(1, 3001)), tuple(range(3000, 0, -1))):
             assert decreasing_tree_word(word).inorder_values() == word
+
+    def test_structural_methods_match_the_generated_ones(self):
+        words = list(itertools.permutations(range(1, 7)))
+        trees = [decreasing_tree_word(w) for w in words]
+        mirrors = [_generated(t) for t in trees]
+        for t, w in zip(trees, words):
+            rebuilt = decreasing_tree_word(w)
+            assert rebuilt is not t and rebuilt == t and hash(rebuilt) == hash(t)
+            assert repr(t) == repr(_generated(t)).replace("GeneratedNode", "TreeNode")
+        for i in range(0, len(trees), 7):
+            for j in range(len(trees)):
+                assert (trees[i] == trees[j]) == (mirrors[i] == mirrors[j])
+        assert trees[0].__eq__(mirrors[0]) is NotImplemented and trees[0] != None
+
+    def test_structural_methods_deeper_than_the_recursion_limit(self):
+        word = tuple(range(1, 3001))
+        tree, again = decreasing_tree_word(word), decreasing_tree_word(word)
+        assert tree == again and hash(tree) == hash(again)
+        assert tree != decreasing_tree_word(word[:-2] + (3000, 2999))
+        assert repr(tree).count("TreeNode(value=") == 3000
 
 
 class TestPermutationClass:

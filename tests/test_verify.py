@@ -1,5 +1,8 @@
+import multiprocessing
+
 import pytest
 
+from permshape import verify
 from permshape.verify import run_suite
 
 
@@ -10,7 +13,9 @@ from permshape.verify import run_suite
     [
         ("stats", 7),
         ("cp-pattern", 7),
+        ("shapes", 7),
         ("count", 7),
+        ("tableau", 7),
         ("parity", 7),
         ("genfun", 7),
         ("poset", 6),
@@ -23,3 +28,26 @@ def test_parallel_suite_matches_serial(name, max_n, pool_requests):
     assert pool_requests
     assert serial.passed
     assert (parallel.passed, parallel.checks) == (serial.passed, serial.checks)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
+    # The last word of S_7 lies in the second of two ranges; the patched
+    # kernel reaches the forked workers with the module.
+    last = (7, 6, 5, 4, 3, 2, 1)
+    real = verify.shape_parts
+    monkeypatch.setattr(
+        verify, "shape_parts", lambda word: () if word == last else real(word)
+    )
+    message = f"path shape != border shape at {last}"
+    serial = run_suite("shapes", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("shapes", 7, workers=2)
+    assert pool_requests == [("fork", 2)]
+    for result in (serial, parallel):
+        assert not result.passed
+        assert result.failures == [message]
+    assert parallel.checks == serial.checks
