@@ -2,17 +2,26 @@
 """Measure how one verification suite scales with worker processes.
 
 Runs the suite (``stats`` unless ``--suite`` names another) at depth n once
-per worker count and prints the wall time and speedup against the first
-run.  Merge equality (same number of checks, same verdict) is asserted on
-every run.  Example: ``scripts/worker_scaling.py --suite tableau --n 8``.
+per worker count and prints the wall time, the speedup against the first
+run, and the process pools the run actually opened with their total number
+of worker processes.  Merge equality (same number of checks, same verdict)
+is asserted on every run.  Example: ``scripts/worker_scaling.py --suite
+tableau --n 8``.
 """
 import argparse
+import multiprocessing.context
 import os
 import time
-from math import factorial
 
 import permshape.verify as verify
-from permshape.oracle import effective_workers
+
+_pools: list[int] = []  # worker processes of every pool opened so far
+_real_pool = multiprocessing.context.BaseContext.Pool
+
+
+def _counting_pool(self, processes=None, *args, **kwargs):
+    _pools.append(processes)
+    return _real_pool(self, processes, *args, **kwargs)
 
 
 def main() -> None:
@@ -25,11 +34,13 @@ def main() -> None:
         "--workers", type=int, nargs="*", default=[1, 2, 4, 8], help="worker counts"
     )
     args = parser.parse_args()
+    multiprocessing.context.BaseContext.Pool = _counting_pool
 
     print(f"suite {args.suite}, host reports {os.cpu_count()} CPU(s)")
     baseline = None
     reference = None
     for workers in args.workers:
+        _pools.clear()
         started = time.perf_counter()
         result = verify.run_suite(args.suite, args.n, workers=workers)
         elapsed = time.perf_counter() - started
@@ -37,10 +48,10 @@ def main() -> None:
             baseline = elapsed
             reference = (result.passed, result.checks)
         assert (result.passed, result.checks) == reference, "merge mismatch"
-        effective = effective_workers(workers, factorial(args.n))
         print(
-            f"workers={workers:<2} effective={effective:<2} time={elapsed:7.2f}s "
-            f"speedup={baseline / elapsed:5.2f}x checks={result.checks}"
+            f"workers={workers:<2} pools={len(_pools):<2} processes={sum(_pools):<3} "
+            f"time={elapsed:7.2f}s speedup={baseline / elapsed:5.2f}x "
+            f"checks={result.checks}"
         )
 
 

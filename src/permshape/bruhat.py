@@ -173,9 +173,7 @@ def verify_poset_equivalence(n: int, workers: int = 1) -> PosetReport:
     items = [
         (word, rank_table(word), shape_parts(word)) for word in avoiders_132(n)
     ]
-    parts = fan_out(
-        partial(_poset_pairs, items), len(items), workers if len(items) >= 64 else 1
-    )
+    parts = fan_out(partial(_poset_pairs, items), len(items), workers, min_total=64)
     checked = sum(c for c, _ in parts)
     bad = [entry for _, chunk in parts for entry in chunk]
     return PosetReport(

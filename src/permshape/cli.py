@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import oracle, verify
 from .genfun import lbsum_polynomial, q_catalan, quad_polynomial
@@ -28,28 +27,9 @@ from .permutations import Permutation, parse_permutation, stat_vector
 from .shapes import ShapePartition, count_permutations_with_shape, dyck_path, shape
 from .tableaux import encode_tableau, tableau_to_json
 
-__all__ = ["RunConfig", "main", "map_report", "predicted_distribution"]
+__all__ = ["main", "map_report", "predicted_distribution"]
 
 FORMATS = ("plain", "json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; exactly one subcommand is populated."""
-
-    subcommand: str
-    permutation: str | None = None
-    n: int = 0
-    statistic: str | None = None
-    avoid: str | None = None
-    shape_text: str | None = None
-    fmt: str = "plain"
-    check: bool = False
-    parity: bool = False
-    order: int = 8
-    max_n: int = 7
-    workers: int = 1
-    selection: tuple[str, ...] = ("all",)
 
 
 def map_report(p: Permutation) -> dict:
@@ -97,11 +77,11 @@ def predicted_distribution(
     return None
 
 
-def _print_map(config: RunConfig) -> int:
-    report = map_report(parse_permutation(config.permutation or ""))
-    if config.fmt == "json":
+def _print_map(args: argparse.Namespace) -> int:
+    report = map_report(parse_permutation(args.permutation))
+    if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["field", "value"])
@@ -131,21 +111,21 @@ def _print_map(config: RunConfig) -> int:
     return 0
 
 
-def _dist_rows(config: RunConfig) -> tuple[list[tuple[str, int]], dict]:
+def _dist_rows(args: argparse.Namespace) -> tuple[list[tuple[str, int]], dict]:
     """(sorted rows of (key, count), metadata) for the dist subcommand."""
-    meta: dict = {"n": config.n, "statistic": config.statistic, "filter": config.avoid}
-    if config.statistic == "shape":
-        census = oracle.shape_census(config.n, workers=config.workers)
-        if config.shape_text is not None:
-            wanted = ShapePartition.from_text(config.shape_text, n=config.n)
+    meta: dict = {"n": args.n, "statistic": args.stat, "filter": args.avoid}
+    if args.stat == "shape":
+        census = oracle.shape_census(args.n, workers=args.workers)
+        if args.shape is not None:
+            wanted = ShapePartition.from_text(args.shape, n=args.n)
             key = wanted.to_text()
             rows = [(key, census.get(key, 0))]
         else:
             rows = sorted(census.items())
-        if config.check:
+        if args.check:
             predictions = {
                 key: count_permutations_with_shape(
-                    ShapePartition.from_text(key, n=config.n)
+                    ShapePartition.from_text(key, n=args.n)
                 )
                 for key, _ in rows
             }
@@ -156,18 +136,18 @@ def _dist_rows(config: RunConfig) -> tuple[list[tuple[str, int]], dict]:
             meta["predicted"] = {k: str(v) for k, v in predictions.items()}
         return rows, meta
     dist = oracle.distribution(
-        config.n, config.statistic or "", avoid=config.avoid, workers=config.workers
+        args.n, args.stat, avoid=args.avoid, workers=args.workers
     )
     rows = [(str(v), c) for v, c in sorted(dist.counts.items())]
-    if config.parity:
+    if args.parity:
         even, odd = dist.parity_split()
         meta["parity"] = {"even": str(even), "odd": str(odd), "delta": str(even - odd)}
-    if config.check:
-        predicted = predicted_distribution(config.n, config.statistic or "", config.avoid)
+    if args.check:
+        predicted = predicted_distribution(args.n, args.stat, args.avoid)
         if predicted is None:
             raise ValueError(
                 f"no generating-polynomial prediction for statistic "
-                f"{config.statistic!r} with filter {config.avoid!r}"
+                f"{args.stat!r} with filter {args.avoid!r}"
             )
         meta["check"] = {
             "source": "generating polynomial",
@@ -177,13 +157,13 @@ def _dist_rows(config: RunConfig) -> tuple[list[tuple[str, int]], dict]:
     return rows, meta
 
 
-def _print_dist(config: RunConfig) -> int:
-    rows, meta = _dist_rows(config)
-    if config.fmt == "json":
+def _print_dist(args: argparse.Namespace) -> int:
+    rows, meta = _dist_rows(args)
+    if args.format == "json":
         payload = dict(meta)
         payload["rows"] = [[key, str(count)] for key, count in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["value", "count"])
@@ -206,11 +186,9 @@ def _print_dist(config: RunConfig) -> int:
     return 0
 
 
-def _print_verify(config: RunConfig) -> int:
-    results = verify.run_suites(
-        list(config.selection), config.max_n, config.workers, config.order
-    )
-    if config.fmt == "json":
+def _print_verify(args: argparse.Namespace) -> int:
+    results = verify.run_suites(args.selection, args.max_n, args.workers, args.order)
+    if args.format == "json":
         print(verify.report_to_json(results))
     else:
         for r in results:
@@ -232,6 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map = sub.add_parser("map", help="map one permutation to all its views")
     p_map.add_argument("permutation", help="one-line notation, e.g. 53148276")
     p_map.add_argument("--format", choices=FORMATS, default="plain")
+    p_map.set_defaults(workers=1, max_n=0)
 
     p_dist = sub.add_parser("dist", help="exact distribution tables")
     p_dist.add_argument("--n", type=int, required=True)
@@ -246,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--check", action="store_true")
     p_dist.add_argument("--parity", action="store_true")
     p_dist.add_argument("--workers", type=int, default=1)
+    p_dist.set_defaults(max_n=0)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
     p_verify.add_argument(
@@ -261,45 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.subcommand == "map":
-        return RunConfig("map", permutation=args.permutation, fmt=args.format)
-    if args.subcommand == "dist":
-        return RunConfig(
-            "dist",
-            n=args.n,
-            statistic=args.stat,
-            avoid=args.avoid,
-            shape_text=args.shape,
-            fmt=args.format,
-            check=args.check,
-            parity=args.parity,
-            workers=args.workers,
-        )
-    return RunConfig(
-        "verify",
-        selection=tuple(args.selection or ["all"]),
-        max_n=args.max_n,
-        order=args.order,
-        workers=args.workers,
-        fmt=args.format,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        if config.workers < 1:
-            raise ValueError(f"--workers must be at least 1, got {config.workers}")
-        if config.max_n < 0:
-            raise ValueError(f"--max-n must be at least 0, got {config.max_n}")
-        if config.subcommand == "map":
-            return _print_map(config)
-        if config.subcommand == "dist":
-            return _print_dist(config)
-        return _print_verify(config)
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
+        if args.max_n < 0:
+            raise ValueError(f"--max-n must be at least 0, got {args.max_n}")
+        if args.subcommand == "map":
+            return _print_map(args)
+        if args.subcommand == "dist":
+            return _print_dist(args)
+        return _print_verify(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
 from operator import or_
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "UniPolynomial",
@@ -99,11 +99,17 @@ class UniPolynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self._coeffs.items()))
 
+    @classmethod
+    def sum_of(cls, polys: Iterable["UniPolynomial"]) -> "UniPolynomial":
+        """The sum of ``polys``, gathered in one dict."""
+        out: dict[int, Coeff] = {}
+        for poly in polys:
+            for e, c in poly._coeffs.items():
+                out[e] = out.get(e, 0) + c
+        return cls(out)
+
     def __add__(self, other: "UniPolynomial") -> "UniPolynomial":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return UniPolynomial(out)
+        return UniPolynomial.sum_of((self, other))
 
     def __neg__(self) -> "UniPolynomial":
         return UniPolynomial({e: -c for e, c in self._coeffs.items()})
@@ -255,6 +261,10 @@ class QuadPolynomial:
     def __hash__(self) -> int:
         return hash((QuadPolynomial, self._poly))
 
+    @classmethod
+    def sum_of(cls, polys: Iterable["QuadPolynomial"]) -> "QuadPolynomial":
+        return cls._of(UniPolynomial.sum_of(p._poly for p in polys))
+
     def __add__(self, other: "QuadPolynomial") -> "QuadPolynomial":
         return QuadPolynomial._of(self._poly + other._poly)
 
@@ -311,11 +321,11 @@ def _split_recursion(
     """
     while len(cache) <= n:
         m = len(cache)
-        acc = UniPolynomial.zero()
+        terms = []
         for k in range(1, m + 1):
             c, s = weight(m, k)
-            acc = acc + (cache[k - 1] * cache[m - k]).scaled(c).shifted(s)
-        cache.append(acc)
+            terms.append((cache[k - 1] * cache[m - k]).scaled(c).shifted(s))
+        cache.append(UniPolynomial.sum_of(terms))
     return cache[n]
 
 
@@ -432,6 +442,7 @@ def tangent_numbers(m: int) -> list[int]:
 
 _G_MAX = 25
 _g_cache: list[QuadPolynomial] = [QuadPolynomial.one(), QuadPolynomial.one()]
+_g_sides: list[tuple[QuadPolynomial, QuadPolynomial]] = []  # G_k at p = 1, at q = 1
 
 
 def quad_polynomial(n: int) -> QuadPolynomial:
@@ -455,15 +466,16 @@ def quad_polynomial(n: int) -> QuadPolynomial:
         raise ValueError(f"quad_polynomial supports 0 <= n <= {_G_MAX}")
     while len(_g_cache) <= n:
         m = len(_g_cache)
-        acc = _g_cache[m - 1]
-        for k in range(1, m):
-            left = _g_cache[k - 1].with_p_one()
-            right = _g_cache[m - k].with_q_one()
-            term = (left * right).times_monomial(
+        _g_sides.extend(
+            (g.with_p_one(), g.with_q_one()) for g in _g_cache[len(_g_sides) :]
+        )
+        terms = [
+            (_g_sides[k - 1][0] * _g_sides[m - k][1]).times_monomial(
                 (k * (m - k), 1, k, m - k), comb(m - 1, k - 1)
             )
-            acc = acc + term
-        _g_cache.append(acc)
+            for k in range(1, m)
+        ]
+        _g_cache.append(QuadPolynomial.sum_of([_g_cache[m - 1], *terms]))
     return _g_cache[n]
 
 

@@ -7,7 +7,8 @@ lexicographic (Knuth, TAOCP 4A, 7.2.1.2); a lexicographic range is a slice of
 that one stream, so work split into ranges across processes merges back into
 exactly the serial result.  :func:`tally` is the one counting path over S_n.
 
-:func:`fan_out` is the library's one parallel layer: it decides the pool
+:func:`fan_out` is the library's one parallel layer: it rejects ``workers``
+below 1, decides whether the work is big enough for a pool at all, the pool
 size (``workers`` clamped to the CPU count and to the amount of work), the
 start method (``fork``, else ``spawn``) and the range split, and returns the
 per-range results in range order for the caller to merge.
@@ -52,6 +53,11 @@ __all__ = [
 ]
 
 MAX_ENUM_N = 11
+
+# The least work worth a process pool, one unit per word of S_n.  Below it a
+# pool cannot pay: starting one costs tens of ms, while a tally of S_6 takes
+# 2-5 ms inline (16-38 ms with two workers on a 2-CPU host).
+_POOL_MIN_TOTAL = factorial(7)
 
 
 def _stat_lbsum(word: tuple[int, ...]) -> int:
@@ -117,24 +123,38 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def effective_workers(workers: int, total: int) -> int:
+def effective_workers(
+    workers: int, total: int, *, min_total: int = _POOL_MIN_TOTAL
+) -> int:
     """
     The number of processes :func:`fan_out` uses for ``total`` units of work:
+    1 below ``min_total`` units (in the caller's own units), otherwise
     ``workers`` clamped to the CPU count and to ``total``, and at least 1.
+    ``workers`` below 1 raises ValueError at every size.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if total < min_total:
+        return 1
     return max(1, min(workers, os.cpu_count() or 1, total))
 
 
-def fan_out(work: Callable[[int, int], object], total: int, workers: int) -> list:
+def fan_out(
+    work: Callable[[int, int], object],
+    total: int,
+    workers: int,
+    *,
+    min_total: int = _POOL_MIN_TOTAL,
+) -> list:
     """
     Split [0, total) into :func:`effective_workers` contiguous ranges and
     return ``[work(lo, hi) for each range]`` in range order.  One range runs
-    inline; several run in one process pool, so ``work`` must be picklable
-    (a module-level function, or a :func:`functools.partial` of one).
+    inline, as does all work below ``min_total`` units (by default 7!, one
+    unit per word of S_n); several run in one process pool, so ``work`` must
+    be picklable (a module-level function, or a :func:`functools.partial` of
+    one).
     """
-    ranges = split_ranges(total, effective_workers(workers, total))
+    ranges = split_ranges(total, effective_workers(workers, total, min_total=min_total))
     if len(ranges) == 1:
         return [work(*ranges[0])]
     methods = multiprocessing.get_all_start_methods()
@@ -270,12 +290,13 @@ def _shape_key(word: tuple[int, ...]) -> str:
 
 def tally(n: int, key: Callable, workers: int = 1) -> dict:
     """
-    Exact counts of ``key(word)`` over S_n.  From n = 6 on, ``workers``
+    Exact counts of ``key(word)`` over S_n.  From n = 7 on, ``workers``
     splits the enumeration into lexicographic ranges counted by separate
-    processes, so ``key`` must be picklable (a module-level function).
+    processes (see :func:`fan_out`), so ``key`` must be picklable (a
+    module-level function).
     """
     return _merge_tallies(
-        fan_out(partial(_tally_range, n, key), factorial(n), workers if n >= 6 else 1)
+        fan_out(partial(_tally_range, n, key), factorial(n), workers)
     )
 
 
@@ -285,7 +306,9 @@ def distribution(
     """
     The exact distribution of a statistic over S_n, optionally restricted to
     the 1-3-2- or 2-3-1-avoiding class.  Over full S_n it is a :func:`tally`,
-    so ``workers`` splits it into lexicographic ranges from n = 6 on.
+    so ``workers`` splits it into lexicographic ranges from n = 7 on; the
+    avoider classes are walked in one process.  ``workers`` below 1 raises
+    ValueError either way.
     """
     _check_enum_n(n)
     if statistic not in STATISTICS:
@@ -295,10 +318,9 @@ def distribution(
     fn = STATISTICS[statistic]
     if avoid is None:
         counts = tally(n, fn, workers)
-    elif avoid == "132":
-        counts = _tally(avoiders_132(n), fn)
     else:
-        counts = _tally(avoiders_231(n), fn)
+        effective_workers(workers, 0)  # inline, but workers < 1 is still an error
+        counts = _tally((avoiders_132 if avoid == "132" else avoiders_231)(n), fn)
     return Distribution(n=n, statistic=statistic, filter=avoid, counts=counts)
 
 

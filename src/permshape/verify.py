@@ -3,9 +3,9 @@ Umbrella verification suites: every structural claim of the library gets an
 exhaustive cross-check at small n, each suite timed and reporting its first
 counterexamples.  Every per-word check over S_n runs through one runner,
 :func:`_run_ranged`, which splits the lexicographic enumeration through
-:func:`permshape.oracle.fan_out` from n = 7 on; counts over S_n go through
-:func:`permshape.oracle.tally`.  Partial results merge in range order, so
-parallel and single-threaded runs agree exactly.
+:func:`permshape.oracle.fan_out`, which decides when a pool pays; counts
+over S_n go through :func:`permshape.oracle.tally`.  Partial results merge
+in range order, so parallel and single-threaded runs agree exactly.
 """
 from __future__ import annotations
 
@@ -135,7 +135,7 @@ def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> set:
     """
     union: set = set()
     for part, keys in oracle.fan_out(
-        partial(_check_range, n, check), factorial(n), workers if n >= 7 else 1
+        partial(_check_range, n, check), factorial(n), workers
     ):
         result.checks += part.checks
         for message in part.failures:
@@ -610,9 +610,18 @@ def _splitting_check_word(
 
 def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("genfun", max_n)
+    # One walk of S_n per n <= 8: the joint tally of G_n, whose first
+    # coordinate is the area; n = 9 counts the area alone.
+    joints: dict[int, dict[tuple[int, int, int, int], int]] = {}
     areas: dict[int, dict[int, int]] = {}
     for n in range(0, min(max_n, 9) + 1):
-        areas[n] = oracle.distribution(n, "lbsum", workers=workers).counts
+        if n <= 8:
+            joints[n] = oracle.tally(n, _joint_key, workers)
+            areas[n] = {}
+            for (area, *_), count in joints[n].items():
+                areas[n][area] = areas[n].get(area, 0) + count
+        else:
+            areas[n] = oracle.distribution(n, "lbsum", workers=workers).counts
         if not result.require(
             lbsum_polynomial(n).to_counts() == areas[n],
             f"F_{n} disagrees with the enumerated distribution",
@@ -635,7 +644,7 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
         )
     for n in range(0, min(max_n, 8) + 1):
         if not result.require(
-            dict(quad_polynomial(n).terms()) == oracle.tally(n, _joint_key, workers),
+            dict(quad_polynomial(n).terms()) == joints[n],
             f"G_{n} disagrees with the enumerated joint distribution",
         ):
             return result
@@ -710,6 +719,7 @@ _SUITES = {
 def run_suite(name: str, max_n: int, workers: int = 1, order: int = 8) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    oracle.effective_workers(workers, 0)  # also for suites that never fan out
     started = time.perf_counter()
     if name == "series":
         result = suite_series(max_n, workers, order=order)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permshape.bruhat import verify_poset_equivalence
 from permshape.oracle import (
     all_shapes,
     avoiders_132,
@@ -18,8 +19,10 @@ from permshape.oracle import (
     permutation_range,
     shape_census,
     split_ranges,
+    tally,
 )
 from permshape.shapes import ShapePartition, count_permutations_with_shape
+from permshape.verify import run_suite
 
 from naive_oracles import (
     naive_avoiders,
@@ -100,12 +103,45 @@ class TestFanOut:
         assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
         assert [processes for _, processes in pool_requests] == [2]
 
+    # Every public entry point that takes ``workers``, at sizes too small
+    # for a pool and on routes that never open one.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: distribution(5, "lbsum", workers=0),
+            lambda: distribution(5, "lbsum", avoid="132", workers=0),
+            lambda: tally(5, len, workers=-3),
+            lambda: shape_census(3, workers=0),
+            lambda: run_suite("stats", 6, workers=0),
+            lambda: run_suite("series", 6, workers=0),
+            lambda: verify_poset_equivalence(5, workers=0),
+        ],
+        ids=[
+            "distribution",
+            "distribution-avoid",
+            "tally",
+            "shape_census",
+            "run_suite",
+            "run_suite-series",
+            "verify_poset_equivalence",
+        ],
+    )
+    def test_workers_below_one_rejected_at_every_size(self, call, no_pool):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            call()
+
+    def test_walks_below_seven_factorial_run_inline(self, pool_requests):
+        assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
+        assert shape_census(6, workers=2) == shape_census(6)
+        assert fan_out(lambda lo, hi: (lo, hi), 63, 2, min_total=64) == [(0, 63)]
+        assert not pool_requests
+
     def test_spawn_when_fork_is_missing(self, pool_requests, monkeypatch):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
         )
-        assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
-        assert shape_census(6, workers=2) == shape_census(6)
+        assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")
+        assert shape_census(7, workers=2) == shape_census(7)
         assert pool_requests == [("spawn", 2), ("spawn", 2)]
 
 

@@ -6,7 +6,14 @@ from permshape import verify
 from permshape.verify import run_suite
 
 
-# Every suite that fans out, at a depth where it does: the split run must
+# Pools a 2-worker run opens: one per walk of S_7 (genfun walks it twice,
+# for the joint tally and for the splitting law), one for poset's comparison
+# at n = 6, the first n with at least 64 avoiders, and none for the suites
+# that never fan out.
+POOLS = {"genfun": 2, "bijection": 0, "series": 0}
+
+
+# Every suite at a depth where those that fan out do: the split run must
 # perform exactly the checks of the single-process run.
 @pytest.mark.parametrize(
     "name, max_n",
@@ -16,8 +23,10 @@ from permshape.verify import run_suite
         ("shapes", 7),
         ("count", 7),
         ("tableau", 7),
+        ("bijection", 7),
         ("parity", 7),
         ("genfun", 7),
+        ("series", 7),
         ("poset", 6),
     ],
 )
@@ -25,7 +34,7 @@ def test_parallel_suite_matches_serial(name, max_n, pool_requests):
     serial = run_suite(name, max_n, workers=1)
     assert not pool_requests
     parallel = run_suite(name, max_n, workers=2)
-    assert pool_requests
+    assert [processes for _, processes in pool_requests] == [2] * POOLS.get(name, 1)
     assert serial.passed
     assert (parallel.passed, parallel.checks) == (serial.passed, serial.checks)
 
