@@ -187,7 +187,9 @@ def _print_dist(args: argparse.Namespace) -> int:
 
 
 def _print_verify(args: argparse.Namespace) -> int:
-    results = verify.run_suites(args.selection, args.max_n, args.workers, args.order)
+    # A bare default string, because argparse checks it against the choices.
+    selection = [args.selection] if isinstance(args.selection, str) else args.selection
+    results = verify.run_suites(selection, args.max_n, args.workers, args.order)
     if args.format == "json":
         print(verify.report_to_json(results))
     else:
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "selection",
         nargs="*",
-        default=["all"],
+        default="all",
         choices=list(verify.SUITE_NAMES) + ["all"],
     )
     p_verify.add_argument("--max-n", type=int, default=7)

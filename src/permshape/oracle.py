@@ -187,23 +187,10 @@ def avoiders_132(n: int) -> Iterator[tuple[int, ...]]:
 
 def avoiders_231(n: int) -> Iterator[tuple[int, ...]]:
     """
-    All 2-3-1-avoiding permutations of {1..n}: around the maximum, every
-    value on the left must be below every value on the right.
+    All 2-3-1-avoiding permutations of {1..n}: the reversals of the
+    1-3-2-avoiders, since reversing a 1-3-2 gives a 2-3-1.
     """
-    _check_enum_n(n)
-
-    def build(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not values:
-            yield ()
-            return
-        for k in range(1, len(values) + 1):
-            left_values = values[: k - 1]
-            right_values = values[k - 1 : -1]
-            for left in build(left_values):
-                for right in build(right_values):
-                    yield left + (values[-1],) + right
-
-    return build(tuple(range(1, n + 1)))
+    return (word[::-1] for word in avoiders_132(n))
 
 
 def all_shapes(n: int) -> Iterator[ShapePartition]:

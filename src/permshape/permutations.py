@@ -20,7 +20,7 @@ __all__ = [
     "InvalidPermutationError",
     "Permutation",
     "StatVector",
-    "TreeNode",
+    "DecreasingTree",
     "parse_permutation",
     "standardize",
     "identity",
@@ -36,6 +36,7 @@ __all__ = [
     "contains_132",
     "contains_231",
     "avoids_word",
+    "max_links",
     "decreasing_tree_word",
 ]
 
@@ -71,63 +72,33 @@ class StatVector:
 
 
 @dataclass(frozen=True)
-class TreeNode:
+class DecreasingTree:
     """
-    A node of a decreasing binary tree; children carry smaller labels.
-
-    ``==`` and ``hash`` compare the whole tree and ``repr`` spells it out in
-    the dataclass form, each with an explicit stack, so they work on trees
-    deeper than the recursion limit.
+    A decreasing binary tree, flat: node k carries ``values[k]``, the letter
+    at position k, and ``left[k]`` / ``right[k]`` are the positions of its
+    children, -1 for none.  Children carry smaller labels; ``root`` is the
+    position of the maximum.
     """
 
-    value: int
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    def _preorder(self) -> tuple[tuple[int, bool, bool], ...]:
-        """(value, has left child, has right child) in pre-order: the tree, flat."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.append((node.value, node.left is not None, node.right is not None))
-            stack.extend(c for c in (node.right, node.left) if c is not None)
-        return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._preorder() == other._preorder()
-
-    def __hash__(self) -> int:
-        return hash(self._preorder())
-
-    def __repr__(self) -> str:
-        pieces: list[str] = []
-        stack: list[TreeNode | str | None] = [self]
-        while stack:
-            item = stack.pop()
-            if item is None or isinstance(item, str):
-                pieces.append(str(item))
-            else:
-                pieces.append(f"{type(item).__qualname__}(value={item.value!r}, left=")
-                stack += [")", item.right, ", right=", item.left]
-        return "".join(pieces)
+    values: tuple[int, ...]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
+    root: int
 
     def inorder_values(self) -> tuple[int, ...]:
+        """The labels met by walking the links from the root, in order."""
         out: list[int] = []
-        stack: list[tuple[TreeNode | None, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if node is None:
-                continue
-            if expanded:
-                out.append(node.value)
-            else:
-                stack.append((node.right, False))
-                stack.append((node, True))
-                stack.append((node.left, False))
-        return tuple(out)
+        stack: list[int] = []
+        node = self.root
+        while True:
+            while node >= 0:
+                stack.append(node)
+                node = self.left[node]
+            if not stack:
+                return tuple(out)
+            node = stack.pop()
+            out.append(self.values[node])
+            node = self.right[node]
 
 
 @dataclass(frozen=True)
@@ -376,7 +347,33 @@ def avoids_word(word: Sequence[int], pattern: Sequence[int]) -> bool:
     return count_pattern_word(word, pat) == 0
 
 
-def decreasing_tree_word(word: Sequence[int]) -> TreeNode:
+def max_links(word: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """
+    Split a word at its maximum, and each side again at its maximum, in one
+    pass: a stack of nearest greater values (Vuillemin's Cartesian tree).
+    Returns the left and right child position of every position, -1 for
+    none, and the root position, -1 for the empty word.  Of equal values
+    the earlier one is the ancestor, so every split takes the first maximum.
+
+    >>> max_links((2, 1, 3))
+    ([-1, -1, 0], [1, -1, -1], 2)
+    """
+    n = len(word)
+    left = [-1] * n
+    right = [-1] * n
+    stack: list[int] = []  # positions with weakly decreasing values
+    for i, v in enumerate(word):
+        last = -1
+        while stack and word[stack[-1]] < v:
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    return left, right, (stack[0] if stack else -1)
+
+
+def decreasing_tree_word(word: Sequence[int]) -> DecreasingTree:
     """
     The decreasing binary tree of a nonempty word: the root is the maximum,
     and the left/right subtrees are built from the prefix/suffix around it.
@@ -384,30 +381,8 @@ def decreasing_tree_word(word: Sequence[int]) -> TreeNode:
     """
     if not word:
         raise ValueError("the empty permutation has no decreasing tree")
-    values = tuple(word)
-    splits: list[tuple[int, int, int]] = []  # (lo, position of the maximum, hi)
-    pending: list[tuple[int, int]] = []  # right parts still to split
-    lo, hi = 0, len(values)
-    while True:
-        while lo < hi:
-            k = lo
-            for t in range(lo + 1, hi):
-                if values[t] > values[k]:
-                    k = t
-            splits.append((lo, k, hi))
-            pending.append((k + 1, hi))
-            hi = k
-        if not pending:
-            break
-        lo, hi = pending.pop()
-    # The splits are in pre-order, so in reverse each node comes right after
-    # its left subtree, which came right after its right subtree.
-    built: list[TreeNode] = []
-    for lo, k, hi in reversed(splits):
-        left = built.pop() if lo < k else None
-        right = built.pop() if k + 1 < hi else None
-        built.append(TreeNode(values[k], left, right))
-    return built[0]
+    left, right, root = max_links(word)
+    return DecreasingTree(tuple(word), tuple(left), tuple(right), root)
 
 
 # -- Permutation-level wrappers ------------------------------------------------
@@ -426,5 +401,5 @@ def avoids(p: Permutation, pattern: Permutation) -> bool:
     return avoids_word(p.entries, pattern.entries)
 
 
-def decreasing_tree(p: Permutation) -> TreeNode:
+def decreasing_tree(p: Permutation) -> DecreasingTree:
     return decreasing_tree_word(p.entries)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterator, Sequence
 
-from .permutations import Permutation, left_borders
+from .permutations import Permutation, left_borders, max_links
 
 __all__ = [
     "UP",
@@ -50,30 +50,25 @@ def dyck_word(word: Sequence[int]) -> str:
     """
     Map a permutation word to its Dyck word by recursive splitting at the
     maximum: the empty word maps to "", and L m R maps to
-    "u" + dyck(L) + "r" + dyck(R).
+    "u" + dyck(L) + "r" + dyck(R).  Computed in one pass: :func:`max_links`
+    finds every split at once, and the walk over its links writes the U of
+    each node on entry and its R between its left and right parts.
 
     >>> dyck_word((5, 3, 1, 4, 8, 2, 7, 6))
     'uuruururrruurrur'
     >>> dyck_word((1, 2, 3))
     'uuurrr'
     """
-    values = tuple(word)
+    left, right, node = max_links(word)
     out: list[str] = []
-    pending: list[tuple[int, int]] = []  # right parts, each written after an R
-    lo, hi = 0, len(values)
-    while True:
-        while lo < hi:  # the U of [lo, hi), then straight on into its left part
-            k = lo
-            for t in range(lo + 1, hi):
-                if values[t] > values[k]:
-                    k = t
+    # The R of position i closes its left part; its right part starts next.
+    for after in right:
+        while node >= 0:  # the U of a node, then straight on into its left part
             out.append(UP)
-            pending.append((k + 1, hi))
-            hi = k
-        if not pending:
-            return "".join(out)
-        lo, hi = pending.pop()
+            node = left[node]
         out.append(RIGHT)
+        node = after
+    return "".join(out)
 
 
 def dyck_path(p: Permutation) -> str:

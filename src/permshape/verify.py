@@ -180,14 +180,10 @@ def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> 
         return False
     # A left child hangs below its right border position, a right child
     # below its left border position.
-    ok, stack = True, [tree]
-    while stack and ok:
-        node = stack.pop()
-        for borders, child in ((b, node.left), (a, node.right)):
-            if child is not None:
-                expected = borders[word.index(child.value)]
-                ok = ok and 1 <= expected <= n and word[expected - 1] == node.value
-                stack.append(child)
+    ok = all(
+        (lc < 0 or b[lc] == k + 1) and (rc < 0 or a[rc] == k + 1)
+        for k, (lc, rc) in enumerate(zip(tree.left, tree.right))
+    )
     return result.require(ok, f"tree parent law fails at {word}")
 
 

@@ -66,6 +66,42 @@ def naive_barred_132(word):
     return count
 
 
+def _first_maximum(word, lo, hi):
+    k = lo
+    for t in range(lo + 1, hi):
+        if word[t] > word[k]:
+            k = t
+    return k
+
+
+def naive_dyck_word(word):
+    """The recursive definition: "" for the empty word, L m R -> u D(L) r D(R)."""
+    if not word:
+        return ""
+    k = _first_maximum(word, 0, len(word))
+    return "u" + naive_dyck_word(word[:k]) + "r" + naive_dyck_word(word[k + 1 :])
+
+
+def naive_decreasing_tree(word):
+    """
+    (values, left, right, root) of the decreasing tree by recursive splits at
+    the first maximum; children are positions, -1 for none.
+    """
+    left = [-1] * len(word)
+    right = [-1] * len(word)
+
+    def split(lo, hi):
+        if lo >= hi:
+            return -1
+        k = _first_maximum(word, lo, hi)
+        left[k] = split(lo, k)
+        right[k] = split(k + 1, hi)
+        return k
+
+    root = split(0, len(word))
+    return tuple(word), tuple(left), tuple(right), root
+
+
 def naive_permutations(n):
     """All permutations of 1..n in lexicographic order, by sorting."""
     return sorted(itertools.permutations(range(1, n + 1)))

@@ -212,6 +212,14 @@ class TestVerify:
         assert main(["verify", "poset", "--max-n", "5", "--workers", "2"]) == 0
         assert "PASS poset" in capsys.readouterr().out
 
+    def test_all_suites_when_none_is_named(self, capsys):
+        assert main(["verify", "--max-n", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines if line.startswith("PASS ")] == [
+            ["PASS", name] for name in verify.SUITE_NAMES
+        ]
+        assert len(verify.SUITE_NAMES) == 10 and lines[-1] == "result: ok"
+
     def test_unknown_suite_rejected(self):
         proc = run_cli("verify", "everything")
         assert proc.returncode == 2

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
@@ -29,6 +28,7 @@ from permshape.permutations import (
 
 from naive_oracles import (
     naive_barred_132,
+    naive_decreasing_tree,
     naive_left_borders,
     naive_pattern_count,
     naive_right_borders,
@@ -224,42 +224,43 @@ class TestBarred132:
         assert sum(left_borders(word)) >= inversion_count(word)
 
 
-@dataclass(frozen=True)
-class GeneratedNode:
-    """The dataclass-generated structural methods, as a reference."""
-
-    value: int
-    left: "GeneratedNode | None" = None
-    right: "GeneratedNode | None" = None
-
-
-def _generated(node):
-    if node is None:
-        return None
-    return GeneratedNode(node.value, _generated(node.left), _generated(node.right))
+def _flat(tree):
+    return (tree.values, tree.left, tree.right, tree.root)
 
 
 class TestDecreasingTree:
     def test_small(self):
-        root = decreasing_tree(Permutation((2, 1, 3)))
-        assert root.value == 3
-        assert root.right is None
-        assert root.left.value == 2 and root.left.right.value == 1
+        tree = decreasing_tree(Permutation((2, 1, 3)))
+        assert tree.values[tree.root] == 3
+        assert tree.right[tree.root] == -1
+        child = tree.left[tree.root]
+        assert tree.values[child] == 2 and tree.values[tree.right[child]] == 1
 
     def test_single(self):
-        root = decreasing_tree(Permutation((1,)))
-        assert (root.value, root.left, root.right) == (1, None, None)
+        tree = decreasing_tree(Permutation((1,)))
+        root = tree.root
+        assert (tree.values[root], tree.left[root], tree.right[root]) == (1, -1, -1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             decreasing_tree(Permutation(()))
 
     def test_running_example_parent(self):
-        root = decreasing_tree(Permutation(RUNNING))
-        assert root.value == 8
+        tree = decreasing_tree(Permutation(RUNNING))
+        assert tree.values[tree.root] == 8
         # 6 hangs below 7, which sits at the left border position of 6.
-        node = root.right
-        assert node.value == 7 and node.right.value == 6
+        node = tree.right[tree.root]
+        assert tree.values[node] == 7 and tree.values[tree.right[node]] == 6
+
+    def test_matches_the_recursive_definition(self):
+        for n in range(1, 9):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert _flat(decreasing_tree_word(word)) == naive_decreasing_tree(word)
+
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=12))
+    def test_the_first_maximum_is_the_ancestor_on_ties(self, word):
+        word = tuple(word)
+        assert _flat(decreasing_tree_word(word)) == naive_decreasing_tree(word)
 
     @given(perms())
     def test_inorder_roundtrip(self, word):
@@ -270,25 +271,21 @@ class TestDecreasingTree:
         for word in (tuple(range(1, 3001)), tuple(range(3000, 0, -1))):
             assert decreasing_tree_word(word).inorder_values() == word
 
-    def test_structural_methods_match_the_generated_ones(self):
+    def test_equal_words_give_equal_trees(self):
         words = list(itertools.permutations(range(1, 7)))
         trees = [decreasing_tree_word(w) for w in words]
-        mirrors = [_generated(t) for t in trees]
         for t, w in zip(trees, words):
             rebuilt = decreasing_tree_word(w)
             assert rebuilt is not t and rebuilt == t and hash(rebuilt) == hash(t)
-            assert repr(t) == repr(_generated(t)).replace("GeneratedNode", "TreeNode")
-        for i in range(0, len(trees), 7):
-            for j in range(len(trees)):
-                assert (trees[i] == trees[j]) == (mirrors[i] == mirrors[j])
-        assert trees[0].__eq__(mirrors[0]) is NotImplemented and trees[0] != None
+        assert len(set(trees)) == len(words)
 
     def test_structural_methods_deeper_than_the_recursion_limit(self):
         word = tuple(range(1, 3001))
         tree, again = decreasing_tree_word(word), decreasing_tree_word(word)
         assert tree == again and hash(tree) == hash(again)
         assert tree != decreasing_tree_word(word[:-2] + (3000, 2999))
-        assert repr(tree).count("TreeNode(value=") == 3000
+        assert repr(tree).startswith("DecreasingTree(values=(1, 2, 3, ")
+        assert repr(tree).endswith(", root=2999)")
 
 
 class TestPermutationClass:

@@ -23,6 +23,8 @@ from permshape.shapes import (
     valleys,
 )
 
+from naive_oracles import naive_dyck_word
+
 RUNNING = (5, 3, 1, 4, 8, 2, 7, 6)
 RUNNING_WORD = "uuruururrruurrur"
 
@@ -51,6 +53,15 @@ class TestDyckWord:
         # Deeper than the interpreter's recursion limit on either side.
         assert dyck_word(range(1, 3001)) == "u" * 3000 + "r" * 3000
         assert dyck_word(range(3000, 0, -1)) == "ur" * 3000
+
+    def test_matches_the_recursive_definition(self):
+        for n in range(9):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert dyck_word(word) == naive_dyck_word(word)
+
+    @given(st.lists(st.integers(1, 4), max_size=12))
+    def test_the_first_maximum_splits_on_ties(self, word):
+        assert dyck_word(word) == naive_dyck_word(tuple(word))
 
     def test_not_injective_on_all_perms(self):
         assert dyck_word((1, 3, 2)) == dyck_word((2, 3, 1)) == "uurrur"

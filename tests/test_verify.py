@@ -1,4 +1,5 @@
 import multiprocessing
+from dataclasses import replace
 
 import pytest
 
@@ -60,3 +61,26 @@ def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
         assert not result.passed
         assert result.failures == [message]
     assert parallel.checks == serial.checks
+
+
+def test_a_tree_rotated_at_the_root_breaks_the_parent_law(monkeypatch):
+    # Rotating the tree of (1, 3, 2) at its root lifts 1 above 3 and keeps
+    # the in-order walk, so only the parent law can catch it.
+    word = (1, 3, 2)
+    real = verify.decreasing_tree_word
+
+    def rotated(w):
+        tree = real(w)
+        if w != word:
+            return tree
+        top = tree.root
+        lifted = tree.left[top]
+        left, right = list(tree.left), list(tree.right)
+        left[top], right[lifted] = right[lifted], top
+        return replace(tree, left=tuple(left), right=tuple(right), root=lifted)
+
+    assert rotated(word) != real(word) and rotated(word).inorder_values() == word
+    monkeypatch.setattr(verify, "decreasing_tree_word", rotated)
+    result = run_suite("stats", 3)
+    assert not result.passed
+    assert result.failures == [f"tree parent law fails at {word}"]
