@@ -24,7 +24,7 @@ import sys
 from . import oracle, verify
 from .genfun import lbsum_polynomial, q_catalan, quad_polynomial
 from .permutations import Permutation, parse_permutation, stat_vector
-from .shapes import ShapePartition, count_permutations_with_shape, dyck_path, shape
+from .shapes import ShapePartition, count_permutations_with_shape, dyck_path
 from .tableaux import encode_tableau, tableau_to_json
 
 __all__ = ["main", "map_report", "predicted_distribution"]
@@ -39,7 +39,7 @@ def map_report(p: Permutation) -> dict:
     return {
         "permutation": list(p.entries),
         "dyck_word": dyck_path(p),
-        "shape": shape(p).to_text(),
+        "shape": t.shape.to_text(),
         "left_borders": list(p.left_border_numbers()),
         "right_borders": list(p.right_border_numbers()),
         "stats": {

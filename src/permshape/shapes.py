@@ -214,26 +214,31 @@ def borders_from_shape(s: ShapePartition) -> tuple[int, ...]:
     Recover the left border numbers a_1..a_n in their original order.
     a_1 = 0, a_{v+1} = v for every distinct nonzero part v, and the remaining
     parts fill the open positions from left to right, each taking the
-    greatest still-unused part smaller than the position.
+    greatest still-unused part smaller than the position.  The unused parts
+    smaller than the position sit on a stack, pushed in ascending order as
+    the position passes them, so its top is that greatest part: O(n).
     """
     n = s.n
     if n == 0:
         return ()
     a: list[int | None] = [None] * (n + 1)
     a[1] = 0
-    remaining = sorted(s.parts, reverse=True)
-    for v in sorted(set(s.parts), reverse=True):
-        if v > 0:
+    unused: list[int] = []  # ascending: the parts left after the fixed ones
+    for v in reversed(s.parts):
+        if v > 0 and a[v + 1] is None:
             a[v + 1] = v
-            remaining.remove(v)
+        else:
+            unused.append(v)
+    stack: list[int] = []
+    k = 0
     for j in range(2, n + 1):
+        while k < len(unused) and unused[k] < j:
+            stack.append(unused[k])
+            k += 1
         if a[j] is None:
-            for idx, v in enumerate(remaining):
-                if v < j:
-                    a[j] = remaining.pop(idx)
-                    break
-            else:
+            if not stack:
                 raise ValueError(f"shape {s} admits no border sequence")
+            a[j] = stack.pop()
     return tuple(a[1:])  # type: ignore[arg-type]
 
 

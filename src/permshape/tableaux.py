@@ -8,17 +8,22 @@ order); columns are labeled 1..k from the left, k being the largest part.
 A dot in column i, row j records the inversion (i, j).  Column dot counts
 form an inversion table, so the permutation can be rebuilt from the filling
 alone.
+
+A filling of a shape for n is stored as one int, ``FilledTableau.mask``:
+the dot in column i, row label j is bit (i - 1) * n + (j - 1).  Columns are
+n-bit fields from the low end, so ascending bit order is (column, label)
+order and a column's dot count is the popcount of its field.  Every
+tableau, whether built by the public constructor, the encoder, the extreme
+fillings or from JSON, passes the same two checks: its row labels equal the
+shape's, and its mask has no bit outside the shape's cells.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
-from .permutations import (
-    Permutation,
-    contains_132,
-    inversion_pairs,
-)
+from .permutations import Permutation, contains_132, left_borders
 from .shapes import (
     ShapePartition,
     borders_from_shape,
@@ -53,11 +58,24 @@ class InconsistentFillingError(InvalidFillingError):
     """A filling whose dots contradict the permutation its counts decode to."""
 
 
+def _row_buckets(borders: Sequence[int]) -> list[list[int]]:
+    """
+    The labels j bucketed by the row length a_j, ascending; bucket 0 holds
+    the positions without a row.
+    """
+    buckets: list[list[int]] = [[] for _ in borders]
+    for j, length in enumerate(borders, start=1):
+        buckets[length].append(j)
+    return buckets
+
+
+def _labels(buckets: list[list[int]]) -> tuple[int, ...]:
+    return tuple(chain.from_iterable(buckets[1:]))
+
+
 def row_labels_for(s: ShapePartition) -> tuple[int, ...]:
     """Row labels bottom to top: positions j with a_j > 0, sorted by (a_j, j)."""
-    a = borders_from_shape(s)
-    pairs = sorted((length, j) for j, length in enumerate(a, start=1) if length > 0)
-    return tuple(j for _, j in pairs)
+    return _labels(_row_buckets(borders_from_shape(s)))
 
 
 def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
@@ -65,31 +83,127 @@ def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
     return {j: length for j, length in enumerate(a, start=1) if length > 0}
 
 
-@dataclass(frozen=True)
+def _layout(s: ShapePartition) -> tuple[tuple[int, ...], int]:
+    """
+    The shape's row labels and the mask of its cells.  Column i holds the
+    rows of length >= i, so the column's label set grows from the widest
+    column down.
+    """
+    n = s.n
+    buckets = _row_buckets(borders_from_shape(s))
+    allowed = column = 0
+    for length in range(n - 1, 0, -1):
+        for j in buckets[length]:
+            column |= 1 << (j - 1)
+        allowed = (allowed << n) | column
+    return _labels(buckets), allowed
+
+
+def _stray_dot(s: ShapePartition, col: int, label: int) -> ValueError:
+    length = row_lengths_by_label(s).get(label)
+    if length is None:
+        return ValueError(f"dot ({col}, {label}) lies outside every row")
+    return ValueError(f"dot ({col}, {label}) exceeds its row of length {length}")
+
+
+def _columns(mask: int, n: int) -> list[int]:
+    """The n-bit column fields of a mask, column 1 first."""
+    full = (1 << n) - 1
+    return [(mask >> (i * n)) & full for i in range(n)]
+
+
+def _cells(mask: int, n: int) -> list[list[int]]:
+    """The dotted cells as [column, label] in ascending bit order (JSON form)."""
+    cells = []
+    for col, field in enumerate(_columns(mask, n), start=1):
+        while field:
+            low = field & -field
+            cells.append([col, low.bit_length()])
+            field ^= low
+    return cells
+
+
+def _rows(mask: int, n: int) -> list[int]:
+    """Row masks: bit i - 1 of ``rows[j - 1]`` is the dot (i, j)."""
+    rows = [0] * n
+    for col, label in _cells(mask, n):
+        rows[label - 1] |= 1 << (col - 1)
+    return rows
+
+
+def _inversion_mask(word: Sequence[int]) -> int:
+    """
+    The mask of a word's inversions, in O(n) big-int steps: ``below[v]``
+    holds the positions of the values smaller than v, and column i is
+    ``below[w_i]`` with positions 1..i cleared.
+    """
+    n = len(word)
+    at = [0] * (n + 1)
+    for i, v in enumerate(word):
+        at[v] = i
+    below = [0] * (n + 1)
+    seen = 0
+    for v in range(1, n + 1):
+        below[v] = seen
+        seen |= 1 << at[v]
+    mask = 0
+    for i in range(n - 1, -1, -1):
+        mask = (mask << n) | (below[word[i]] >> (i + 1) << (i + 1))
+    return mask
+
+
+@dataclass(frozen=True, init=False)
 class FilledTableau:
-    """A shape with labeled rows and a set of dots (column, row label)."""
+    """
+    A shape with labeled rows and its dots, one bit per cell of ``mask``
+    (layout in the module docstring).  The constructor takes the dots as
+    (column, row label) pairs and raises ValueError for labels that are not
+    the shape's or for a dot outside its row.
+    """
 
     shape: ShapePartition
     row_labels: tuple[int, ...]
-    dots: frozenset[tuple[int, int]]
+    mask: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "dots", frozenset(self.dots))
-        expected = row_labels_for(self.shape)
-        if self.row_labels != expected:
+    def __init__(
+        self,
+        shape: ShapePartition,
+        row_labels: Iterable[int],
+        dots: Iterable[tuple[int, int]],
+    ) -> None:
+        n = shape.n
+        mask = 0
+        for col, label in dots:
+            # Checked before packing: (1, n + 1) would land on bit n, (2, 1).
+            if not (1 <= col <= n and 1 <= label <= n):
+                raise _stray_dot(shape, col, label)
+            mask |= 1 << ((col - 1) * n + label - 1)
+        self._set(shape, row_labels, mask)
+
+    @classmethod
+    def _from_mask(
+        cls, shape: ShapePartition, row_labels: Iterable[int], mask: int
+    ) -> "FilledTableau":
+        t = cls.__new__(cls)
+        t._set(shape, row_labels, mask)
+        return t
+
+    def _set(self, shape: ShapePartition, row_labels: Iterable[int], mask: int) -> None:
+        """The one validating route every constructor ends in."""
+        row_labels = tuple(row_labels)
+        expected, allowed = _layout(shape)
+        if row_labels != expected:
             raise ValueError(
-                f"row labels {self.row_labels} do not match the shape "
+                f"row labels {row_labels} do not match the shape "
                 f"(expected {expected})"
             )
-        lengths = row_lengths_by_label(self.shape)
-        for col, label in self.dots:
-            if label not in lengths:
-                raise ValueError(f"dot ({col}, {label}) lies outside every row")
-            if not 1 <= col <= lengths[label]:
-                raise ValueError(
-                    f"dot ({col}, {label}) exceeds its row of length {lengths[label]}"
-                )
+        stray = mask & ~allowed
+        if stray:
+            col, label = divmod((stray & -stray).bit_length() - 1, shape.n)
+            raise _stray_dot(shape, col + 1, label + 1)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "row_labels", row_labels)
+        object.__setattr__(self, "mask", mask)
 
     @property
     def n(self) -> int:
@@ -99,19 +213,25 @@ class FilledTableau:
     def column_count(self) -> int:
         return self.shape.largest
 
+    @property
+    def dots(self) -> frozenset[tuple[int, int]]:
+        """The dots as (column, row label) pairs."""
+        return frozenset((col, label) for col, label in _cells(self.mask, self.n))
+
     def column_dot_counts(self) -> tuple[int, ...]:
         """Dots per column for columns 1..n (columns beyond k hold none)."""
-        counts = [0] * self.n
-        for col, _ in self.dots:
-            counts[col - 1] += 1
-        return tuple(counts)
+        return tuple(field.bit_count() for field in _columns(self.mask, self.n))
 
 
 def encode_tableau(p: Permutation) -> FilledTableau:
-    """The filled tableau of p: its shape dotted at every inversion (i, j)."""
-    s = shape(p)
-    dots = frozenset(inversion_pairs(p.entries))
-    return FilledTableau(s, row_labels_for(s), dots)
+    """
+    The filled tableau of p: its shape dotted at every inversion (i, j).
+    The row labels are read off p's own left borders, so the constructor's
+    comparison with the shape's labels checks one route against another.
+    """
+    word = p.entries
+    labels = _labels(_row_buckets(left_borders(word)))
+    return FilledTableau._from_mask(shape(p), labels, _inversion_mask(word))
 
 
 def decode_tableau(t: FilledTableau, *, check_dots: bool = True) -> Permutation:
@@ -133,7 +253,7 @@ def decode_tableau(t: FilledTableau, *, check_dots: bool = True) -> Permutation:
         values.append(unused.pop(c))
     result = Permutation(tuple(values))
     if check_dots:
-        if t.dots != frozenset(inversion_pairs(result.entries)):
+        if t.mask != _inversion_mask(result.entries):
             raise InconsistentFillingError(
                 "inconsistent filling: dots do not match the decoded inversions"
             )
@@ -153,36 +273,26 @@ def is_valid_filling(t: FilledTableau) -> bool:
     return True
 
 
-def _tableau_from_dots(
-    s: ShapePartition, dots: Iterable[tuple[int, int]]
-) -> FilledTableau:
-    return FilledTableau(s, row_labels_for(s), frozenset(dots))
-
-
 def min_filling(s: ShapePartition) -> FilledTableau:
     """
     The sparsest realizable filling of a shape: only the rightmost column of
     every rectangle of the corner decomposition is dotted.  Its decode avoids
     the pattern 2-3-1.
     """
+    n = s.n
     labels = row_labels_for(s)
-    top_down = tuple(reversed(labels))  # geometric rows 1.. from the top
-    dots: set[tuple[int, int]] = set()
+    top_down = labels[::-1]  # geometric rows 1.. from the top
+    mask = 0
     for rect in rectangle_decomposition(s).rectangles:
         for row in range(rect.corner_row - rect.height + 1, rect.corner_row + 1):
-            dots.add((rect.column, top_down[row - 1]))
-    return _tableau_from_dots(s, dots)
+            mask |= 1 << ((rect.column - 1) * n + top_down[row - 1] - 1)
+    return FilledTableau._from_mask(s, labels, mask)
 
 
 def max_filling(s: ShapePartition) -> FilledTableau:
     """The fully dotted filling of a shape; its decode avoids 1-3-2."""
-    lengths = row_lengths_by_label(s)
-    dots = {
-        (col, label)
-        for label, length in lengths.items()
-        for col in range(1, length + 1)
-    }
-    return _tableau_from_dots(s, dots)
+    labels, allowed = _layout(s)
+    return FilledTableau._from_mask(s, labels, allowed)
 
 
 def bijection_132_to_231(p: Permutation) -> Permutation:
@@ -198,17 +308,15 @@ def bijection_132_to_231(p: Permutation) -> Permutation:
 def count_132_from_tableau(t: FilledTableau) -> int:
     """
     Occurrences of 1-3-2 read off a permutation's tableau: pairs of an empty
-    cell with a dotted cell to its right within one row.
+    cell with a dotted cell to its right within one row.  A row dotted in
+    columns c_1 < ... < c_d has c_r - r empty cells left of its r-th dot, so
+    the count is the sum of the dots' columns less d(d + 1)/2 per row.
     """
-    rows: dict[int, list[int]] = {}
-    for col, label in t.dots:
-        rows.setdefault(label, []).append(col)
-    total = 0
-    for cols in rows.values():
-        filled = sorted(cols)
-        for rank, col in enumerate(filled):
-            total += (col - 1) - rank  # empty cells to the left of this dot
-    return total
+    n = t.n
+    columns = _columns(t.mask, n)
+    dotted = sum(col * field.bit_count() for col, field in enumerate(columns, 1))
+    rows = (row.bit_count() for row in _rows(t.mask, n))
+    return dotted - sum(d * (d + 1) // 2 for d in rows)
 
 
 def count_231_from_tableau(t: FilledTableau) -> int:
@@ -217,16 +325,14 @@ def count_231_from_tableau(t: FilledTableau) -> int:
     (i, k), (j, k) in one row with i < j whose companion cell (i, j) is
     absent or empty; a dotted companion marks a decreasing triple instead.
     """
-    rows: dict[int, list[int]] = {}
-    for col, label in t.dots:
-        rows.setdefault(label, []).append(col)
+    n = t.n
+    columns = _columns(t.mask, n)
     total = 0
-    for cols in rows.values():
-        filled = sorted(cols)
-        for a in range(len(filled)):
-            for b in range(a + 1, len(filled)):
-                if (filled[a], filled[b]) not in t.dots:
-                    total += 1
+    for row in _rows(t.mask, n):
+        while row:
+            low = row & -row
+            row ^= low  # the dots of this row right of column i
+            total += (row & ~columns[low.bit_length() - 1]).bit_count()
     return total
 
 
@@ -235,14 +341,10 @@ def tableau_to_json(t: FilledTableau) -> dict:
         "n": t.n,
         "shape": list(t.shape.parts),
         "row_labels": list(t.row_labels),
-        "dots": sorted([col, label] for col, label in t.dots),
+        "dots": _cells(t.mask, t.n),
     }
 
 
 def tableau_from_json(data: dict) -> FilledTableau:
     s = ShapePartition(tuple(data["shape"]), data["n"])
-    return FilledTableau(
-        s,
-        tuple(data["row_labels"]),
-        frozenset((col, label) for col, label in data["dots"]),
-    )
+    return FilledTableau(s, data["row_labels"], data["dots"])

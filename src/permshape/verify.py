@@ -349,7 +349,7 @@ def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -
         return False
     if len(word) > 8:
         return True
-    keys.add((t.shape.parts, t.dots))
+    keys.add((t.shape.parts, t.mask))
     return result.require(
         count_132_from_tableau(t) == count_pattern_word(word, (1, 3, 2)),
         f"tableau 1-3-2 count wrong at {word}",

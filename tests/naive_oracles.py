@@ -102,6 +102,43 @@ def naive_decreasing_tree(word):
     return tuple(word), tuple(left), tuple(right), root
 
 
+def naive_borders_from_shape(s):
+    """
+    a_1..a_n from a shape by scanning: a_1 = 0, a_{v+1} = v for each distinct
+    nonzero part v, then each open position j, left to right, takes the
+    greatest unused part smaller than j, found by a scan of the sorted rest.
+    """
+    n = s.n
+    if n == 0:
+        return ()
+    a = [None] * (n + 1)
+    a[1] = 0
+    remaining = sorted(s.parts, reverse=True)
+    for v in sorted(set(s.parts), reverse=True):
+        if v > 0:
+            a[v + 1] = v
+            remaining.remove(v)
+    for j in range(2, n + 1):
+        if a[j] is None:
+            for idx, v in enumerate(remaining):
+                if v < j:
+                    a[j] = remaining.pop(idx)
+                    break
+            else:
+                raise ValueError(f"shape {s} admits no border sequence")
+    return tuple(a[1:])
+
+
+def naive_inversions(word):
+    """Every inversion (i, j), 1-based, i < j and word[i] > word[j], in order."""
+    return [
+        (i + 1, j + 1)
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    ]
+
+
 def naive_permutations(n):
     """All permutations of 1..n in lexicographic order, by sorting."""
     return sorted(itertools.permutations(range(1, n + 1)))

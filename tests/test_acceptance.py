@@ -205,7 +205,7 @@ def test_criterion_11_tableau_codec():
             for word in enumerate_sn(n):
                 t = encode_tableau(Permutation(word))
                 assert decode_tableau(t).entries == word
-                seen.add((t.shape.parts, t.dots))
+                seen.add((t.shape.parts, t.mask))
             assert len(seen) == factorial(n)
         from permshape.oracle import all_shapes
         from permshape.permutations import contains_132

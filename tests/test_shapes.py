@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from permshape.oracle import all_shapes
 from permshape.permutations import Permutation, left_borders
 from permshape.shapes import (
     InvalidDyckWordError,
@@ -23,7 +24,7 @@ from permshape.shapes import (
     valleys,
 )
 
-from naive_oracles import naive_dyck_word
+from naive_oracles import naive_borders_from_shape, naive_dyck_word
 
 RUNNING = (5, 3, 1, 4, 8, 2, 7, 6)
 RUNNING_WORD = "uuruururrruurrur"
@@ -33,6 +34,17 @@ def perms(max_n=7):
     return st.integers(0, max_n).flatmap(
         lambda n: st.permutations(tuple(range(1, n + 1)))
     )
+
+
+@st.composite
+def staircase_shapes(draw, max_n=64):
+    """Any partition inside the staircase of some n <= max_n."""
+    n = draw(st.integers(0, max_n))
+    parts: list[int] = []
+    for j in range(max(n - 1, 0)):
+        bound = min(parts[-1] if parts else n - 1, n - 1 - j)
+        parts.append(draw(st.integers(0, bound)))
+    return ShapePartition(tuple(parts), n)
 
 
 class TestDyckWord:
@@ -145,6 +157,15 @@ class TestBordersFromShape:
     def test_inverts_shape(self, word):
         s = ShapePartition(shape_parts(word), len(word))
         assert borders_from_shape(s) == left_borders(word)
+
+    def test_matches_the_scanning_definition_on_every_small_shape(self):
+        for n in range(11):
+            for s in all_shapes(n):
+                assert borders_from_shape(s) == naive_borders_from_shape(s)
+
+    @given(staircase_shapes())
+    def test_matches_the_scanning_definition_up_to_64(self, s):
+        assert borders_from_shape(s) == naive_borders_from_shape(s)
 
 
 class TestRectangles:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from math import factorial
 
 import pytest
@@ -30,7 +31,7 @@ from permshape.tableaux import (
     tableau_to_json,
 )
 
-from naive_oracles import naive_pattern_count
+from naive_oracles import naive_inversions, naive_pattern_count
 
 RUNNING = Permutation((5, 3, 1, 4, 8, 2, 7, 6))
 
@@ -208,6 +209,14 @@ class TestPatternCountsFromFilling:
 
 
 class TestJson:
+    @given(perms(64))
+    def test_dots_are_the_sorted_inversions(self, word):
+        t = encode_tableau(Permutation(word))
+        data = tableau_to_json(t)
+        assert data["dots"] == sorted([i, j] for i, j in naive_inversions(word))
+        rebuilt = FilledTableau(t.shape, t.row_labels, t.dots)
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+
     def test_roundtrip(self):
         t = encode_tableau(RUNNING)
         data = json.loads(json.dumps(tableau_to_json(t)))
@@ -228,6 +237,16 @@ class TestStructuralValidation:
         s = ShapePartition((1,), 2)
         with pytest.raises(ValueError):
             FilledTableau(s, (2,), frozenset({(2, 2)}))
+
+    @pytest.mark.parametrize(
+        "dot", [(1, 9), (9, 1), (0, 2), (2, 0), (-1, 2)], ids=str
+    )
+    def test_out_of_range_dot_rejected_not_aliased(self, dot):
+        # n = 8: packed without a range check, (1, 9) is bit 8, the cell
+        # (2, 1), and (2, 0) is bit 7, the cell (1, 8) inside row 8.
+        t = encode_tableau(RUNNING)
+        with pytest.raises(ValueError, match=re.escape(f"dot {dot}")):
+            FilledTableau(t.shape, t.row_labels, t.dots | {dot})
 
     def test_decoding_is_structurally_total(self):
         # Column i reaches at most the rows labeled j > i, so its dot count
