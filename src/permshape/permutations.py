@@ -28,7 +28,6 @@ __all__ = [
     "right_borders",
     "descent_positions",
     "inversion_count",
-    "inversion_pairs",
     "lr_maxima_count",
     "stat_vector",
     "count_pattern_word",
@@ -49,7 +48,8 @@ def _check_word(word: Sequence[int]) -> None:
     n = len(word)
     seen = set()
     for v in word:
-        if not isinstance(v, int):
+        # bool is an int subclass, but True is no entry of a permutation.
+        if not isinstance(v, int) or isinstance(v, bool):
             raise InvalidPermutationError(f"non-integer value {v!r}")
         if not 1 <= v <= n:
             raise InvalidPermutationError(f"value {v} out of range 1..{n}")
@@ -229,17 +229,20 @@ def descent_positions(word: Sequence[int]) -> tuple[int, ...]:
 
 
 def inversion_count(word: Sequence[int]) -> int:
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+    """
+    Pairs i < j with w_i > w_j, in O(n) big-int steps: ``seen`` has bit u
+    set for every value u met so far, so the earlier values above v are the
+    popcount of ``seen >> v`` (sideways addition, Knuth TAOCP 4A 7.1.3).
+    The values must be distinct positive integers, as in a permutation.
 
-
-def inversion_pairs(word: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """All inversions as 1-based position pairs (i, j) with i < j, w_i > w_j."""
-    n = len(word)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[i] > word[j]:
-                yield (i + 1, j + 1)
+    >>> inversion_count((5, 3, 1, 4, 8, 2, 7, 6))
+    11
+    """
+    seen = total = 0
+    for v in word:
+        total += (seen >> v).bit_count()
+        seen |= 1 << v
+    return total
 
 
 def lr_maxima_count(word: Sequence[int]) -> int:
@@ -270,7 +273,8 @@ def count_pattern_word(word: Sequence[int], pattern: Sequence[int]) -> int:
     """
     Number of subsequences of ``word`` order-isomorphic to ``pattern``
     (a classical pattern: arbitrary gaps are allowed everywhere).
-    Patterns of length 2 and 3 are supported.
+    Patterns of length 2 and 3 are supported; ``word`` holds distinct
+    positive integers, as :func:`inversion_count` requires.
     """
     n = len(word)
     if len(pattern) == 2:

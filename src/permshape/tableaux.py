@@ -20,7 +20,7 @@ shape's, and its mask has no bit outside the shape's cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 from .permutations import Permutation, contains_132, left_borders
@@ -112,23 +112,37 @@ def _columns(mask: int, n: int) -> list[int]:
     return [(mask >> (i * n)) & full for i in range(n)]
 
 
-def _cells(mask: int, n: int) -> list[list[int]]:
-    """The dotted cells as [column, label] in ascending bit order (JSON form)."""
-    cells = []
-    for col, field in enumerate(_columns(mask, n), start=1):
-        while field:
-            low = field & -field
-            cells.append([col, low.bit_length()])
-            field ^= low
-    return cells
+# The set bits of every byte value, lowest first.
+_BYTE_BITS = tuple(
+    tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)
+)
+
+
+def _cells(mask: int, n: int) -> list[tuple[int, int]]:
+    """
+    The dotted cells as (column, label) in ascending bit order, read byte by
+    byte from the low end.  Tuples of ints leave the garbage collector's
+    tracking at their first collection, so a large filling does not feed
+    the full collections.
+    """
+    data = mask.to_bytes((n * n + 7) // 8, "little")
+    return [
+        (bit // n + 1, bit % n + 1)
+        for base, byte in zip(count(0, 8), data)
+        if byte
+        for b in _BYTE_BITS[byte]
+        for bit in (base + b,)
+    ]
 
 
 def _rows(mask: int, n: int) -> list[int]:
-    """Row masks: bit i - 1 of ``rows[j - 1]`` is the dot (i, j)."""
-    rows = [0] * n
-    for col, label in _cells(mask, n):
-        rows[label - 1] |= 1 << (col - 1)
-    return rows
+    """
+    Row masks: bit i - 1 of ``rows[j - 1]`` is the dot (i, j).  Written out
+    with n * n binary digits, the mask runs from column n down to column 1,
+    so every n-th digit from the one for (n, j) spells row j, column n first.
+    """
+    digits = format(mask, f"0{n * n}b")
+    return [int(digits[start::n], 2) for start in range(n - 1, -1, -1)]
 
 
 def _inversion_mask(word: Sequence[int]) -> int:
@@ -216,7 +230,7 @@ class FilledTableau:
     @property
     def dots(self) -> frozenset[tuple[int, int]]:
         """The dots as (column, row label) pairs."""
-        return frozenset((col, label) for col, label in _cells(self.mask, self.n))
+        return frozenset(_cells(self.mask, self.n))
 
     def column_dot_counts(self) -> tuple[int, ...]:
         """Dots per column for columns 1..n (columns beyond k hold none)."""
@@ -226,12 +240,15 @@ class FilledTableau:
 def encode_tableau(p: Permutation) -> FilledTableau:
     """
     The filled tableau of p: its shape dotted at every inversion (i, j).
-    The row labels are read off p's own left borders, so the constructor's
-    comparison with the shape's labels checks one route against another.
+    One pass of p's left borders gives both the shape (a_2..a_n sorted
+    decreasingly) and the row labels, and the constructor compares those
+    labels with the ones it rebuilds from the shape's parts alone.
     """
     word = p.entries
-    labels = _labels(_row_buckets(left_borders(word)))
-    return FilledTableau._from_mask(shape(p), labels, _inversion_mask(word))
+    borders = left_borders(word)
+    s = ShapePartition(tuple(sorted(borders[1:], reverse=True)), len(word))
+    labels = _labels(_row_buckets(borders))
+    return FilledTableau._from_mask(s, labels, _inversion_mask(word))
 
 
 def decode_tableau(t: FilledTableau, *, check_dots: bool = True) -> Permutation:
@@ -337,6 +354,12 @@ def count_231_from_tableau(t: FilledTableau) -> int:
 
 
 def tableau_to_json(t: FilledTableau) -> dict:
+    """
+    The tableau as a JSON-ready dict.  ``"dots"`` is the list of
+    (column, label) tuples in ascending (column, label) order; ``json``
+    writes each tuple as a two-item array, and :func:`tableau_from_json`
+    reads the pairs back as tuples or lists alike.
+    """
     return {
         "n": t.n,
         "shape": list(t.shape.parts),

@@ -3,9 +3,10 @@ Umbrella verification suites: every structural claim of the library gets an
 exhaustive cross-check at small n, each suite timed and reporting its first
 counterexamples.  Every per-word check over S_n runs through one runner,
 :func:`_run_ranged`, which splits the lexicographic enumeration through
-:func:`permshape.oracle.fan_out`, which decides when a pool pays; counts
-over S_n go through :func:`permshape.oracle.tally`.  Partial results merge
-in range order, so parallel and single-threaded runs agree exactly.
+:func:`permshape.oracle.fan_out`, which decides when a pool pays (from
+n = 7 on); counts over S_n go through :func:`permshape.oracle.tally`, which
+does less per word and pools from n = 8 on.  Partial results merge in range
+order, so parallel and single-threaded runs agree exactly.
 """
 from __future__ import annotations
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -42,6 +44,30 @@ class TestMap:
     def test_long_increasing_word(self, capsys):
         assert main(["map", ",".join(map(str, range(1, 1501)))]) == 0
         assert "dyck_word: " + "u" * 1500 + "r" * 1500 in capsys.readouterr().out
+
+    # sha256 of the whole `map --format json` output, pinned so that any
+    # change in the bytes shows; words at n > 8 are seeded shuffles.
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (None, "d5a7f859af13bf495f04a66c456f41a1767ca32401a64105a624eb2d4537cd65"),
+            (9, "5a706947e3f851c64aaa5c37926ff3cca2871f305f2621a8cbc59ebb817a450f"),
+            (63, "d40ad8d163422e2052f6765eb4efe2ad98301234474fa75b3a423bcdd6c921e6"),
+            (64, "3e9bbed1286b35effc2a14683b471619edf910efc41aa8f5d5651591ef183ece"),
+            (65, "4a88346c9165d2be0038254f791f3aa20fce5afc3c93a28df545eea8066427b4"),
+        ],
+        ids=["53148276", "n9", "n63", "n64", "n65"],
+    )
+    def test_json_bytes_pinned(self, n, digest, capsys):
+        if n is None:
+            text = "53148276"
+        else:
+            entries = list(range(1, n + 1))
+            random.Random(n).shuffle(entries)
+            text = ",".join(map(str, entries))
+        assert main(["map", text, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_parse_error_exit_code(self):
         proc = run_cli("map", "3,5,9,4")

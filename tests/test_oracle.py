@@ -99,8 +99,8 @@ class TestFanOut:
         assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
 
     def test_clamped_to_cpu_count(self, pool_requests):
-        serial = distribution(7, "lbsum")
-        assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
+        serial = distribution(8, "lbsum")
+        assert distribution(8, "lbsum", workers=10**6).counts == serial.counts
         assert [processes for _, processes in pool_requests] == [2]
 
     # Every public entry point that takes ``workers``, at sizes too small
@@ -136,12 +136,19 @@ class TestFanOut:
         assert fan_out(lambda lo, hi: (lo, hi), 63, 2, min_total=64) == [(0, 63)]
         assert not pool_requests
 
+    def test_tallies_of_s7_run_inline(self, pool_requests):
+        # A count does less per word than a check, so it waits for S_8.
+        assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")
+        assert shape_census(7, workers=2) == shape_census(7)
+        assert tally(7, len, workers=2) == {7: factorial(7)}
+        assert not pool_requests
+
     def test_spawn_when_fork_is_missing(self, pool_requests, monkeypatch):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
         )
-        assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")
-        assert shape_census(7, workers=2) == shape_census(7)
+        assert distribution(8, "lbsum", workers=2) == distribution(8, "lbsum")
+        assert shape_census(8, workers=2) == shape_census(8)
         assert pool_requests == [("spawn", 2), ("spawn", 2)]
 
 

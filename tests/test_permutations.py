@@ -29,6 +29,7 @@ from permshape.permutations import (
 from naive_oracles import (
     naive_barred_132,
     naive_decreasing_tree,
+    naive_inversions,
     naive_left_borders,
     naive_pattern_count,
     naive_right_borders,
@@ -160,6 +161,17 @@ class TestStats:
             1,
             1,
         )
+
+
+class TestInversionCount:
+    def test_exhaustive_up_to_eight(self):
+        for n in range(9):
+            for word in itertools.permutations(range(1, n + 1)):
+                assert inversion_count(word) == len(naive_inversions(word))
+
+    @given(perms(64))
+    def test_matches_naive_up_to_64(self, word):
+        assert inversion_count(word) == len(naive_inversions(word))
 
 
 class TestPatterns:
@@ -294,6 +306,13 @@ class TestPermutationClass:
             Permutation((1, 3))
         with pytest.raises(InvalidPermutationError):
             Permutation((1, 1))
+
+    @pytest.mark.parametrize("word", [(True, 2), (2, False)], ids=str)
+    def test_bool_entries_rejected(self, word):
+        # bool is an int subclass; True == 1 must still not pass as an entry.
+        bad = next(v for v in word if isinstance(v, bool))
+        with pytest.raises(InvalidPermutationError, match=f"value {bad}$"):
+            Permutation(word)
 
     def test_empty_allowed(self):
         assert Permutation(()).n == 0

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 from math import factorial
 
@@ -207,13 +208,23 @@ class TestPatternCountsFromFilling:
         assert count_132_from_tableau(t) == naive_pattern_count(word, (1, 3, 2))
         assert count_231_from_tableau(t) == naive_pattern_count(word, (2, 3, 1))
 
+    # Row masks are read off the mask's digits; sizes across byte boundaries.
+    @pytest.mark.parametrize("n", [9, 16, 17, 30])
+    def test_both_counts_past_one_byte(self, n):
+        entries = list(range(1, n + 1))
+        random.Random(n).shuffle(entries)
+        word = tuple(entries)
+        t = encode_tableau(Permutation(word))
+        assert count_132_from_tableau(t) == naive_pattern_count(word, (1, 3, 2))
+        assert count_231_from_tableau(t) == naive_pattern_count(word, (2, 3, 1))
+
 
 class TestJson:
     @given(perms(64))
     def test_dots_are_the_sorted_inversions(self, word):
         t = encode_tableau(Permutation(word))
         data = tableau_to_json(t)
-        assert data["dots"] == sorted([i, j] for i, j in naive_inversions(word))
+        assert data["dots"] == sorted(naive_inversions(word))
         rebuilt = FilledTableau(t.shape, t.row_labels, t.dots)
         assert rebuilt == t and hash(rebuilt) == hash(t)
 
@@ -224,7 +235,18 @@ class TestJson:
 
     def test_fields(self):
         data = tableau_to_json(encode_tableau(Permutation((2, 1))))
-        assert data == {"n": 2, "shape": [1], "row_labels": [2], "dots": [[1, 2]]}
+        assert data == {"n": 2, "shape": [1], "row_labels": [2], "dots": [(1, 2)]}
+
+    # Sizes whose columns straddle bytes, and sizes past one 64-bit word.
+    @pytest.mark.parametrize("n", [9, 63, 65, 129])
+    def test_dots_off_byte_boundaries(self, n):
+        for seed in range(3):
+            entries = list(range(1, n + 1))
+            random.Random(seed).shuffle(entries)
+            for word in (tuple(entries), tuple(range(n, 0, -1))):
+                t = encode_tableau(Permutation(word))
+                assert tableau_to_json(t)["dots"] == sorted(naive_inversions(word))
+                assert t.dots == frozenset(naive_inversions(word))
 
 
 class TestStructuralValidation:

@@ -7,11 +7,12 @@ from permshape import verify
 from permshape.verify import run_suite
 
 
-# Pools a 2-worker run opens: one per walk of S_7 (genfun walks it twice,
-# for the joint tally and for the splitting law), one for poset's comparison
-# at n = 6, the first n with at least 64 avoiders, and none for the suites
-# that never fan out.
-POOLS = {"genfun": 2, "bijection": 0, "series": 0}
+# Pools a 2-worker run opens: one per check walk of S_7 (genfun's is the
+# splitting law), one for poset's comparison at n = 6, the first n with at
+# least 64 avoiders, and none for the suites whose walks of S_7 are counts
+# (count, parity and genfun's joint tally pool from S_8 on) or that never
+# fan out.
+POOLS = {"count": 0, "parity": 0, "genfun": 1, "bijection": 0, "series": 0}
 
 
 # Every suite at a depth where those that fan out do: the split run must
