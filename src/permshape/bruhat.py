@@ -6,20 +6,25 @@ Comparison uses the rank-matrix dominance criterion: with
 r_p(i, j) = #{k <= i : p_k <= j}, one has p <= q exactly when
 r_p(i, j) >= r_q(i, j) for all i, j.  Covers are transpositions raising the
 inversion number by exactly one; the transitive closure of covers serves as
-the independent cross-check at small n.
+the independent cross-check at small n.  Comparisons over many objects go
+through :func:`up_sets`, which returns each object's up-set as one int bitset:
+Bruhat up-sets (:func:`bruhat_up_sets`) from the negated rank tables,
+containment up-sets from the shape parts.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from typing import Sequence
 
-from .oracle import avoiders_132, fan_out
+from .oracle import avoiders_132
 from .permutations import Permutation, inversion_count
 from .shapes import ShapePartition, shape_parts
 
 __all__ = [
     "rank_table",
+    "up_sets",
+    "bruhat_up_sets",
     "bruhat_leq",
     "bruhat_lt",
     "bruhat_covers",
@@ -40,6 +45,34 @@ def rank_table(word: tuple[int, ...]) -> tuple[int, ...]:
             row[j] += 1
         table.extend(row)
     return tuple(table)
+
+
+def up_sets(vectors: Sequence[Sequence[int]]) -> list[int]:
+    """
+    Bit b of entry a is set when ``vectors[b]`` dominates ``vectors[a]`` in
+    every coordinate.  Per coordinate, one suffix-OR table maps a value t to
+    the bitset of every b at or above t; an up-set is the AND of its tables.
+
+    >>> up_sets([(0, 1), (1, 1), (1, 0)])
+    [3, 2, 6]
+    """
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors of unequal length")
+    ups = [(1 << len(vectors)) - 1] * len(vectors)
+    for column in zip(*vectors):
+        at_least: dict[int, int] = {}
+        for b, value in enumerate(column):
+            at_least[value] = at_least.get(value, 0) | 1 << b
+        above = 0
+        for value in sorted(at_least, reverse=True):
+            above = at_least[value] = above | at_least[value]
+        ups = [up & at_least[value] for up, value in zip(ups, column)]
+    return ups
+
+
+def bruhat_up_sets(words: Sequence[tuple[int, ...]]) -> list[int]:
+    """Bit b of entry a is set when words[a] <= words[b] in Bruhat order."""
+    return up_sets([[-r for r in rank_table(w)] for w in words])
 
 
 def _leq_tables(rp: tuple[int, ...], rq: tuple[int, ...]) -> bool:
@@ -134,52 +167,39 @@ class PosetReport:
         )
 
 
-def _poset_pairs(
-    items: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]],
-    start: int,
-    stop: int,
-) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...], str]]]:
-    checked = 0
-    bad: list[tuple[tuple[int, ...], tuple[int, ...], str]] = []
-    for a in range(start, stop):
-        word_a, rank_a, parts_a = items[a]
-        for b in range(len(items)):
-            if a == b:
-                continue
-            word_b, rank_b, parts_b = items[b]
-            checked += 1
-            contained = parts_a != parts_b and all(
-                x <= y for x, y in zip(parts_a, parts_b)
-            )
-            below = word_a != word_b and _leq_tables(rank_a, rank_b)
-            if contained != below:
-                side = (
-                    "shape strictly contained but not Bruhat-below"
-                    if contained
-                    else "Bruhat-below but shape not strictly contained"
-                )
-                bad.append((word_a, word_b, side))
-    return checked, bad
-
-
-def verify_poset_equivalence(n: int, workers: int = 1) -> PosetReport:
+def verify_poset_equivalence(n: int) -> PosetReport:
     """
     Check, over every ordered pair of distinct 1-3-2-avoiders of {1..n},
     that strict shape containment holds exactly when the first permutation
-    lies strictly below the second in Bruhat order.
+    lies strictly below the second in Bruhat order.  Each avoider's two
+    up-sets are compared whole; their difference names the partners of the
+    counterexamples, listed in (first, second) enumeration order.
     """
     if not 2 <= n <= 8:
         raise ValueError("poset verification supports 2 <= n <= 8")
-    items = [
-        (word, rank_table(word), shape_parts(word)) for word in avoiders_132(n)
-    ]
-    parts = fan_out(partial(_poset_pairs, items), len(items), workers, min_total=64)
-    checked = sum(c for c, _ in parts)
-    bad = [entry for _, chunk in parts for entry in chunk]
+    words = list(avoiders_132(n))
+    parts = [shape_parts(word) for word in words]
+    above = bruhat_up_sets(words)
+    containing = up_sets(parts)
+    equal: dict[tuple[int, ...], int] = {}
+    for b, shape in enumerate(parts):
+        equal[shape] = equal.get(shape, 0) | 1 << b
+    bad: list[tuple[tuple[int, ...], tuple[int, ...], str]] = []
+    for a, word in enumerate(words):
+        contained = containing[a] & ~equal[parts[a]]
+        diff = (above[a] & ~(1 << a)) ^ contained
+        while diff:
+            b = (diff & -diff).bit_length() - 1
+            diff &= diff - 1
+            side = (
+                "shape strictly contained but not Bruhat-below"
+                if contained >> b & 1
+                else "Bruhat-below but shape not strictly contained"
+            )
+            bad.append((word, words[b], side))
     return PosetReport(
         n=n,
-        pairs_checked=checked,
+        pairs_checked=len(words) * (len(words) - 1),
         equivalence_holds=not bad,
         counterexamples=tuple(bad),
     )
-

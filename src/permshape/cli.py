@@ -30,6 +30,8 @@ from .tableaux import encode_tableau, tableau_to_json
 __all__ = ["main", "map_report", "predicted_distribution"]
 
 FORMATS = ("plain", "json", "csv")
+# The largest n that ``map`` accepts: its tableau masks and dot lists grow as n^2.
+MAP_MAX_N = 1500
 
 
 def map_report(p: Permutation) -> dict:
@@ -78,7 +80,10 @@ def predicted_distribution(
 
 
 def _print_map(args: argparse.Namespace) -> int:
-    report = map_report(parse_permutation(args.permutation))
+    p = parse_permutation(args.permutation)
+    if p.n > MAP_MAX_N:
+        raise ValueError(f"map supports n <= {MAP_MAX_N}, got n={p.n}")
+    report = map_report(p)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     elif args.format == "csv":

@@ -146,9 +146,6 @@ class ShapePartition:
     def largest(self) -> int:
         return self.parts[0] if self.parts else 0
 
-    def nonzero_parts(self) -> tuple[int, ...]:
-        return tuple(v for v in self.parts if v > 0)
-
     def distinct_nonzero(self) -> tuple[int, ...]:
         return tuple(sorted({v for v in self.parts if v > 0}, reverse=True))
 

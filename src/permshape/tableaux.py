@@ -224,10 +224,6 @@ class FilledTableau:
         return self.shape.n
 
     @property
-    def column_count(self) -> int:
-        return self.shape.largest
-
-    @property
     def dots(self) -> frozenset[tuple[int, int]]:
         """The dots as (column, row label) pairs."""
         return frozenset(_cells(self.mask, self.n))

@@ -21,7 +21,7 @@ from . import oracle
 from .bruhat import (
     bruhat_covers,
     bruhat_leq,
-    rank_table,
+    bruhat_up_sets,
     shape_contains,
     upper_covers,
     verify_poset_equivalence,
@@ -61,6 +61,7 @@ from .shapes import (
     path_from_shape,
     path_shape_parts,
     rectangle_decomposition,
+    shape,
     shape_from_path,
     shape_parts,
     valleys,
@@ -431,64 +432,50 @@ def suite_bijection(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _closure_reach(n: int) -> dict[tuple[int, ...], frozenset[tuple[int, ...]]]:
-    """word -> set of words weakly above it in the cover closure."""
-    by_inv: dict[int, list[tuple[int, ...]]] = {}
-    for word in oracle.enumerate_sn(n):
-        by_inv.setdefault(inversion_count(word), []).append(word)
-    reach: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
-    for inv in sorted(by_inv, reverse=True):
-        for word in by_inv[inv]:
-            acc: set[tuple[int, ...]] = {word}
-            for cover in upper_covers(word):
-                acc |= reach[cover]
-            reach[word] = frozenset(acc)
-    return reach
-
-
 def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("poset", max_n)
     # Partial-order axioms via the dominance test.
     for n in range(1, min(max_n, 5) + 1):
         words = list(oracle.enumerate_sn(n))
-        tables = {w: rank_table(w) for w in words}
-        up = {
-            w: frozenset(
-                v
-                for v in words
-                if all(x >= y for x, y in zip(tables[w], tables[v]))
-            )
-            for w in words
-        }
-        for w in words:
-            if not result.require(w in up[w], f"reflexivity fails at {w}"):
+        up = bruhat_up_sets(words)
+        for a, w in enumerate(words):
+            if not result.require(up[a] >> a & 1, f"reflexivity fails at {w}"):
                 return result
-            for v in up[w]:
-                if v != w and not result.require(
-                    w not in up[v], f"antisymmetry fails at {w}, {v}"
+            for b, v in enumerate(words):
+                if not up[a] >> b & 1:
+                    continue
+                if b != a and not result.require(
+                    not up[b] >> a & 1, f"antisymmetry fails at {w}, {v}"
                 ):
                     return result
                 if not result.require(
-                    up[v] <= up[w], f"transitivity fails at {w}, {v}"
+                    not up[b] & ~up[a], f"transitivity fails at {w}, {v}"
                 ):
                     return result
-    # Dominance equals the transitive closure of covers.
+    # Dominance equals the transitive closure of covers: reach sets OR-ed
+    # down the covers in decreasing inversion order.
     for n in range(1, min(max_n, 6) + 1):
-        reach = _closure_reach(n)
         words = list(oracle.enumerate_sn(n))
-        tables = {w: rank_table(w) for w in words}
-        for w in words:
-            above = reach[w]
-            for v in words:
-                dominance = all(x >= y for x, y in zip(tables[w], tables[v]))
-                if not result.require(
-                    dominance == (v in above),
-                    f"dominance and cover closure disagree on {w} <= {v}",
-                ):
-                    return result
+        index = {w: a for a, w in enumerate(words)}
+        reach = [0] * len(words)
+        for w in sorted(words, key=inversion_count, reverse=True):
+            a = index[w]
+            reach[a] = 1 << a
+            for cover in upper_covers(w):
+                reach[a] |= reach[index[cover]]
+        for a, up in enumerate(bruhat_up_sets(words)):
+            diff = up ^ reach[a]
+            if not diff:
+                result.checks += len(words)
+                continue
+            b = (diff & -diff).bit_length() - 1
+            result.checks += b + 1
+            w, v = words[a], words[b]
+            result.fail(f"dominance and cover closure disagree on {w} <= {v}")
+            return result
     # Containment <=> strict order on 1-3-2-avoiders.
     for n in range(2, min(max_n, 7) + 1):
-        report = verify_poset_equivalence(n, workers=workers)
+        report = verify_poset_equivalence(n)
         result.checks += report.pairs_checked
         if not result.require(
             report.equivalence_holds,
@@ -518,24 +505,14 @@ def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
         result.require(
             bruhat_leq(p1243, p1423)
             and bruhat_covers(p1243, p1423)
-            and not shape_contains(
-                ShapePartition(shape_parts(p1243.entries), 4),
-                ShapePartition(shape_parts(p1423.entries), 4),
-            )
-            and not shape_contains(
-                ShapePartition(shape_parts(p1423.entries), 4),
-                ShapePartition(shape_parts(p1243.entries), 4),
-            ),
+            and not shape_contains(shape(p1243), shape(p1423))
+            and not shape_contains(shape(p1423), shape(p1243)),
             "the comparable pair with incomparable shapes misbehaves",
         )
         p1342 = Permutation((1, 3, 4, 2))
         p2143 = Permutation((2, 1, 4, 3))
         result.require(
-            shape_contains(
-                ShapePartition(shape_parts(p1342.entries), 4),
-                ShapePartition(shape_parts(p2143.entries), 4),
-                strict=True,
-            )
+            shape_contains(shape(p1342), shape(p2143), strict=True)
             and not bruhat_leq(p1342, p2143)
             and not bruhat_leq(p2143, p1342),
             "the contained pair with incomparable order misbehaves",

@@ -181,3 +181,40 @@ def bruhat_leq_by_closure(p, q, upper_covers_fn):
                 seen.add(cover)
                 stack.append(cover)
     return False
+
+
+def naive_up_sets(vectors):
+    """Bit b of entry a when vectors[b] >= vectors[a] coordinatewise, pair by pair."""
+    return [
+        sum(
+            1 << b
+            for b, w in enumerate(vectors)
+            if all(x >= y for x, y in zip(w, v))
+        )
+        for v in vectors
+    ]
+
+
+def naive_poset_counterexamples(words, rank_table_fn, shape_parts_fn):
+    """
+    Every ordered pair of distinct words where strict shape containment and
+    strict rank dominance disagree, in (first, second) enumeration order.
+    """
+    views = [(w, rank_table_fn(w), shape_parts_fn(w)) for w in words]
+    bad = []
+    for word_a, rank_a, parts_a in views:
+        for word_b, rank_b, parts_b in views:
+            if word_a == word_b:
+                continue
+            contained = parts_a != parts_b and all(
+                x <= y for x, y in zip(parts_a, parts_b)
+            )
+            below = all(x >= y for x, y in zip(rank_a, rank_b))
+            if contained != below:
+                side = (
+                    "shape strictly contained but not Bruhat-below"
+                    if contained
+                    else "Bruhat-below but shape not strictly contained"
+                )
+                bad.append((word_a, word_b, side))
+    return bad

@@ -9,16 +9,23 @@ from permshape.bruhat import (
     bruhat_covers,
     bruhat_leq,
     bruhat_lt,
+    bruhat_up_sets,
     rank_table,
     shape_contains,
+    up_sets,
     upper_covers,
     verify_poset_equivalence,
 )
+import permshape.bruhat as bruhat
 from permshape.oracle import avoiders_132
 from permshape.permutations import Permutation, inversion_count
-from permshape.shapes import ShapePartition, shape
+from permshape.shapes import ShapePartition, shape, shape_parts
 
-from naive_oracles import bruhat_leq_by_closure
+from naive_oracles import (
+    bruhat_leq_by_closure,
+    naive_poset_counterexamples,
+    naive_up_sets,
+)
 
 
 def perm_pairs(n):
@@ -123,12 +130,37 @@ class TestPosetEquivalence:
         report = verify_poset_equivalence(2)
         assert report.equivalence_holds and report.pairs_checked == 2
 
-    def test_parallel_matches_serial(self, pool_requests):
-        serial = verify_poset_equivalence(6, workers=1)
-        parallel = verify_poset_equivalence(6, workers=2)
-        assert len(pool_requests) == 1
-        assert serial.pairs_checked == 132 * 131 == 17292
-        assert parallel == serial and parallel.equivalence_holds
+    def test_matches_naive_loop(self):
+        for n in range(2, 8):
+            words = list(avoiders_132(n))
+            report = verify_poset_equivalence(n)
+            assert report.pairs_checked == len(words) * (len(words) - 1)
+            assert list(report.counterexamples) == naive_poset_counterexamples(
+                words, rank_table, shape_parts
+            )
+
+    # One avoider's shape grows a cell, or copies another avoider's shape;
+    # either way the report must list the naive loop's pairs in its order.
+    @pytest.mark.parametrize("corrupt", ["bump", "copy"])
+    def test_corrupted_shape_lists_naive_counterexamples(self, corrupt, monkeypatch):
+        words = list(avoiders_132(5))
+        victim, donor = words[17], words[30]
+
+        def corrupted(word):
+            parts = shape_parts(word)
+            if word != victim:
+                return parts
+            if corrupt == "copy":
+                return shape_parts(donor)
+            return (parts[0] + 1,) + parts[1:]
+
+        monkeypatch.setattr(bruhat, "shape_parts", corrupted)
+        report = verify_poset_equivalence(5)
+        expected = naive_poset_counterexamples(words, rank_table, corrupted)
+        assert expected
+        assert list(report.counterexamples) == expected
+        assert not report.equivalence_holds
+        assert report.pairs_checked == 42 * 41
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -161,6 +193,42 @@ class TestPosetEquivalence:
         p1342, p2143 = Permutation((1, 3, 4, 2)), Permutation((2, 1, 4, 3))
         assert shape_contains(shape(p1342), shape(p2143), strict=True)
         assert not bruhat_leq(p1342, p2143) and not bruhat_leq(p2143, p1342)
+
+
+def vector_lists():
+    # Vectors drawn from a small pool over a narrow range: ties and repeated
+    # vectors are common, and the dimension may be zero.
+    return st.integers(0, 4).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=6
+        ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=12))
+    )
+
+
+class TestUpSets:
+    def test_rank_tables_of_sn(self):
+        for n in range(1, 6):
+            words = list(itertools.permutations(range(1, n + 1)))
+            tables = [rank_table(w) for w in words]
+            negated = [[-r for r in table] for table in tables]
+            assert up_sets(tables) == naive_up_sets(tables)
+            assert bruhat_up_sets(words) == naive_up_sets(negated)
+
+    def test_avoider_shape_parts(self):
+        for n in range(1, 8):
+            parts = [shape_parts(w) for w in avoiders_132(n)]
+            assert up_sets(parts) == naive_up_sets(parts)
+
+    @given(vector_lists())
+    def test_matches_pairwise_dominance(self, vectors):
+        assert up_sets(vectors) == naive_up_sets(vectors)
+
+    def test_edge_cases(self):
+        assert up_sets([]) == []
+        assert up_sets([(), ()]) == [3, 3]
+        assert up_sets([(1, 2), (1, 2)]) == [3, 3]
+        with pytest.raises(ValueError):
+            up_sets([(1,), (1, 2)])
 
 
 class TestRankTable:

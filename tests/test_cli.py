@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from permshape import verify
-from permshape.cli import main, map_report, predicted_distribution
+from permshape.cli import MAP_MAX_N, main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
 
 
@@ -44,6 +44,20 @@ class TestMap:
     def test_long_increasing_word(self, capsys):
         assert main(["map", ",".join(map(str, range(1, 1501)))]) == 0
         assert "dyck_word: " + "u" * 1500 + "r" * 1500 in capsys.readouterr().out
+
+    def test_size_cap_admits_its_limit(self, capsys):
+        word = ",".join(map(str, range(1, MAP_MAX_N + 1)))
+        assert main(["map", word, "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["shape"] == ",".join(["0"] * (MAP_MAX_N - 1))
+
+    def test_size_cap_rejects_one_more(self, capsys):
+        n = MAP_MAX_N + 1
+        assert main(["map", ",".join(map(str, range(1, n + 1)))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: map supports n <= {MAP_MAX_N}, got n={n}\n"
 
     # sha256 of the whole `map --format json` output, pinned so that any
     # change in the bytes shows; words at n > 8 are seeded shuffles.

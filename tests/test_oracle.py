@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permshape.bruhat import verify_poset_equivalence
 from permshape.oracle import (
     all_shapes,
     avoiders_132,
@@ -114,7 +113,6 @@ class TestFanOut:
             lambda: shape_census(3, workers=0),
             lambda: run_suite("stats", 6, workers=0),
             lambda: run_suite("series", 6, workers=0),
-            lambda: verify_poset_equivalence(5, workers=0),
         ],
         ids=[
             "distribution",
@@ -123,7 +121,6 @@ class TestFanOut:
             "shape_census",
             "run_suite",
             "run_suite-series",
-            "verify_poset_equivalence",
         ],
     )
     def test_workers_below_one_rejected_at_every_size(self, call, no_pool):

@@ -3,16 +3,17 @@ from dataclasses import replace
 
 import pytest
 
-from permshape import verify
+from permshape import bruhat, verify
 from permshape.verify import run_suite
 
 
 # Pools a 2-worker run opens: one per check walk of S_7 (genfun's is the
-# splitting law), one for poset's comparison at n = 6, the first n with at
-# least 64 avoiders, and none for the suites whose walks of S_7 are counts
+# splitting law), and none for the suites whose walks of S_7 are counts
 # (count, parity and genfun's joint tally pool from S_8 on) or that never
-# fan out.
-POOLS = {"count": 0, "parity": 0, "genfun": 1, "bijection": 0, "series": 0}
+# fan out (poset compares whole up-set bitsets in one process).
+POOLS = {
+    "count": 0, "parity": 0, "genfun": 1, "bijection": 0, "series": 0, "poset": 0
+}
 
 
 # Every suite at a depth where those that fan out do: the split run must
@@ -85,3 +86,47 @@ def test_a_tree_rotated_at_the_root_breaks_the_parent_law(monkeypatch):
     result = run_suite("stats", 3)
     assert not result.passed
     assert result.failures == [f"tree parent law fails at {word}"]
+
+
+def test_poset_opens_no_pool(no_pool):
+    result = run_suite("poset", 7, workers=2)
+    assert (result.passed, result.checks) == (True, 746017)
+
+
+# A dropped cover or a duplicated rank table must stop the poset suite at the
+# first failing pair in enumeration order, with every check before it counted.
+@pytest.mark.parametrize(
+    "module, name, word, fake, checks, message",
+    [
+        (
+            verify,
+            "upper_covers",
+            (1, 2),
+            [],
+            8037,
+            "dominance and cover closure disagree on (1, 2) <= (2, 1)",
+        ),
+        (
+            verify,
+            "upper_covers",
+            (1, 3, 2, 4),
+            [(3, 1, 2, 4), (2, 3, 1, 4), (1, 4, 2, 3)],
+            8127,
+            "dominance and cover closure disagree on (1, 3, 2, 4) <= (1, 3, 4, 2)",
+        ),
+        (
+            bruhat,
+            "rank_table",
+            (2, 1, 3),
+            (1, 1, 1, 1, 2, 2, 1, 2, 3),
+            13,
+            "antisymmetry fails at (1, 2, 3), (2, 1, 3)",
+        ),
+    ],
+    ids=["closure-n2", "closure-n4", "antisymmetry-n3"],
+)
+def test_poset_failure_order(module, name, word, fake, checks, message, monkeypatch):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda w: fake if w == word else real(w))
+    result = run_suite("poset", 6)
+    assert (result.passed, result.checks, result.failures) == (False, checks, [message])
