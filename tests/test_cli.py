@@ -186,6 +186,62 @@ class TestPredictions:
         assert predicted_distribution(4, "maj", None) is None
 
 
+# sha256 of the whole stdout of `dist` and `verify`, pinned so that any change
+# in the bytes of any format shows.  The verify report's `seconds` are zeroed
+# and the report re-dumped with the writer's own settings.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["dist", "--n", "7", "--stat", "lbsum", "--check", "--parity"],
+            "14f950bc7d155d0147e829f7b01c12076aa8007686fe6c8b251a9ae87e46d206",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "lbsum", "--check", "--parity", "--format", "json"],
+            "38744b1afca4b3fe16fbd8a262178608af91f9c91beae9b201614734a7f1246a",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "lbsum", "--check", "--parity", "--format", "csv"],
+            "62a6e3f4f900a5b4d35d68eaf2a535011a8cac5f93623ad24db5feca69a790d6",
+        ),
+        (
+            ["dist", "--n", "6", "--stat", "shape", "--check", "--format", "json"],
+            "08d4f057838de2a03c6ecad6015eafb4d0d70257ecf5ef5e39fa613357153207",
+        ),
+        (
+            ["dist", "--n", "6", "--stat", "shape", "--check", "--format", "csv"],
+            "3c43b5caaedb379e3d2366e6ee87a6e2bea0e7b971cbc54d5301aeba45da7278",
+        ),
+        (
+            ["dist", "--n", "6", "--stat", "inv", "--avoid", "132", "--check", "--format", "json"],
+            "65edf68f4f09f94c0ddbf50ec37c7969d6bf7a53addc8c407ae7ff1f39e2d4ee",
+        ),
+        (
+            ["verify", "all", "--max-n", "5", "--format", "json"],
+            "d037939be9a18065beff8500f7f3c58708abf2ed958beaba5cd484c58a18791f",
+        ),
+    ],
+    ids=[
+        "lbsum-plain",
+        "lbsum-json",
+        "lbsum-csv",
+        "shape-json",
+        "shape-csv",
+        "inv-avoid132-json",
+        "verify-json",
+    ],
+)
+def test_output_bytes_pinned(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "verify":
+        report = json.loads(out)
+        for suite in report["suites"]:
+            suite["seconds"] = 0
+        out = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",
