@@ -7,10 +7,6 @@ from .permutations import (
     InvalidPermutationError,
     Permutation,
     StatVector,
-    avoids,
-    count_barred_132,
-    count_classical_pattern,
-    decreasing_tree,
     identity,
     parse_permutation,
     standardize,

@@ -13,7 +13,6 @@ containment up-sets from the shape parts.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -151,20 +150,6 @@ class PosetReport:
     def __post_init__(self) -> None:
         if self.equivalence_holds != (not self.counterexamples):
             raise ValueError("equivalence flag contradicts the counterexample list")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "pairs_checked": self.pairs_checked,
-                "equivalence_holds": self.equivalence_holds,
-                "counterexamples": [
-                    {"p": list(p), "q": list(q), "failure": side}
-                    for p, q, side in self.counterexamples
-                ],
-            },
-            sort_keys=True,
-        )
 
 
 def verify_poset_equivalence(n: int) -> PosetReport:

@@ -10,6 +10,8 @@ Subcommands:
                      cross-checks against the generating polynomials.
 * ``verify``       - run the exhaustive verification suites.
 
+This is the one module that turns results into text: the library returns
+values, and every byte permshape prints, in every format, is written here.
 Output goes to stdout, diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verification suite fails, 2 on usage errors.
 """
@@ -120,6 +122,9 @@ def _dist_rows(args: argparse.Namespace) -> tuple[list[tuple[str, int]], dict]:
     """(sorted rows of (key, count), metadata) for the dist subcommand."""
     meta: dict = {"n": args.n, "statistic": args.stat, "filter": args.avoid}
     if args.stat == "shape":
+        for flag, given in (("--avoid", args.avoid is not None), ("--parity", args.parity)):
+            if given:
+                raise ValueError(f"{flag} does not apply to --stat shape")
         census = oracle.shape_census(args.n, workers=args.workers)
         if args.shape is not None:
             wanted = ShapePartition.from_text(args.shape, n=args.n)
@@ -140,6 +145,8 @@ def _dist_rows(args: argparse.Namespace) -> tuple[list[tuple[str, int]], dict]:
             }
             meta["predicted"] = {k: str(v) for k, v in predictions.items()}
         return rows, meta
+    if args.shape is not None:
+        raise ValueError(f"--shape applies only to --stat shape, not to --stat {args.stat}")
     dist = oracle.distribution(
         args.n, args.stat, avoid=args.avoid, workers=args.workers
     )
@@ -191,12 +198,32 @@ def _print_dist(args: argparse.Namespace) -> int:
     return 0
 
 
+def report_to_json(results: list[verify.SuiteResult]) -> str:
+    return json.dumps(
+        {
+            "passed": all(r.passed for r in results),
+            "suites": [
+                {
+                    "name": r.name,
+                    "max_n": r.max_n,
+                    "passed": r.passed,
+                    "checks": r.checks,
+                    "failures": r.failures,
+                    "seconds": round(r.seconds, 3),
+                }
+                for r in results
+            ],
+        },
+        sort_keys=True,
+    )
+
+
 def _print_verify(args: argparse.Namespace) -> int:
     # A bare default string, because argparse checks it against the choices.
     selection = [args.selection] if isinstance(args.selection, str) else args.selection
     results = verify.run_suites(selection, args.max_n, args.workers, args.order)
     if args.format == "json":
-        print(verify.report_to_json(results))
+        print(report_to_json(results))
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

@@ -27,7 +27,6 @@ views with fraction coefficients, one per power of z.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -162,11 +161,6 @@ class UniPolynomial:
     def to_counts(self) -> dict[int, Coeff]:
         return dict(self._coeffs)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {str(e): str(c) for e, c in self.terms()}, sort_keys=True
-        )
-
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
@@ -298,12 +292,6 @@ class QuadPolynomial:
     def max_exponents(self) -> QuadKey:
         x, y, p, q = (max(self.marginal(v).degree, 0) for v in _FIELDS)
         return x, y, p, q
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {",".join(map(str, k)): str(c) for k, c in self.terms()},
-            sort_keys=True,
-        )
 
 
 # -- F_n: the area distribution over S_n ---------------------------------------
@@ -583,18 +571,6 @@ class MomentReport:
     def variance(self) -> Fraction:
         return self.variance_closed_form
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "mean": str(self.mean),
-                "variance": str(self.variance),
-                "harmonic1": str(self.harmonic1),
-                "harmonic2": str(self.harmonic2),
-            },
-            sort_keys=True,
-        )
-
 
 def moments(n: int) -> MomentReport:
     """
@@ -752,25 +728,6 @@ class SeriesReport:
     @property
     def ok(self) -> bool:
         return self.equation_ok and self.tanh_ok
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "functional_equation": {
-                    "ok": self.equation_ok,
-                    "per_order": list(self.equation_status),
-                    "first_failing_order": self.first_failing_order,
-                    "residual": self.failing_residual,
-                },
-                "tanh_specialization": {
-                    "ok": self.tanh_ok,
-                    "per_order": list(self.tanh_status),
-                    "first_mismatch": self.tanh_first_mismatch,
-                },
-            },
-            sort_keys=True,
-        )
 
 
 def verify_series_identities(order: int) -> SeriesReport:

@@ -15,10 +15,7 @@ per-range results in range order for the caller to merge.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
-import json
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -236,25 +233,6 @@ class Distribution:
         even = sum(c for v, c in self.counts.items() if v % 2 == 0)
         return even, self.total - even
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "statistic": self.statistic,
-                "filter": self.filter,
-                "counts": {str(v): str(c) for v, c in sorted(self.counts.items())},
-            },
-            sort_keys=True,
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["value", "count"])
-        for v, c in sorted(self.counts.items()):
-            writer.writerow([v, str(c)])
-        return buf.getvalue()
-
 
 def _tally(words: Iterator[tuple[int, ...]], key: Callable) -> dict:
     counts: dict = {}
@@ -326,19 +304,3 @@ def shape_census(n: int, workers: int = 1) -> dict[str, int]:
     if not 0 <= n <= 9:
         raise ValueError("shape census supports 0 <= n <= 9")
     return tally(n, _shape_key, workers)
-
-
-def census_to_json(census: dict[str, int], n: int) -> str:
-    return json.dumps(
-        {"n": n, "counts": {k: str(v) for k, v in sorted(census.items())}},
-        sort_keys=True,
-    )
-
-
-def census_to_csv(census: dict[str, int]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["shape", "count"])
-    for key, c in sorted(census.items()):
-        writer.writerow([key, str(c)])
-    return buf.getvalue()

@@ -387,23 +387,3 @@ def decreasing_tree_word(word: Sequence[int]) -> DecreasingTree:
         raise ValueError("the empty permutation has no decreasing tree")
     left, right, root = max_links(word)
     return DecreasingTree(tuple(word), tuple(left), tuple(right), root)
-
-
-# -- Permutation-level wrappers ------------------------------------------------
-
-
-def count_classical_pattern(p: Permutation, pattern: Permutation) -> int:
-    """Occurrences of a classical pattern of length 2 or 3 in p."""
-    return count_pattern_word(p.entries, pattern.entries)
-
-
-def count_barred_132(p: Permutation) -> int:
-    return count_barred_132_word(p.entries)
-
-
-def avoids(p: Permutation, pattern: Permutation) -> bool:
-    return avoids_word(p.entries, pattern.entries)
-
-
-def decreasing_tree(p: Permutation) -> DecreasingTree:
-    return decreasing_tree_word(p.entries)

@@ -247,12 +247,12 @@ def encode_tableau(p: Permutation) -> FilledTableau:
     return FilledTableau._from_mask(s, labels, _inversion_mask(word))
 
 
-def decode_tableau(t: FilledTableau, *, check_dots: bool = True) -> Permutation:
+def decode_tableau(t: FilledTableau) -> Permutation:
     """
     Rebuild the permutation from column dot counts: count c_i means the
-    (c_i + 1)-th smallest unused value goes to position i.  With
-    ``check_dots`` the dot set must equal the inversion set of the result,
-    otherwise the filling is rejected as inconsistent.
+    (c_i + 1)-th smallest unused value goes to position i.  The dot set must
+    equal the inversion set of the result, otherwise the filling is rejected
+    as inconsistent.
     """
     n = t.n
     counts = t.column_dot_counts()
@@ -265,15 +265,14 @@ def decode_tableau(t: FilledTableau, *, check_dots: bool = True) -> Permutation:
             )
         values.append(unused.pop(c))
     result = Permutation(tuple(values))
-    if check_dots:
-        if t.mask != _inversion_mask(result.entries):
-            raise InconsistentFillingError(
-                "inconsistent filling: dots do not match the decoded inversions"
-            )
-        if shape(result).parts != t.shape.parts:
-            raise InconsistentFillingError(
-                "inconsistent filling: host shape differs from the decoded shape"
-            )
+    if t.mask != _inversion_mask(result.entries):
+        raise InconsistentFillingError(
+            "inconsistent filling: dots do not match the decoded inversions"
+        )
+    if shape(result).parts != t.shape.parts:
+        raise InconsistentFillingError(
+            "inconsistent filling: host shape differs from the decoded shape"
+        )
     return result
 
 

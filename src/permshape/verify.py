@@ -10,7 +10,6 @@ order, so parallel and single-threaded runs agree exactly.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -76,7 +75,7 @@ from .tableaux import (
     min_filling,
 )
 
-__all__ = ["SUITE_NAMES", "SuiteResult", "run_suites", "run_suite", "report_to_json"]
+__all__ = ["SUITE_NAMES", "SuiteResult", "run_suites", "run_suite"]
 
 SUITE_NAMES = (
     "stats",
@@ -718,23 +717,3 @@ def run_suites(
     if "series" in deduped and not 1 <= order <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {order}")
     return [run_suite(name, max_n, workers, order) for name in deduped]
-
-
-def report_to_json(results: list[SuiteResult]) -> str:
-    return json.dumps(
-        {
-            "passed": all(r.passed for r in results),
-            "suites": [
-                {
-                    "name": r.name,
-                    "max_n": r.max_n,
-                    "passed": r.passed,
-                    "checks": r.checks,
-                    "failures": r.failures,
-                    "seconds": round(r.seconds, 3),
-                }
-                for r in results
-            ],
-        },
-        sort_keys=True,
-    )

@@ -143,6 +143,24 @@ class TestDist:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "value,count"
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--stat", "shape", "--avoid", "132"], "--avoid does not apply to --stat shape"),
+            (["--stat", "shape", "--parity"], "--parity does not apply to --stat shape"),
+            (
+                ["--stat", "lbsum", "--shape", "2,1,0"],
+                "--shape applies only to --stat shape, not to --stat lbsum",
+            ),
+        ],
+        ids=["shape-avoid", "shape-parity", "lbsum-shape"],
+    )
+    def test_ignored_option_rejected(self, extra, message, capsys, no_pool):
+        assert main(["dist", "--n", "4", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_json_stable_under_reruns(self, capsys):
         args = ["dist", "--n", "5", "--stat", "lbsum", "--format", "json", "--check"]
         assert main(args) == 0

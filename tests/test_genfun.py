@@ -73,9 +73,6 @@ class TestUniPolynomial:
         with pytest.raises(ValueError):
             p.reversed_on_degree(2)
 
-    def test_json(self):
-        assert UniPolynomial({2: 10}).to_json() == '{"2": "10"}'
-
 
 class TestAreaPolynomial:
     def test_small_values(self):
@@ -182,7 +179,7 @@ class TestQuadPolynomial:
 
     def test_arithmetic_helpers(self):
         g = QuadPolynomial({(1, 1, 2, 1): 3, (1, 1, 0, 2): 1})
-        assert g.with_p_one().to_json() == '{"1,1,0,1": "3", "1,1,0,2": "1"}'
+        assert g.with_p_one().terms() == [((1, 1, 0, 1), 3), ((1, 1, 0, 2), 1)]
         assert g.with_q_one().coefficient((1, 1, 2, 0)) == 3
         assert g.times_monomial((1, 0, 0, 0), 2).coefficient((2, 1, 2, 1)) == 6
 
@@ -346,9 +343,5 @@ class TestSeries:
             verify_series_identities(11)
 
     def test_report_json(self):
-        import json
-
         report = verify_series_identities(4)
-        data = json.loads(report.to_json())
-        assert data["functional_equation"]["ok"] is True
-        assert data["tanh_specialization"]["ok"] is True
+        assert report.ok

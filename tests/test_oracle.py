@@ -10,8 +10,6 @@ from permshape.oracle import (
     all_shapes,
     avoiders_132,
     avoiders_231,
-    census_to_csv,
-    census_to_json,
     distribution,
     enumerate_sn,
     fan_out,
@@ -197,8 +195,6 @@ class TestDistribution:
 
     def test_serialization(self):
         dist = distribution(3, "lbsum")
-        assert '"2": "3"' in dist.to_json()
-        assert dist.to_csv().splitlines()[0] == "value,count"
         assert dist.total == 6
 
 
@@ -236,14 +232,8 @@ class TestCensus:
             shape_census(10)
 
     def test_serialization(self):
-        import json
-
         census = shape_census(3)
-        data = json.loads(census_to_json(census, 3))
-        assert data["counts"]["2,0"] == "2"
-        lines = census_to_csv(census).splitlines()
-        assert lines[0] == "shape,count"
-        assert '"2,0",2' in lines
+        assert census["2,0"] == 2
 
 
 class TestAllShapes:

@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 from permshape.permutations import (
     InvalidPermutationError,
     Permutation,
-    avoids,
     avoids_word,
     contains_132,
     contains_231,
-    count_barred_132,
     count_barred_132_word,
-    count_classical_pattern,
     count_pattern_word,
-    decreasing_tree,
     decreasing_tree_word,
     identity,
     inversion_count,
@@ -203,10 +199,9 @@ class TestPatterns:
         assert avoids_word((4, 2, 1, 3, 8, 5, 7, 6), (2, 3, 1))
 
     def test_class_wrappers(self):
-        p = Permutation(RUNNING)
-        assert count_classical_pattern(p, Permutation((2, 1))) == 11
-        assert count_barred_132(p) == 10
-        assert avoids(identity(4), Permutation((1, 3, 2)))
+        assert count_pattern_word(RUNNING, (2, 1)) == 11
+        assert count_barred_132_word(RUNNING) == 10
+        assert avoids_word(identity(4).entries, (1, 3, 2))
 
 
 class TestBarred132:
@@ -242,23 +237,23 @@ def _flat(tree):
 
 class TestDecreasingTree:
     def test_small(self):
-        tree = decreasing_tree(Permutation((2, 1, 3)))
+        tree = decreasing_tree_word((2, 1, 3))
         assert tree.values[tree.root] == 3
         assert tree.right[tree.root] == -1
         child = tree.left[tree.root]
         assert tree.values[child] == 2 and tree.values[tree.right[child]] == 1
 
     def test_single(self):
-        tree = decreasing_tree(Permutation((1,)))
+        tree = decreasing_tree_word((1,))
         root = tree.root
         assert (tree.values[root], tree.left[root], tree.right[root]) == (1, -1, -1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            decreasing_tree(Permutation(()))
+            decreasing_tree_word(())
 
     def test_running_example_parent(self):
-        tree = decreasing_tree(Permutation(RUNNING))
+        tree = decreasing_tree_word(RUNNING)
         assert tree.values[tree.root] == 8
         # 6 hangs below 7, which sits at the left border position of 6.
         node = tree.right[tree.root]
@@ -277,7 +272,7 @@ class TestDecreasingTree:
     @given(perms())
     def test_inorder_roundtrip(self, word):
         if word:
-            assert decreasing_tree(Permutation(word)).inorder_values() == tuple(word)
+            assert decreasing_tree_word(word).inorder_values() == tuple(word)
 
     def test_inorder_roundtrip_deeper_than_the_recursion_limit(self):
         for word in (tuple(range(1, 3001)), tuple(range(3000, 0, -1))):
