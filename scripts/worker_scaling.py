@@ -4,13 +4,14 @@
 Runs the suite (``stats`` unless ``--suite`` names another) at depth n once
 per worker count and prints the wall time, the speedup against the first
 run, and the process pools the run actually opened with their total number
-of worker processes.  Merge equality (same number of checks, same verdict)
-is asserted on every run.  Example: ``scripts/worker_scaling.py --suite
-tableau --n 8``.
+of worker processes.  Every run must merge to the first run's verdict, check
+count and failures; on a mismatch the script says which and exits 1.
+Example: ``scripts/worker_scaling.py --suite tableau --n 8``.
 """
 import argparse
 import multiprocessing.context
 import os
+import sys
 import time
 
 import permshape.verify as verify
@@ -29,7 +30,7 @@ def main() -> None:
     parser.add_argument(
         "--suite", default="stats", choices=verify.SUITE_NAMES, help="suite to run"
     )
-    parser.add_argument("--n", type=int, default=9, help="suite depth (<= 9)")
+    parser.add_argument("--n", type=int, default=9, help="suite depth; the order for series")
     parser.add_argument(
         "--workers", type=int, nargs="*", default=[1, 2, 4, 8], help="worker counts"
     )
@@ -44,10 +45,15 @@ def main() -> None:
         started = time.perf_counter()
         result = verify.run_suite(args.suite, args.n, workers=workers)
         elapsed = time.perf_counter() - started
+        outcome = (result.passed, result.checks, result.failures)
         if reference is None:
             baseline = elapsed
-            reference = (result.passed, result.checks)
-        assert (result.passed, result.checks) == reference, "merge mismatch"
+            reference = outcome
+        if outcome != reference:
+            sys.exit(
+                f"merge mismatch at workers={workers}: (passed, checks, failures) "
+                f"{outcome} != {reference} at workers={args.workers[0]}"
+            )
         print(
             f"workers={workers:<2} pools={len(_pools):<2} processes={sum(_pools):<3} "
             f"time={elapsed:7.2f}s speedup={baseline / elapsed:5.2f}x "

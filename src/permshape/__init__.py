@@ -17,7 +17,6 @@ from .shapes import (
     ShapePartition,
     borders_from_shape,
     count_permutations_with_shape,
-    dyck_path,
     first_return,
     path_from_shape,
     rectangle_decomposition,

@@ -25,8 +25,14 @@ import sys
 
 from . import oracle, verify
 from .genfun import lbsum_polynomial, q_catalan, quad_polynomial
-from .permutations import Permutation, parse_permutation, stat_vector
-from .shapes import ShapePartition, count_permutations_with_shape, dyck_path
+from .permutations import (
+    Permutation,
+    left_borders,
+    parse_permutation,
+    right_borders,
+    stat_vector,
+)
+from .shapes import ShapePartition, count_permutations_with_shape, dyck_word
 from .tableaux import encode_tableau, tableau_to_json
 
 __all__ = ["main", "map_report", "predicted_distribution"]
@@ -38,14 +44,15 @@ MAP_MAX_N = 1500
 
 def map_report(p: Permutation) -> dict:
     """Everything the ``map`` subcommand prints, as one plain dict."""
-    sv = stat_vector(p.entries)
+    word = p.entries
+    sv = stat_vector(word)
     t = encode_tableau(p)
     return {
-        "permutation": list(p.entries),
-        "dyck_word": dyck_path(p),
+        "permutation": list(word),
+        "dyck_word": dyck_word(word),
         "shape": t.shape.to_text(),
-        "left_borders": list(p.left_border_numbers()),
-        "right_borders": list(p.right_border_numbers()),
+        "left_borders": list(left_borders(word)),
+        "right_borders": list(right_borders(word)),
         "stats": {
             "des": sv.des,
             "maj": sv.maj,
@@ -228,7 +235,7 @@ def _print_verify(args: argparse.Namespace) -> int:
         for r in results:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status} {r.name:<11} checks={r.checks:<9} {r.seconds:.2f}s")
-            for message in r.failures[:1]:
+            for message in r.failures:
                 print(f"     first counterexample: {message}")
         print("result:", "ok" if all(r.passed for r in results) else "FAILED")
     return 0 if all(r.passed for r in results) else 1

@@ -124,18 +124,6 @@ class Permutation:
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.entries)
 
-    def reverse(self) -> "Permutation":
-        return Permutation(self.entries[::-1])
-
-    def left_border_numbers(self) -> tuple[int, ...]:
-        return left_borders(self.entries)
-
-    def right_border_numbers(self) -> tuple[int, ...]:
-        return right_borders(self.entries)
-
-    def stats(self) -> StatVector:
-        return stat_vector(self.entries)
-
 
 def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))

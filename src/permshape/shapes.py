@@ -25,7 +25,6 @@ __all__ = [
     "Rectangle",
     "RectangleDecomposition",
     "dyck_word",
-    "dyck_path",
     "is_dyck_word",
     "shape_parts",
     "shape",
@@ -69,10 +68,6 @@ def dyck_word(word: Sequence[int]) -> str:
         out.append(RIGHT)
         node = after
     return "".join(out)
-
-
-def dyck_path(p: Permutation) -> str:
-    return dyck_word(p.entries)
 
 
 def is_dyck_word(word: str) -> bool:

@@ -1,16 +1,21 @@
 """
 Umbrella verification suites: every structural claim of the library gets an
-exhaustive cross-check at small n, each suite timed and reporting its first
-counterexamples.  Every per-word check over S_n runs through one runner,
-:func:`_run_ranged`, which splits the lexicographic enumeration through
+exhaustive cross-check at small n, each suite timed.  A suite is a function
+``suite(result, workers)`` that reads its depth from ``result.max_n`` and
+counts its checks through :meth:`SuiteResult.require`; the first check that
+fails records its message, the suite's one failure, and ends the suite.
+Every per-word check over S_n runs through one runner, :func:`_run_ranged`,
+which splits the lexicographic enumeration through
 :func:`permshape.oracle.fan_out`, which decides when a pool pays (from
 n = 7 on); counts over S_n go through :func:`permshape.oracle.tally`, which
 does less per word and pools from n = 8 on.  Partial results merge in range
-order, so parallel and single-threaded runs agree exactly.
+order up to the first range that failed, so parallel and single-threaded
+runs agree exactly, on failing runs too.
 """
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -77,70 +82,67 @@ from .tableaux import (
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "run_suites", "run_suite"]
 
-SUITE_NAMES = (
-    "stats",
-    "cp-pattern",
-    "shapes",
-    "count",
-    "tableau",
-    "bijection",
-    "poset",
-    "parity",
-    "genfun",
-    "series",
-)
+
+class _Stop(Exception):
+    """Raised by :meth:`SuiteResult.require` at a suite's first failed check."""
 
 
 @dataclass
 class SuiteResult:
     name: str
     max_n: int
-    passed: bool = True
     checks: int = 0
     failures: list[str] = field(default_factory=list)
     seconds: float = 0.0
 
-    def fail(self, message: str) -> None:
-        self.passed = False
-        if len(self.failures) < 8:
-            self.failures.append(message)
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
-    def require(self, condition: bool, message: str) -> bool:
-        """Count one check; record the message when it fails."""
+    def require(self, condition: bool, message: str) -> None:
+        """Count one check; at the first that fails, record it and stop."""
         self.checks += 1
         if not condition:
-            self.fail(message)
-        return condition
+            self.failures.append(message)
+            raise _Stop
 
 
 def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def _built(result: SuiteResult, build, *args):
+    """``build(*args)``, whose ValueError (two routes inside it disagree) fails."""
+    try:
+        return build(*args)
+    except ValueError as error:
+        result.require(False, str(error))
+
+
 def _check_range(n: int, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
     """One lexicographic range of S_n, up to its first failure."""
     part, keys = SuiteResult("", n), set()
-    for word in oracle.permutation_range(n, lo, hi):
-        if not check(part, word, keys):
-            break
+    with suppress(_Stop):
+        for word in oracle.permutation_range(n, lo, hi):
+            check(part, word, keys)
     return part, keys
 
 
 def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> set:
     """
-    Run ``check(result, word, keys) -> bool`` over S_n and return the union
-    of the keys it collected.  A check counts its ``require`` calls on one
-    word and returns False at the first that fails; ``keys`` carries what a
-    whole-S_n claim needs.  Each range stops at its first failure, and the
-    ranges merge in order, so a split run matches a single-process one.
+    Run ``check(result, word, keys)`` over S_n and return the union of the
+    keys it collected; ``keys`` carries what a whole-S_n claim needs.  Each
+    range stops at its first failure, and the ranges merge in order up to
+    the first that failed, so a split run matches a single-process one.
     """
     union: set = set()
     for part, keys in oracle.fan_out(
         partial(_check_range, n, check), factorial(n), workers
     ):
         result.checks += part.checks
-        for message in part.failures:
-            result.fail(message)
+        if part.failures:
+            result.failures = part.failures
+            raise _Stop
         union |= keys
     return union
 
@@ -151,7 +153,7 @@ def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> set:
 # ---------------------------------------------------------------------------
 
 
-def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
     n = len(word)
     parts = path_shape_parts(dyck_word(word))
     descents = descent_positions(word)
@@ -170,31 +172,25 @@ def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> 
         "right-border reflection law fails": reflected == left_borders(word[::-1]),
     }
     broken = next((law for law, holds in laws.items() if not holds), None)
-    if not result.require(broken is None, f"{broken} at {word}" if broken else ""):
-        return False
+    result.require(broken is None, f"{broken} at {word}" if broken else "")
     if not 1 <= n <= 8:
-        return True
+        return
     tree = decreasing_tree_word(word)
-    if not result.require(
+    result.require(
         tree.inorder_values() == word, f"in-order traversal broken at {word}"
-    ):
-        return False
+    )
     # A left child hangs below its right border position, a right child
     # below its left border position.
     ok = all(
         (lc < 0 or b[lc] == k + 1) and (rc < 0 or a[rc] == k + 1)
         for k, (lc, rc) in enumerate(zip(tree.left, tree.right))
     )
-    return result.require(ok, f"tree parent law fails at {word}")
+    result.require(ok, f"tree parent law fails at {word}")
 
 
-def suite_stats(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("stats", max_n)
-    for n in range(0, min(max_n, 9) + 1):
+def suite_stats(result: SuiteResult, workers: int) -> None:
+    for n in range(0, min(result.max_n, 9) + 1):
         _run_ranged(result, n, workers, _stats_check_word)
-        if not result.passed:
-            return result
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -215,34 +211,29 @@ def _naive_barred_132(word: tuple[int, ...]) -> int:
     return count
 
 
-def _cp_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+def _cp_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
     barred = count_barred_132_word(word)
-    return result.require(
+    result.require(
         sum(left_borders(word)) == inversion_count(word) + barred,
         f"border-sum identity fails at {word}",
-    ) and (
-        len(word) > 6
-        or result.require(
+    )
+    if len(word) <= 6:
+        result.require(
             barred == _naive_barred_132(word),
             f"windowed and naive barred counts differ at {word}",
         )
-    )
 
 
-def suite_cp_pattern(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("cp-pattern", max_n)
-    for n in range(0, min(max_n, 9) + 1):
+def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
+    depth = min(result.max_n, 9)
+    for n in range(0, depth + 1):
         _run_ranged(result, n, workers, _cp_check_word)
-        if not result.passed:
-            return result
-    for n in range(0, min(max_n, 9) + 1):
+    for n in range(0, depth + 1):
         for word in oracle.avoiders_132(n):
-            if not result.require(
+            result.require(
                 sum(left_borders(word)) == inversion_count(word),
                 f"border sum != inversions for 1-3-2-avoider {word}",
-            ):
-                return result
-    return result
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -251,46 +242,35 @@ def suite_cp_pattern(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _shapes_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+def _shapes_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
     n = len(word)
     path = dyck_word(word)
     parts = shape_from_path(path).parts
-    return (
-        result.require(
-            parts == shape_parts(word), f"path shape != border shape at {word}"
-        )
-        and result.require(
-            borders_from_shape(ShapePartition(parts, n)) == left_borders(word),
-            f"border reconstruction fails at {word}",
-        )
-        and result.require(
-            valleys(path) == tuple(2 * d for d in descent_positions(word)),
-            f"valleys != doubled descents at {word}",
-        )
-        and (
-            not n
-            or result.require(
-                first_return(path) == 2 * (word.index(n) + 1),
-                f"first return != twice the max position at {word}",
-            )
-        )
+    result.require(parts == shape_parts(word), f"path shape != border shape at {word}")
+    result.require(
+        borders_from_shape(ShapePartition(parts, n)) == left_borders(word),
+        f"border reconstruction fails at {word}",
     )
+    result.require(
+        valleys(path) == tuple(2 * d for d in descent_positions(word)),
+        f"valleys != doubled descents at {word}",
+    )
+    if n:
+        result.require(
+            first_return(path) == 2 * (word.index(n) + 1),
+            f"first return != twice the max position at {word}",
+        )
 
 
-def suite_shapes(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("shapes", max_n)
-    for n in range(0, min(max_n, 9) + 1):
+def suite_shapes(result: SuiteResult, workers: int) -> None:
+    for n in range(0, min(result.max_n, 9) + 1):
         _run_ranged(result, n, workers, _shapes_check_word)
-        if not result.passed:
-            return result
         words = {dyck_word(w) for w in oracle.avoiders_231(n)}
         all_words = {path_from_shape(s) for s in oracle.all_shapes(n)}
-        if not result.require(
+        result.require(
             len(words) == _catalan(n) and words == all_words,
             f"paths of 2-3-1-avoiders are not all Dyck words at n={n}",
-        ):
-            return result
-    return result
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -298,28 +278,24 @@ def suite_shapes(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_count(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("count", max_n)
-    for n in range(0, min(max_n, 8) + 1):
+def suite_count(result: SuiteResult, workers: int) -> None:
+    for n in range(0, min(result.max_n, 8) + 1):
         census = oracle.shape_census(n, workers=workers)
-        if not result.require(
+        result.require(
             sum(census.values()) == factorial(n),
             f"census of S_{n} does not sum to {n}!",
-        ):
-            return result
+        )
         expected_shapes = _catalan(n) if n else 1
-        if not result.require(
+        result.require(
             len(census) == expected_shapes,
             f"census of S_{n} has {len(census)} shapes, expected {expected_shapes}",
-        ):
-            return result
+        )
         for key, count in sorted(census.items()):
             s = ShapePartition.from_text(key, n=n)
-            if not result.require(
+            result.require(
                 count_permutations_with_shape(s) == count,
                 f"binomial product != census count for shape {key!r} (n={n})",
-            ):
-                return result
+            )
             decomposition = rectangle_decomposition(s)
             cells = decomposition.cell_assignment()
             corners = sum(
@@ -327,13 +303,10 @@ def suite_count(max_n: int, workers: int = 1) -> SuiteResult:
                 for j, v in enumerate(s.parts)
                 if v and (j + 1 == len(s.parts) or s.parts[j + 1] < v)
             )
-            if not result.require(
-                len(cells) == s.area
-                and len(decomposition.rectangles) == corners,
+            result.require(
+                len(cells) == s.area and len(decomposition.rectangles) == corners,
                 f"rectangles do not tile shape {key!r} one per corner",
-            ):
-                return result
-    return result
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -342,55 +315,47 @@ def suite_count(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> bool:
+def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
     t = encode_tableau(Permutation(word))
-    if not result.require(
-        decode_tableau(t).entries == word, f"round trip broken at {word}"
-    ):
-        return False
+    result.require(decode_tableau(t).entries == word, f"round trip broken at {word}")
     if len(word) > 8:
-        return True
+        return
     keys.add((t.shape.parts, t.mask))
-    return result.require(
+    result.require(
         count_132_from_tableau(t) == count_pattern_word(word, (1, 3, 2)),
         f"tableau 1-3-2 count wrong at {word}",
-    ) and result.require(
+    )
+    result.require(
         count_231_from_tableau(t) == count_pattern_word(word, (2, 3, 1)),
         f"tableau 2-3-1 count wrong at {word}",
     )
 
 
-def suite_tableau(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("tableau", max_n)
-    for n in range(0, min(max_n, 9) + 1):
+def suite_tableau(result: SuiteResult, workers: int) -> None:
+    depth = min(result.max_n, 9)
+    for n in range(0, depth + 1):
         seen = _run_ranged(result, n, workers, _tableau_check_word)
-        if not result.passed:
-            return result
-        if n <= 8 and not result.require(
-            len(seen) == factorial(n), f"encode is not injective on S_{n}"
-        ):
-            return result
-    for n in range(0, min(max_n, 9) + 1):
+        if n <= 8:
+            result.require(
+                len(seen) == factorial(n), f"encode is not injective on S_{n}"
+            )
+    for n in range(0, depth + 1):
         for s in oracle.all_shapes(n):
             low = decode_tableau(min_filling(s))
             high = decode_tableau(max_filling(s))
-            if not result.require(
+            result.require(
                 not contains_231(low.entries),
                 f"minimal filling of {s} decodes to a 2-3-1 container {low}",
-            ):
-                return result
-            if not result.require(
+            )
+            result.require(
                 not contains_132(high.entries),
                 f"full filling of {s} decodes to a 1-3-2 container {high}",
-            ):
-                return result
-            if not result.require(
+            )
+            result.require(
                 shape_parts(low.entries) == s.parts
                 and shape_parts(high.entries) == s.parts,
                 f"extreme fillings of {s} do not preserve the shape",
-            ):
-                return result
-    return result
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -399,31 +364,26 @@ def suite_tableau(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_bijection(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("bijection", max_n)
-    for n in range(0, min(max_n, 10) + 1):
+def suite_bijection(result: SuiteResult, workers: int) -> None:
+    for n in range(0, min(result.max_n, 10) + 1):
         image: set[tuple[int, ...]] = set()
         for word in oracle.avoiders_132(n):
             target = bijection_132_to_231(Permutation(word))
-            if not result.require(
+            result.require(
                 not contains_231(target.entries),
                 f"image {target} of {word} contains 2-3-1",
-            ):
-                return result
+            )
             sv, tv = stat_vector(word), stat_vector(target.entries)
-            if not result.require(
+            result.require(
                 (sv.des, sv.maj, sv.lrmax, sv.maxdes, sv.lbsum)
                 == (tv.des, tv.maj, tv.lrmax, tv.maxdes, tv.lbsum),
                 f"statistics not preserved on {word} -> {target}",
-            ):
-                return result
+            )
             image.add(target.entries)
-        if not result.require(
+        result.require(
             len(image) == _catalan(n),
             f"image size {len(image)} != Catalan({n}) = {_catalan(n)}",
-        ):
-            return result
-    return result
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +391,22 @@ def suite_bijection(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("poset", max_n)
+def suite_poset(result: SuiteResult, workers: int) -> None:
+    max_n = result.max_n
     # Partial-order axioms via the dominance test.
     for n in range(1, min(max_n, 5) + 1):
         words = list(oracle.enumerate_sn(n))
         up = bruhat_up_sets(words)
         for a, w in enumerate(words):
-            if not result.require(up[a] >> a & 1, f"reflexivity fails at {w}"):
-                return result
+            result.require(up[a] >> a & 1, f"reflexivity fails at {w}")
             for b, v in enumerate(words):
                 if not up[a] >> b & 1:
                     continue
-                if b != a and not result.require(
-                    not up[b] >> a & 1, f"antisymmetry fails at {w}, {v}"
-                ):
-                    return result
-                if not result.require(
-                    not up[b] & ~up[a], f"transitivity fails at {w}, {v}"
-                ):
-                    return result
+                if b != a:
+                    result.require(
+                        not up[b] >> a & 1, f"antisymmetry fails at {w}, {v}"
+                    )
+                result.require(not up[b] & ~up[a], f"transitivity fails at {w}, {v}")
     # Dominance equals the transitive closure of covers: reach sets OR-ed
     # down the covers in decreasing inversion order.
     for n in range(1, min(max_n, 6) + 1):
@@ -468,20 +424,18 @@ def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
                 result.checks += len(words)
                 continue
             b = (diff & -diff).bit_length() - 1
-            result.checks += b + 1
+            result.checks += b  # the pairs before the first disagreement
             w, v = words[a], words[b]
-            result.fail(f"dominance and cover closure disagree on {w} <= {v}")
-            return result
+            result.require(False, f"dominance and cover closure disagree on {w} <= {v}")
     # Containment <=> strict order on 1-3-2-avoiders.
     for n in range(2, min(max_n, 7) + 1):
         report = verify_poset_equivalence(n)
         result.checks += report.pairs_checked
-        if not result.require(
+        result.require(
             report.equivalence_holds,
             f"containment/order equivalence fails at n={n}: "
             f"{report.counterexamples[:1]}",
-        ):
-            return result
+        )
     # Covers between avoiders add exactly one corner cell to the shape.
     for n in range(2, min(max_n, 7) + 1):
         avoiders = {w for w in oracle.avoiders_132(n)}
@@ -492,11 +446,10 @@ def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
                     continue
                 sq = shape_parts(cover)
                 diffs = [i for i in range(n - 1) if sp[i] != sq[i]]
-                if not result.require(
+                result.require(
                     len(diffs) == 1 and sq[diffs[0]] == sp[diffs[0]] + 1,
                     f"cover {word} -> {cover} does not add one cell",
-                ):
-                    return result
+                )
     # The two fixed reference pairs behave as documented.
     if max_n >= 4:
         p1243 = Permutation((1, 2, 4, 3))
@@ -516,7 +469,6 @@ def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
             and not bruhat_leq(p2143, p1342),
             "the contained pair with incomparable order misbehaves",
         )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -524,21 +476,18 @@ def suite_poset(max_n: int, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 
-def suite_parity(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("parity", max_n)
-    table = parity_table(20)
-    for n in range(0, min(max_n, 8) + 1):
+def suite_parity(result: SuiteResult, workers: int) -> None:
+    table = _built(result, parity_table, 20)
+    for n in range(0, min(result.max_n, 8) + 1):
         dist = oracle.distribution(n, "lbsum", workers=workers)
         even, odd = dist.parity_split()
-        if not result.require(
+        result.require(
             (even, odd) == (table.even[n], table.odd[n]),
             f"enumerated parity split disagrees with the recursion at n={n}",
-        ):
-            return result
+        )
         if n % 2 == 0 and n >= 2:
             result.require(even == odd, f"even/odd counts differ at even n={n}")
-    tangents = tangent_numbers(7)
-    for k, t in enumerate(tangents, start=1):
+    for k, t in enumerate(tangent_numbers(7), start=1):
         result.require(
             t == table.delta[2 * k - 1],
             f"tangent number {k} does not match the imbalance",
@@ -548,7 +497,6 @@ def suite_parity(max_n: int, workers: int = 1) -> SuiteResult:
             lbsum_polynomial(n).evaluate(-1) == table.delta[n],
             f"F_{n}(-1) disagrees with the imbalance",
         )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +517,20 @@ def _joint_key(word: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 def _splitting_check_word(
     result: SuiteResult, word: tuple[int, ...], keys: set
-) -> bool:
+) -> None:
     n = len(word)
     k = word.index(n) + 1
     left = standardize(word[: k - 1]).entries if k > 1 else ()
     right = standardize(word[k:]).entries if k < n else ()
-    return result.require(
+    result.require(
         sum(left_borders(word))
         == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),
         f"splitting law fails at {word}",
     )
 
 
-def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
-    result = SuiteResult("genfun", max_n)
+def suite_genfun(result: SuiteResult, workers: int) -> None:
+    max_n = result.max_n
     # One walk of S_n per n <= 8: the joint tally of G_n, whose first
     # coordinate is the area; n = 9 counts the area alone.
     joints: dict[int, dict[tuple[int, int, int, int], int]] = {}
@@ -595,11 +543,10 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
                 areas[n][area] = areas[n].get(area, 0) + count
         else:
             areas[n] = oracle.distribution(n, "lbsum", workers=workers).counts
-        if not result.require(
+        result.require(
             lbsum_polynomial(n).to_counts() == areas[n],
             f"F_{n} disagrees with the enumerated distribution",
-        ):
-            return result
+        )
     for n in range(0, 21):
         result.require(
             lbsum_polynomial(n).evaluate(1) == factorial(n),
@@ -616,18 +563,16 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
             f"degree bound fails for F_{n}",
         )
     for n in range(0, min(max_n, 8) + 1):
-        if not result.require(
+        result.require(
             dict(quad_polynomial(n).terms()) == joints[n],
             f"G_{n} disagrees with the enumerated joint distribution",
-        ):
-            return result
+        )
     for n in range(0, min(max_n, 10) + 1):
-        if not result.require(
+        result.require(
             q_catalan(n).to_counts()
             == oracle.distribution(n, "inv", avoid="132").counts,
             f"q-Catalan {n} disagrees with inversions over the avoiders",
-        ):
-            return result
+        )
     for n in range(0, 16):
         result.require(
             q_catalan_alt(n) == q_catalan(n).reversed_on_degree(comb(n, 2)),
@@ -639,7 +584,7 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
             f"q-Catalan {n} does not sum to the Catalan number",
         )
     for n in range(2, 51):
-        moments(n)  # raises when the two routes disagree
+        _built(result, moments, n)  # the closed form against the recursion
         result.checks += 1
     for n in range(2, min(max_n, 8) + 1):
         total = factorial(n)
@@ -653,14 +598,10 @@ def suite_genfun(max_n: int, workers: int = 1) -> SuiteResult:
     # The splitting law behind every recursion, pointwise.
     for n in range(1, min(max_n, 9) + 1):
         _run_ranged(result, n, workers, _splitting_check_word)
-        if not result.passed:
-            return result
-    return result
 
 
-def suite_series(max_n: int, workers: int = 1, order: int = 8) -> SuiteResult:
-    result = SuiteResult("series", order)
-    report = verify_series_identities(order)
+def suite_series(result: SuiteResult, workers: int) -> None:
+    report = verify_series_identities(result.max_n)
     for k, ok in enumerate(report.equation_status):
         result.require(
             ok,
@@ -668,7 +609,6 @@ def suite_series(max_n: int, workers: int = 1, order: int = 8) -> SuiteResult:
         )
     for k, ok in enumerate(report.tanh_status):
         result.require(ok, f"tanh specialization mismatch at z^{k}")
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -687,17 +627,18 @@ _SUITES = {
     "genfun": suite_genfun,
     "series": suite_series,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, max_n: int, workers: int = 1, order: int = 8) -> SuiteResult:
+def run_suite(name: str, max_n: int, workers: int = 1) -> SuiteResult:
+    """Run one suite to depth ``max_n`` (the order, for ``series``), timed."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     oracle.effective_workers(workers, 0)  # also for suites that never fan out
+    result = SuiteResult(name, max_n)
     started = time.perf_counter()
-    if name == "series":
-        result = suite_series(max_n, workers, order=order)
-    else:
-        result = _SUITES[name](max_n, workers)
+    with suppress(_Stop):
+        _SUITES[name](result, workers)
     result.seconds = time.perf_counter() - started
     return result
 
@@ -716,4 +657,7 @@ def run_suites(
     deduped = list(dict.fromkeys(names))
     if "series" in deduped and not 1 <= order <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {order}")
-    return [run_suite(name, max_n, workers, order) for name in deduped]
+    return [
+        run_suite(name, order if name == "series" else max_n, workers)
+        for name in deduped
+    ]

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -342,3 +343,48 @@ class TestVerify:
         proc = run_cli("verify", "shapes", "--max-n", "4")
         assert proc.returncode == 0
         assert "PASS shapes" in proc.stdout
+
+
+# A self-check whose own two routes disagree raises ValueError where it is
+# built; inside a suite that is a failed check (FAIL, exit 1), never a usage
+# error (exit 2).
+class TestSelfCheckDisagreement:
+    def run_failing(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out.splitlines()
+
+    def test_moments(self, monkeypatch, capsys):
+        real = verify.moments
+
+        def disagreeing(n):
+            report = real(n)
+            if n != 7:
+                return report
+            return replace(report, mean_from_recursion=report.mean + 1)
+
+        monkeypatch.setattr(verify, "moments", disagreeing)
+        lines = self.run_failing(["verify", "genfun", "--max-n", "7"], capsys)
+        assert lines[0].startswith("FAIL genfun")
+        assert lines[1].startswith(
+            "     first counterexample: mean routes disagree at n=7: "
+        )
+        assert lines[2:] == ["result: FAILED"]
+
+    def test_parity_table(self, monkeypatch, capsys):
+        real = verify.parity_table
+
+        def disagreeing(n_max):
+            table = real(n_max)
+            delta = list(table.delta)
+            delta[3] += 1
+            return replace(table, delta=tuple(delta))
+
+        monkeypatch.setattr(verify, "parity_table", disagreeing)
+        lines = self.run_failing(["verify", "parity", "--max-n", "4"], capsys)
+        assert lines[0].startswith("FAIL parity      checks=1 ")
+        assert lines[1:] == [
+            "     first counterexample: delta disagrees with even - odd at n=3",
+            "result: FAILED",
+        ]

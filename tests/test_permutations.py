@@ -311,6 +311,3 @@ class TestPermutationClass:
 
     def test_empty_allowed(self):
         assert Permutation(()).n == 0
-
-    def test_reverse(self):
-        assert Permutation((1, 2, 3)).reverse().entries == (3, 2, 1)

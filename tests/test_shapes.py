@@ -12,7 +12,6 @@ from permshape.shapes import (
     ShapePartition,
     borders_from_shape,
     count_permutations_with_shape,
-    dyck_path,
     dyck_word,
     first_return,
     is_dyck_word,
@@ -253,7 +252,3 @@ class TestValleysAndReturns:
         if word:
             n = len(word)
             assert first_return(dyck_word(word)) == 2 * (word.index(n) + 1)
-
-
-def test_dyck_path_wrapper():
-    assert dyck_path(Permutation((1,))) == "ur"

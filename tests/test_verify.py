@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from permshape import bruhat, verify
+from permshape.permutations import Permutation
 from permshape.verify import run_suite
 
 
@@ -63,6 +64,63 @@ def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
         assert not result.passed
         assert result.failures == [message]
     assert parallel.checks == serial.checks
+
+
+FIRST, LAST = (1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1)
+
+
+def _shifted_borders(real):
+    """Left borders one too high on the first and the last word of S_7."""
+    return lambda word: (
+        tuple(v + 1 for v in real(word)) if word in (FIRST, LAST) else real(word)
+    )
+
+
+def _reversed_on(planted):
+    """A permutation-valued kernel, reversed where its result is planted."""
+
+    def plant(real):
+        def fake(arg):
+            p = real(arg)
+            return Permutation(p.entries[::-1]) if p.entries in planted else p
+
+        return fake
+
+    return plant
+
+
+# Per ranged suite, the kernel a planted fault goes into and the fault: each
+# breaks a check at the first word of S_7 and another in the last range.  The
+# splitting law standardises both sides of the maximum, and (1, ..., 6) is the
+# left side of FIRST, (6, ..., 1) the right side of LAST.
+PLANTS = {
+    "stats": ("left_borders", _shifted_borders),
+    "cp-pattern": ("left_borders", _shifted_borders),
+    "shapes": ("left_borders", _shifted_borders),
+    "tableau": ("decode_tableau", _reversed_on((FIRST, LAST))),
+    "genfun": ("standardize", _reversed_on((FIRST[:-1], LAST[1:]))),
+}
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("name", list(PLANTS))
+def test_failing_runs_agree_across_workers(name, pool_requests, monkeypatch):
+    attribute, plant = PLANTS[name]
+    monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
+    serial = run_suite(name, 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite(name, 7, workers=2)
+    assert pool_requests == [("fork", 2)]
+    assert not serial.passed and len(serial.failures) == 1
+    assert f"at {FIRST}" in serial.failures[0]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
 
 
 def test_a_tree_rotated_at_the_root_breaks_the_parent_law(monkeypatch):
