@@ -147,22 +147,31 @@ def fan_out(
     workers: int,
     *,
     min_total: int = _POOL_MIN_TOTAL,
+    meanwhile: Callable[[], object] | None = None,
 ) -> list:
     """
     Split [0, total) into :func:`effective_workers` contiguous ranges and
     return ``[work(lo, hi) for each range]`` in range order.  One range runs
     inline, as does all work below ``min_total`` units (by default 7!, one
-    unit per word of S_n); several run in one process pool, so ``work`` must
-    be picklable (a module-level function, or a :func:`functools.partial` of
-    one).
+    unit per word: a verify suite's walk over S_0..S_max splits once it
+    reaches 7! words); several run in one process pool, so ``work`` must be
+    picklable (a module-level function, or a :func:`functools.partial` of
+    one).  ``meanwhile()``, if given, runs in this process while the pool
+    works, or after the inline range.
     """
     ranges = split_ranges(total, effective_workers(workers, total, min_total=min_total))
     if len(ranges) == 1:
-        return [work(*ranges[0])]
+        results = [work(*ranges[0])]
+        if meanwhile is not None:
+            meanwhile()
+        return results
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
     with context.Pool(len(ranges)) as pool:
-        return pool.starmap(work, ranges)
+        pending = pool.starmap_async(work, ranges)
+        if meanwhile is not None:
+            meanwhile()
+        return pending.get()
 
 
 def avoiders_132(n: int) -> Iterator[tuple[int, ...]]:

@@ -273,17 +273,27 @@ def count_pattern_word(word: Sequence[int], pattern: Sequence[int]) -> int:
             )
         return inversion_count(word)
     if len(pattern) == 3:
-        # Precompute the rank order of the pattern once.
-        order = sorted(range(3), key=lambda t: pattern[t])
-        count = 0
-        for a in range(n):
-            for b in range(a + 1, n):
-                for c in range(b + 1, n):
-                    triple = (word[a], word[b], word[c])
-                    if (
-                        triple[order[0]] < triple[order[1]] < triple[order[2]]
-                    ):
-                        count += 1
+        # O(n^2): for each pair of positions b < c whose order matches the
+        # pattern's last two letters, count the values left of b in the
+        # interval the first letter asks for.  ``seen`` has bit u set for
+        # every value u left of b, as in inversion_count.
+        first, middle, last = pattern
+        rising = middle < last
+        place = sorted(pattern).index(first)  # under, between or over the pair
+        count = seen = 0
+        for b, x in enumerate(word):
+            for y in word[b + 1 :]:
+                if (x < y) is not rising:
+                    continue
+                lo, hi = (x, y) if rising else (y, x)
+                if place == 0:
+                    left = seen & ((1 << lo) - 1)
+                elif place == 1:
+                    left = seen >> lo & ((1 << (hi - lo)) - 1)
+                else:
+                    left = seen >> hi
+                count += left.bit_count()
+            seen |= 1 << x
         return count
     raise ValueError(f"unsupported pattern length {len(pattern)} (only 2 and 3)")
 

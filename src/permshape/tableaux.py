@@ -20,6 +20,7 @@ shape's, and its mask has no bit outside the shape's cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count
 from typing import Iterable, Sequence
 
@@ -29,6 +30,7 @@ from .shapes import (
     borders_from_shape,
     rectangle_decomposition,
     shape,
+    shape_parts,
 )
 
 __all__ = [
@@ -135,16 +137,6 @@ def _cells(mask: int, n: int) -> list[tuple[int, int]]:
     ]
 
 
-def _rows(mask: int, n: int) -> list[int]:
-    """
-    Row masks: bit i - 1 of ``rows[j - 1]`` is the dot (i, j).  Written out
-    with n * n binary digits, the mask runs from column n down to column 1,
-    so every n-th digit from the one for (n, j) spells row j, column n first.
-    """
-    digits = format(mask, f"0{n * n}b")
-    return [int(digits[start::n], 2) for start in range(n - 1, -1, -1)]
-
-
 def _inversion_mask(word: Sequence[int]) -> int:
     """
     The mask of a word's inversions, in O(n) big-int steps: ``below[v]``
@@ -172,7 +164,8 @@ class FilledTableau:
     A shape with labeled rows and its dots, one bit per cell of ``mask``
     (layout in the module docstring).  The constructor takes the dots as
     (column, row label) pairs and raises ValueError for labels that are not
-    the shape's or for a dot outside its row.
+    the shape's or for a dot outside its row.  The column masks are split
+    off ``mask`` at most once per instance, on first use.
     """
 
     shape: ShapePartition
@@ -228,9 +221,13 @@ class FilledTableau:
         """The dots as (column, row label) pairs."""
         return frozenset(_cells(self.mask, self.n))
 
+    @cached_property
+    def _column_masks(self) -> list[int]:
+        return _columns(self.mask, self.n)
+
     def column_dot_counts(self) -> tuple[int, ...]:
         """Dots per column for columns 1..n (columns beyond k hold none)."""
-        return tuple(field.bit_count() for field in _columns(self.mask, self.n))
+        return tuple(field.bit_count() for field in self._column_masks)
 
 
 def encode_tableau(p: Permutation) -> FilledTableau:
@@ -269,7 +266,7 @@ def decode_tableau(t: FilledTableau) -> Permutation:
         raise InconsistentFillingError(
             "inconsistent filling: dots do not match the decoded inversions"
         )
-    if shape(result).parts != t.shape.parts:
+    if shape_parts(result.entries) != t.shape.parts:
         raise InconsistentFillingError(
             "inconsistent filling: host shape differs from the decoded shape"
         )
@@ -320,15 +317,19 @@ def bijection_132_to_231(p: Permutation) -> Permutation:
 def count_132_from_tableau(t: FilledTableau) -> int:
     """
     Occurrences of 1-3-2 read off a permutation's tableau: pairs of an empty
-    cell with a dotted cell to its right within one row.  A row dotted in
-    columns c_1 < ... < c_d has c_r - r empty cells left of its r-th dot, so
-    the count is the sum of the dots' columns less d(d + 1)/2 per row.
+    cell with a dotted cell to its right within one row.  A dot in column i
+    has i - 1 cells to its left, so the count is the sum of i - 1 over the
+    dots less the pairs of dots sharing a row, which two columns hold as the
+    popcount of their intersection.
     """
-    n = t.n
-    columns = _columns(t.mask, n)
-    dotted = sum(col * field.bit_count() for col, field in enumerate(columns, 1))
-    rows = (row.bit_count() for row in _rows(t.mask, n))
-    return dotted - sum(d * (d + 1) // 2 for d in rows)
+    columns = t._column_masks
+    total = 0
+    for i, a in enumerate(columns):
+        if a:
+            total += i * a.bit_count()
+            for b in columns[i + 1 :]:
+                total -= (a & b).bit_count()
+    return total
 
 
 def count_231_from_tableau(t: FilledTableau) -> int:
@@ -336,15 +337,16 @@ def count_231_from_tableau(t: FilledTableau) -> int:
     Occurrences of 2-3-1 read off a permutation's tableau: pairs of dots
     (i, k), (j, k) in one row with i < j whose companion cell (i, j) is
     absent or empty; a dotted companion marks a decreasing triple instead.
+    The rows where columns i and j both hold a dot are the intersection of
+    the two column masks.
     """
-    n = t.n
-    columns = _columns(t.mask, n)
+    columns = t._column_masks
     total = 0
-    for row in _rows(t.mask, n):
-        while row:
-            low = row & -row
-            row ^= low  # the dots of this row right of column i
-            total += (row & ~columns[low.bit_length() - 1]).bit_count()
+    for i, a in enumerate(columns):
+        if a:
+            for j in range(i + 1, len(columns)):
+                if not a >> j & 1:  # the companion cell (i + 1, j + 1) is empty
+                    total += (a & columns[j]).bit_count()
     return total
 
 

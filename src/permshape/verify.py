@@ -4,21 +4,27 @@ exhaustive cross-check at small n, each suite timed.  A suite is a function
 ``suite(result, workers)`` that reads its depth from ``result.max_n`` and
 counts its checks through :meth:`SuiteResult.require`; the first check that
 fails records its message, the suite's one failure, and ends the suite.
-Every per-word check over S_n runs through one runner, :func:`_run_ranged`,
-which splits the lexicographic enumeration through
-:func:`permshape.oracle.fan_out`, which decides when a pool pays (from
-n = 7 on); counts over S_n go through :func:`permshape.oracle.tally`, which
+Every per-word check runs through one runner, :func:`_run_ranged`, which
+takes all the n's of a suite's walk as one stream (S_0, then S_1, ..., each
+lexicographic) and splits that stream once through
+:func:`permshape.oracle.fan_out`, which decides when a pool pays (once the
+walk reaches 7! words); claims about a whole S_n are checked after the
+walk.  Counts over S_n go through :func:`permshape.oracle.tally`, which
 does less per word and pools from n = 8 on.  Partial results merge in range
 order up to the first range that failed, so parallel and single-threaded
-runs agree exactly, on failing runs too.
+runs agree exactly, on failing runs too.  A per-word check passes its
+message as a template and the word as an argument, so a passing check
+builds no string.
 """
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain, islice
 from math import comb, factorial
 
 from . import oracle
@@ -99,11 +105,15 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.failures
 
-    def require(self, condition: bool, message: str) -> None:
-        """Count one check; at the first that fails, record it and stop."""
+    def require(self, condition: bool, message: str, *args) -> None:
+        """
+        Count one check; at the first that fails, record it and stop.  Given
+        ``args``, ``message`` is a :meth:`str.format` template, filled in only
+        on failure.
+        """
         self.checks += 1
         if not condition:
-            self.failures.append(message)
+            self.failures.append(message.format(*args) if args else message)
             raise _Stop
 
 
@@ -119,30 +129,42 @@ def _built(result: SuiteResult, build, *args):
         result.require(False, str(error))
 
 
-def _check_range(n: int, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
-    """One lexicographic range of S_n, up to its first failure."""
-    part, keys = SuiteResult("", n), set()
+def _check_range(ns: range, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
+    """Words [lo, hi) of the stream S_n for n in ``ns``, up to the first failure."""
+    part, keys = SuiteResult("", 0), set()
+    words = chain.from_iterable(map(oracle.enumerate_sn, ns))
     with suppress(_Stop):
-        for word in oracle.permutation_range(n, lo, hi):
+        for word in islice(words, lo, hi):
             check(part, word, keys)
     return part, keys
 
 
-def _run_ranged(result: SuiteResult, n: int, workers: int, check) -> set:
+def _absorb(result: SuiteResult, part: SuiteResult) -> None:
+    """Add the checks of a part run on its own; stop at its failure."""
+    result.checks += part.checks
+    if part.failures:
+        result.failures = part.failures
+        raise _Stop
+
+
+def _run_ranged(
+    result: SuiteResult, ns: range, workers: int, check, meanwhile=None
+) -> set:
     """
-    Run ``check(result, word, keys)`` over S_n and return the union of the
-    keys it collected; ``keys`` carries what a whole-S_n claim needs.  Each
-    range stops at its first failure, and the ranges merge in order up to
-    the first that failed, so a split run matches a single-process one.
+    Run ``check(result, word, keys)`` over S_n for every n in ``ns`` and
+    return the union of the keys it collected; ``keys`` carries what a
+    claim about a whole S_n needs, checked by the caller after the walk.
+    The n's form one stream of sum(n!) words, split once, so a walk opens at
+    most one pool; ``meanwhile()`` runs in this process while it works (see
+    :func:`permshape.oracle.fan_out`).  Each range stops at its first
+    failure, and the ranges merge in order up to the first that failed, so
+    a split run matches a single-process one.
     """
     union: set = set()
-    for part, keys in oracle.fan_out(
-        partial(_check_range, n, check), factorial(n), workers
-    ):
-        result.checks += part.checks
-        if part.failures:
-            result.failures = part.failures
-            raise _Stop
+    total = sum(factorial(n) for n in ns)
+    work = partial(_check_range, ns, check)
+    for part, keys in oracle.fan_out(work, total, workers, meanwhile=meanwhile):
+        _absorb(result, part)
         union |= keys
     return union
 
@@ -172,12 +194,12 @@ def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> 
         "right-border reflection law fails": reflected == left_borders(word[::-1]),
     }
     broken = next((law for law, holds in laws.items() if not holds), None)
-    result.require(broken is None, f"{broken} at {word}" if broken else "")
+    result.require(broken is None, "{} at {}", broken, word)
     if not 1 <= n <= 8:
         return
     tree = decreasing_tree_word(word)
     result.require(
-        tree.inorder_values() == word, f"in-order traversal broken at {word}"
+        tree.inorder_values() == word, "in-order traversal broken at {}", word
     )
     # A left child hangs below its right border position, a right child
     # below its left border position.
@@ -185,12 +207,11 @@ def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> 
         (lc < 0 or b[lc] == k + 1) and (rc < 0 or a[rc] == k + 1)
         for k, (lc, rc) in enumerate(zip(tree.left, tree.right))
     )
-    result.require(ok, f"tree parent law fails at {word}")
+    result.require(ok, "tree parent law fails at {}", word)
 
 
 def suite_stats(result: SuiteResult, workers: int) -> None:
-    for n in range(0, min(result.max_n, 9) + 1):
-        _run_ranged(result, n, workers, _stats_check_word)
+    _run_ranged(result, range(0, min(result.max_n, 9) + 1), workers, _stats_check_word)
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +236,21 @@ def _cp_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> Non
     barred = count_barred_132_word(word)
     result.require(
         sum(left_borders(word)) == inversion_count(word) + barred,
-        f"border-sum identity fails at {word}",
+        "border-sum identity fails at {}",
+        word,
     )
     if len(word) <= 6:
         result.require(
             barred == _naive_barred_132(word),
-            f"windowed and naive barred counts differ at {word}",
+            "windowed and naive barred counts differ at {}",
+            word,
         )
 
 
 def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
-    depth = min(result.max_n, 9)
-    for n in range(0, depth + 1):
-        _run_ranged(result, n, workers, _cp_check_word)
-    for n in range(0, depth + 1):
+    ns = range(0, min(result.max_n, 9) + 1)
+    _run_ranged(result, ns, workers, _cp_check_word)
+    for n in ns:
         for word in oracle.avoiders_132(n):
             result.require(
                 sum(left_borders(word)) == inversion_count(word),
@@ -246,25 +268,29 @@ def _shapes_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) ->
     n = len(word)
     path = dyck_word(word)
     parts = shape_from_path(path).parts
-    result.require(parts == shape_parts(word), f"path shape != border shape at {word}")
+    result.require(parts == shape_parts(word), "path shape != border shape at {}", word)
     result.require(
         borders_from_shape(ShapePartition(parts, n)) == left_borders(word),
-        f"border reconstruction fails at {word}",
+        "border reconstruction fails at {}",
+        word,
     )
     result.require(
         valleys(path) == tuple(2 * d for d in descent_positions(word)),
-        f"valleys != doubled descents at {word}",
+        "valleys != doubled descents at {}",
+        word,
     )
     if n:
         result.require(
             first_return(path) == 2 * (word.index(n) + 1),
-            f"first return != twice the max position at {word}",
+            "first return != twice the max position at {}",
+            word,
         )
 
 
 def suite_shapes(result: SuiteResult, workers: int) -> None:
-    for n in range(0, min(result.max_n, 9) + 1):
-        _run_ranged(result, n, workers, _shapes_check_word)
+    ns = range(0, min(result.max_n, 9) + 1)
+    _run_ranged(result, ns, workers, _shapes_check_word)
+    for n in ns:
         words = {dyck_word(w) for w in oracle.avoiders_231(n)}
         all_words = {path_from_shape(s) for s in oracle.all_shapes(n)}
         result.require(
@@ -317,45 +343,63 @@ def suite_count(result: SuiteResult, workers: int) -> None:
 
 def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
     t = encode_tableau(Permutation(word))
-    result.require(decode_tableau(t).entries == word, f"round trip broken at {word}")
+    result.require(decode_tableau(t).entries == word, "round trip broken at {}", word)
     if len(word) > 8:
         return
-    keys.add((t.shape.parts, t.mask))
+    keys.add((t.n, t.shape.parts, t.mask))
     result.require(
         count_132_from_tableau(t) == count_pattern_word(word, (1, 3, 2)),
-        f"tableau 1-3-2 count wrong at {word}",
+        "tableau 1-3-2 count wrong at {}",
+        word,
     )
     result.require(
         count_231_from_tableau(t) == count_pattern_word(word, (2, 3, 1)),
-        f"tableau 2-3-1 count wrong at {word}",
+        "tableau 2-3-1 count wrong at {}",
+        word,
     )
 
 
+def _check_extreme_fillings(part: SuiteResult, ns: range) -> None:
+    """The minimal and full fillings of every shape for n in ``ns``."""
+    with suppress(_Stop):
+        for n in ns:
+            for s in oracle.all_shapes(n):
+                low = decode_tableau(min_filling(s))
+                high = decode_tableau(max_filling(s))
+                part.require(
+                    not contains_231(low.entries),
+                    "minimal filling of {} decodes to a 2-3-1 container {}",
+                    s,
+                    low,
+                )
+                part.require(
+                    not contains_132(high.entries),
+                    "full filling of {} decodes to a 1-3-2 container {}",
+                    s,
+                    high,
+                )
+                part.require(
+                    shape_parts(low.entries) == s.parts
+                    and shape_parts(high.entries) == s.parts,
+                    "extreme fillings of {} do not preserve the shape",
+                    s,
+                )
+
+
 def suite_tableau(result: SuiteResult, workers: int) -> None:
-    depth = min(result.max_n, 9)
-    for n in range(0, depth + 1):
-        seen = _run_ranged(result, n, workers, _tableau_check_word)
+    ns = range(0, min(result.max_n, 9) + 1)
+    # The extreme fillings are checked in this process while the pool walks
+    # S_n, and counted after the walk and the injectivity checks.
+    fillings = SuiteResult("", 0)
+    meanwhile = partial(_check_extreme_fillings, fillings, ns)
+    keys = _run_ranged(result, ns, workers, _tableau_check_word, meanwhile)
+    images = Counter(n for n, _, _ in keys)  # distinct (n, shape, mask)
+    for n in ns:
         if n <= 8:
             result.require(
-                len(seen) == factorial(n), f"encode is not injective on S_{n}"
+                images[n] == factorial(n), f"encode is not injective on S_{n}"
             )
-    for n in range(0, depth + 1):
-        for s in oracle.all_shapes(n):
-            low = decode_tableau(min_filling(s))
-            high = decode_tableau(max_filling(s))
-            result.require(
-                not contains_231(low.entries),
-                f"minimal filling of {s} decodes to a 2-3-1 container {low}",
-            )
-            result.require(
-                not contains_132(high.entries),
-                f"full filling of {s} decodes to a 1-3-2 container {high}",
-            )
-            result.require(
-                shape_parts(low.entries) == s.parts
-                and shape_parts(high.entries) == s.parts,
-                f"extreme fillings of {s} do not preserve the shape",
-            )
+    _absorb(result, fillings)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +569,8 @@ def _splitting_check_word(
     result.require(
         sum(left_borders(word))
         == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),
-        f"splitting law fails at {word}",
+        "splitting law fails at {}",
+        word,
     )
 
 
@@ -596,8 +641,7 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
             f"moments disagree with enumeration at n={n}",
         )
     # The splitting law behind every recursion, pointwise.
-    for n in range(1, min(max_n, 9) + 1):
-        _run_ranged(result, n, workers, _splitting_check_word)
+    _run_ranged(result, range(1, min(max_n, 9) + 1), workers, _splitting_check_word)
 
 
 def suite_series(result: SuiteResult, workers: int) -> None:

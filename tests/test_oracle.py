@@ -131,6 +131,20 @@ class TestFanOut:
         assert fan_out(lambda lo, hi: (lo, hi), 63, 2, min_total=64) == [(0, 63)]
         assert not pool_requests
 
+    def test_meanwhile_runs_once_in_this_process(self, pool_requests):
+        pids = []
+
+        def meanwhile():
+            pids.append(os.getpid())
+
+        assert fan_out(range, 10, 2, meanwhile=meanwhile) == [range(10)]
+        assert fan_out(range, 10, 2, min_total=0, meanwhile=meanwhile) == [
+            range(0, 5),
+            range(5, 10),
+        ]
+        assert pids == [os.getpid()] * 2
+        assert [processes for _, processes in pool_requests] == [2]
+
     def test_tallies_of_s7_run_inline(self, pool_requests):
         # A count does less per word than a check, so it waits for S_8.
         assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")

@@ -32,6 +32,7 @@ from naive_oracles import (
 )
 
 RUNNING = (5, 3, 1, 4, 8, 2, 7, 6)
+PATTERNS_3 = list(itertools.permutations((1, 2, 3)))
 
 
 def perms(max_n=7):
@@ -184,8 +185,24 @@ class TestPatterns:
         with pytest.raises(ValueError):
             count_pattern_word((1, 2, 3, 4), (1, 2, 3, 4))
 
-    @given(perms(6), st.sampled_from(list(itertools.permutations((1, 2, 3)))))
+    @given(perms(6), st.sampled_from(PATTERNS_3))
     def test_matches_naive(self, word, pattern):
+        assert count_pattern_word(word, pattern) == naive_pattern_count(word, pattern)
+
+    def test_length_three_exhaustive_up_to_seven(self):
+        for n in range(8):
+            for word in itertools.permutations(range(1, n + 1)):
+                for pattern in PATTERNS_3:
+                    assert count_pattern_word(word, pattern) == naive_pattern_count(
+                        word, pattern
+                    ), (word, pattern)
+
+    # The docstring allows any distinct positive integers, gaps included.
+    @given(
+        st.lists(st.integers(1, 100), unique=True, max_size=12),
+        st.sampled_from(PATTERNS_3),
+    )
+    def test_length_three_on_words_with_gaps(self, word, pattern):
         assert count_pattern_word(word, pattern) == naive_pattern_count(word, pattern)
 
     @given(perms(7))

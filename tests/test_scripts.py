@@ -29,3 +29,25 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_distribution_tables_exits_1_on_a_wrong_polynomial_under_O():
+    # Under -O a bare assert is stripped; the cross-check must still fail.
+    code = "\n".join(
+        [
+            "import runpy, sys, types",
+            "import permshape.genfun as genfun",
+            "genfun.lbsum_polynomial = lambda n: types.SimpleNamespace(to_counts=dict)",
+            "sys.argv = ['distribution_tables.py', '--max-n', '3']",
+            f"runpy.run_path({str(SCRIPTS / 'distribution_tables.py')!r}, "
+            "run_name='__main__')",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SOURCE},
+    )
+    assert proc.returncode == 1
+    assert "n=0: F_n disagrees" in proc.stderr

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from permshape import bruhat, verify
+from permshape import bruhat, oracle, verify
 from permshape.permutations import Permutation
 from permshape.verify import run_suite
 
@@ -69,11 +69,18 @@ def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
 FIRST, LAST = (1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1)
 
 
-def _shifted_borders(real):
-    """Left borders one too high on the first and the last word of S_7."""
-    return lambda word: (
-        tuple(v + 1 for v in real(word)) if word in (FIRST, LAST) else real(word)
-    )
+def _shifted_on(planted):
+    """Left borders one too high on the planted words."""
+
+    def plant(real):
+        return lambda word: (
+            tuple(v + 1 for v in real(word)) if word in planted else real(word)
+        )
+
+    return plant
+
+
+_shifted_borders = _shifted_on((FIRST, LAST))
 
 
 def _reversed_on(planted):
@@ -121,6 +128,128 @@ def test_failing_runs_agree_across_workers(name, pool_requests, monkeypatch):
         serial.checks,
         serial.failures,
     )
+
+
+# A suite's walk over S_0..S_7 is one stream of 5914 words split once, so the
+# first word of S_6 (stream index 154 from S_0) now lies in the first
+# worker's range instead of the parent's serial walk.
+SIX = (1, 2, 3, 4, 5, 6)
+PLANTS_IN_S6 = {
+    "stats": ("left_borders", _shifted_on((SIX,))),
+    "cp-pattern": ("left_borders", _shifted_on((SIX,))),
+    "shapes": ("left_borders", _shifted_on((SIX,))),
+    "tableau": ("decode_tableau", _reversed_on((SIX,))),
+    "genfun": ("standardize", _reversed_on((SIX[:-1],))),
+}
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("name", list(PLANTS_IN_S6))
+def test_fault_in_s6_agrees_across_workers(name, pool_requests, monkeypatch):
+    attribute, plant = PLANTS_IN_S6[name]
+    monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
+    serial = run_suite(name, 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite(name, 7, workers=2)
+    assert [processes for _, processes in pool_requests] == [2]
+    assert not serial.passed and f"at {SIX}" in serial.failures[0]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
+    # LAST encodes to the tableau of FIRST, which decodes to the word just
+    # encoded.  Neither word holds a 1-3-2 or a 2-3-1, so every per-word
+    # check passes and only injectivity on S_7 fails, on keys collected in
+    # two different ranges.
+    real_encode = verify.encode_tableau
+    encoded = []
+
+    def encode(p):
+        encoded[:] = [p]
+        return real_encode(Permutation(FIRST) if p.entries == LAST else p)
+
+    monkeypatch.setattr(verify, "encode_tableau", encode)
+    monkeypatch.setattr(verify, "decode_tableau", lambda t: encoded[0])
+    serial = run_suite("tableau", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("tableau", 7, workers=2)
+    assert [processes for _, processes in pool_requests] == [2]
+    assert serial.failures == ["encode is not injective on S_7"]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+# The extreme fillings are checked in the parent while the pool walks S_7 and
+# counted after the walk: a failed filling gives the same result at both
+# worker counts, and a failed word of the walk is still reported first.
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("word_fault", [False, True], ids=["filling", "word-first"])
+def test_filling_fault_agrees_across_workers(word_fault, pool_requests, monkeypatch):
+    real_contains = verify.contains_231
+    monkeypatch.setattr(
+        verify, "contains_231", lambda word: word == (3, 2, 1) or real_contains(word)
+    )
+    if word_fault:
+        real_count = verify.count_pattern_word
+        monkeypatch.setattr(
+            verify,
+            "count_pattern_word",
+            lambda word, pattern: real_count(word, pattern) + (word == LAST),
+        )
+    serial = run_suite("tableau", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("tableau", 7, workers=2)
+    assert [processes for _, processes in pool_requests] == [2]
+    first = f"tableau 1-3-2 count wrong at {LAST}" if word_fault else "minimal filling"
+    assert serial.failures[0].startswith(first)
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+def test_a_walk_to_s8_opens_one_pool(pool_requests):
+    result = run_suite("stats", 8, workers=2)
+    assert result.passed
+    assert [processes for _, processes in pool_requests] == [2]
+
+
+class _Unprintable(tuple):
+    """A word that fails the test if any message is formatted with it."""
+
+    def __format__(self, spec=""):
+        raise AssertionError(f"a message was built for the passing word {tuple(self)}")
+
+    __str__ = __repr__ = __format__
+
+
+# Every per-word check builds its message only when it fails: fed words that
+# refuse to be formatted, each ranged suite still passes with every check.
+@pytest.mark.parametrize("name", list(PLANTS))
+def test_passing_checks_build_no_message(name, monkeypatch):
+    expected = run_suite(name, 6)
+    real = oracle.enumerate_sn
+    monkeypatch.setattr(oracle, "enumerate_sn", lambda n: map(_Unprintable, real(n)))
+    result = run_suite(name, 6)
+    assert (result.passed, result.checks) == (True, expected.checks)
 
 
 def test_a_tree_rotated_at_the_root_breaks_the_parent_law(monkeypatch):
