@@ -421,7 +421,7 @@ def tangent_numbers(m: int) -> list[int]:
     for k in range(1, m + 1):
         value = series[2 * k - 1] * factorial(2 * k - 1)
         if value.denominator != 1:
-            raise AssertionError("tangent coefficient is not integral")
+            raise ValueError("tangent coefficient is not integral")
         out.append(abs(value.numerator))
     return out
 
@@ -504,13 +504,17 @@ def q_catalan_alt(n: int) -> UniPolynomial:
 # -- Exact moments of the area --------------------------------------------------
 
 
-def _derivatives_at_one(n: int) -> tuple[list[int], list[int], list[int]]:
-    """(F_m(1), F_m'(1), F_m''(1)) for m = 0..n, from the differentiated
-    splitting recursion; everything stays integral."""
-    value = [1]
-    d1 = [0]
-    d2 = [0]
-    for m in range(1, n + 1):
+# (F_m(1), F_m'(1), F_m''(1)) for m = 0, 1, ..., grown on demand.
+_moment_cache: tuple[list[int], list[int], list[int]] = ([1], [0], [0])
+
+
+def _derivatives_at_one(n: int) -> tuple[int, int, int]:
+    """(F_n(1), F_n'(1), F_n''(1)) from the differentiated splitting
+    recursion, extending the cache through m = n; everything stays
+    integral, and each F_m(1) must equal m!."""
+    value, d1, d2 = _moment_cache
+    while len(value) <= n:
+        m = len(value)
         v_acc = s1_acc = s2_acc = 0
         for k in range(1, m + 1):
             b = comb(m - 1, k - 1)
@@ -528,11 +532,11 @@ def _derivatives_at_one(n: int) -> tuple[list[int], list[int], list[int]]:
                 + s * (s - 1) * fv * gv
             )
         if v_acc != factorial(m):
-            raise AssertionError("recursion mass check failed")
+            raise ValueError("recursion mass check failed")
         value.append(v_acc)
         d1.append(s1_acc)
         d2.append(s2_acc)
-    return value, d1, d2
+    return value[n], d1[n], d2[n]
 
 
 def _harmonic(n: int, order: int) -> Fraction:
@@ -593,8 +597,8 @@ def moments(n: int) -> MomentReport:
     var_closed = 2 * n * (n + 2) - (n + 1) * h1 - (n + 1) ** 2 * h2
     _, d1, d2 = _derivatives_at_one(n)
     total = factorial(n)
-    mean_rec = Fraction(d1[n], total)
-    second_moment = Fraction(d2[n] + d1[n], total)
+    mean_rec = Fraction(d1, total)
+    second_moment = Fraction(d2 + d1, total)
     var_rec = second_moment - mean_rec * mean_rec
     return MomentReport(
         n=n,

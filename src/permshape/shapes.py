@@ -342,6 +342,11 @@ def valleys(word: str) -> tuple[int, ...]:
     (2, 4, 10, 14)
     """
     _require_dyck(word)
+    return _valleys(word)
+
+
+def _valleys(word: str) -> tuple[int, ...]:
+    """:func:`valleys` of a word not checked to be a Dyck word."""
     coords: list[int] = []
     rights = 0
     for i, step in enumerate(word):
@@ -360,6 +365,11 @@ def first_return(word: str) -> int:
     _require_dyck(word)
     if not word:
         raise ValueError("the empty path has no first return")
+    return _first_return(word)
+
+
+def _first_return(word: str) -> int:
+    """:func:`first_return` of a nonempty word not checked to be a Dyck word."""
     height = 0
     for i, step in enumerate(word, start=1):
         height += 1 if step == UP else -1

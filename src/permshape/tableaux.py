@@ -16,6 +16,15 @@ order and a column's dot count is the popcount of its field.  Every
 tableau, whether built by the public constructor, the encoder, the extreme
 fillings or from JSON, passes the same two checks: its row labels equal the
 shape's, and its mask has no bit outside the shape's cells.
+
+Validation happens at the edge.  The public constructor, ``encode_tableau``
+(through its :class:`Permutation` argument) and ``decode_tableau`` check
+everything; each encoder and decoder is that check followed by one private
+route, ``_encode_word`` or ``_decode_word``.  The exhaustive walks of
+:mod:`permshape.verify` feed those routes words that are permutations by
+construction, and hand ``_encode_word`` one dict per range of a walk, which
+keeps each shape's :class:`ShapePartition` and layout; ``encode_tableau``
+hands it a fresh one.  The two checks above still run on every tableau.
 """
 from __future__ import annotations
 
@@ -85,7 +94,10 @@ def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
     return {j: length for j, length in enumerate(a, start=1) if length > 0}
 
 
-def _layout(s: ShapePartition) -> tuple[tuple[int, ...], int]:
+_Layout = tuple[tuple[int, ...], int]
+
+
+def _layout(s: ShapePartition) -> _Layout:
     """
     The shape's row labels and the mask of its cells.  Column i holds the
     rows of length >= i, so the column's label set grows from the widest
@@ -185,20 +197,33 @@ class FilledTableau:
             if not (1 <= col <= n and 1 <= label <= n):
                 raise _stray_dot(shape, col, label)
             mask |= 1 << ((col - 1) * n + label - 1)
-        self._set(shape, row_labels, mask)
+        self._set(shape, row_labels, mask, _layout(shape))
 
     @classmethod
     def _from_mask(
-        cls, shape: ShapePartition, row_labels: Iterable[int], mask: int
+        cls,
+        shape: ShapePartition,
+        row_labels: Iterable[int],
+        mask: int,
+        layout: _Layout,
     ) -> "FilledTableau":
         t = cls.__new__(cls)
-        t._set(shape, row_labels, mask)
+        t._set(shape, row_labels, mask, layout)
         return t
 
-    def _set(self, shape: ShapePartition, row_labels: Iterable[int], mask: int) -> None:
-        """The one validating route every constructor ends in."""
+    def _set(
+        self,
+        shape: ShapePartition,
+        row_labels: Iterable[int],
+        mask: int,
+        layout: _Layout,
+    ) -> None:
+        """
+        The one validating route every constructor ends in; ``layout`` is
+        the shape's :func:`_layout`.
+        """
         row_labels = tuple(row_labels)
-        expected, allowed = _layout(shape)
+        expected, allowed = layout
         if row_labels != expected:
             raise ValueError(
                 f"row labels {row_labels} do not match the shape "
@@ -230,38 +255,54 @@ class FilledTableau:
         return tuple(field.bit_count() for field in self._column_masks)
 
 
-def encode_tableau(p: Permutation) -> FilledTableau:
+def _encode_word(word: Sequence[int], shapes: dict) -> FilledTableau:
     """
-    The filled tableau of p: its shape dotted at every inversion (i, j).
-    One pass of p's left borders gives both the shape (a_2..a_n sorted
-    decreasingly) and the row labels, and the constructor compares those
-    labels with the ones it rebuilds from the shape's parts alone.
+    The filled tableau of a permutation word, not checked to be one.  One
+    pass of its left borders gives both the shape (a_2..a_n sorted
+    decreasingly) and the row labels, and :meth:`FilledTableau._set`
+    compares those labels with the ones it rebuilds from the shape's parts
+    alone.  ``shapes`` maps (n, parts) to the shape and its layout, so a
+    caller that keeps it over many words builds each shape once.
     """
-    word = p.entries
     borders = left_borders(word)
-    s = ShapePartition(tuple(sorted(borders[1:], reverse=True)), len(word))
+    key = (len(word), tuple(sorted(borders[1:], reverse=True)))
+    if key not in shapes:
+        s = ShapePartition(key[1], key[0])
+        shapes[key] = (s, _layout(s))
+    s, layout = shapes[key]
     labels = _labels(_row_buckets(borders))
-    return FilledTableau._from_mask(s, labels, _inversion_mask(word))
+    return FilledTableau._from_mask(s, labels, _inversion_mask(word), layout)
 
 
-def decode_tableau(t: FilledTableau) -> Permutation:
+def encode_tableau(p: Permutation) -> FilledTableau:
+    """The filled tableau of p: its shape dotted at every inversion (i, j)."""
+    return _encode_word(p.entries, {})
+
+
+def _decode_word(t: FilledTableau) -> tuple[int, ...]:
     """
-    Rebuild the permutation from column dot counts: count c_i means the
-    (c_i + 1)-th smallest unused value goes to position i.  The dot set must
-    equal the inversion set of the result, otherwise the filling is rejected
-    as inconsistent.
+    The word whose inversion table is the column dot counts: count c_i
+    means the (c_i + 1)-th smallest unused value goes to position i.  The
+    dots themselves are not compared with the word's inversions.
     """
-    n = t.n
-    counts = t.column_dot_counts()
-    unused = list(range(1, n + 1))
+    unused = list(range(1, t.n + 1))
     values: list[int] = []
-    for i, c in enumerate(counts, start=1):
+    for i, c in enumerate(t.column_dot_counts(), start=1):
         if c >= len(unused):
             raise InvalidFillingError(
                 f"column {i} holds {c} dots but only {len(unused)} values remain"
             )
         values.append(unused.pop(c))
-    result = Permutation(tuple(values))
+    return tuple(values)
+
+
+def decode_tableau(t: FilledTableau) -> Permutation:
+    """
+    Rebuild the permutation from column dot counts (:func:`_decode_word`).
+    The dot set must equal the inversion set of the result, and the shape
+    must be the result's, otherwise the filling is rejected as inconsistent.
+    """
+    result = Permutation(_decode_word(t))
     if t.mask != _inversion_mask(result.entries):
         raise InconsistentFillingError(
             "inconsistent filling: dots do not match the decoded inversions"
@@ -282,26 +323,33 @@ def is_valid_filling(t: FilledTableau) -> bool:
     return True
 
 
+def _min_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
+    n = s.n
+    labels = layout[0]
+    top_down = labels[::-1]  # geometric rows 1.. from the top
+    mask = 0
+    for rect in rectangle_decomposition(s).rectangles:
+        for row in range(rect.corner_row - rect.height + 1, rect.corner_row + 1):
+            mask |= 1 << ((rect.column - 1) * n + top_down[row - 1] - 1)
+    return FilledTableau._from_mask(s, labels, mask, layout)
+
+
+def _max_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
+    return FilledTableau._from_mask(s, layout[0], layout[1], layout)
+
+
 def min_filling(s: ShapePartition) -> FilledTableau:
     """
     The sparsest realizable filling of a shape: only the rightmost column of
     every rectangle of the corner decomposition is dotted.  Its decode avoids
     the pattern 2-3-1.
     """
-    n = s.n
-    labels = row_labels_for(s)
-    top_down = labels[::-1]  # geometric rows 1.. from the top
-    mask = 0
-    for rect in rectangle_decomposition(s).rectangles:
-        for row in range(rect.corner_row - rect.height + 1, rect.corner_row + 1):
-            mask |= 1 << ((rect.column - 1) * n + top_down[row - 1] - 1)
-    return FilledTableau._from_mask(s, labels, mask)
+    return _min_filling(s, _layout(s))
 
 
 def max_filling(s: ShapePartition) -> FilledTableau:
     """The fully dotted filling of a shape; its decode avoids 1-3-2."""
-    labels, allowed = _layout(s)
-    return FilledTableau._from_mask(s, labels, allowed)
+    return _max_filling(s, _layout(s))
 
 
 def bijection_132_to_231(p: Permutation) -> Permutation:

@@ -9,12 +9,16 @@ takes all the n's of a suite's walk as one stream (S_0, then S_1, ..., each
 lexicographic) and splits that stream once through
 :func:`permshape.oracle.fan_out`, which decides when a pool pays (once the
 walk reaches 7! words); claims about a whole S_n are checked after the
-walk.  Counts over S_n go through :func:`permshape.oracle.tally`, which
-does less per word and pools from n = 8 on.  Partial results merge in range
-order up to the first range that failed, so parallel and single-threaded
-runs agree exactly, on failing runs too.  A per-word check passes its
-message as a template and the word as an argument, so a passing check
-builds no string.
+walk.  The walks feed the kernels words that are permutations by
+construction, so they call the unchecked routes that the public
+constructors and encoders wrap.  Each range keeps one shape dict, from
+(n, parts) to the :class:`ShapePartition` and its tableau layout: the
+tableau check fills it, and it goes away with the range.  Counts over S_n
+go through :func:`permshape.oracle.tally`, which does less per word and
+pools from n = 8 on.  Partial results merge in range order up to the first
+range that failed, so parallel and single-threaded runs agree exactly, on
+failing runs too.  A per-word check passes its message as a template and
+the word as an argument, so a passing check builds no string.
 """
 from __future__ import annotations
 
@@ -59,31 +63,32 @@ from .permutations import (
     left_borders,
     lr_maxima_count,
     right_borders,
-    standardize,
     stat_vector,
 )
 from .shapes import (
     ShapePartition,
+    _first_return,
+    _valleys,
     borders_from_shape,
     count_permutations_with_shape,
     dyck_word,
-    first_return,
     path_from_shape,
     path_shape_parts,
     rectangle_decomposition,
     shape,
     shape_from_path,
     shape_parts,
-    valleys,
 )
 from .tableaux import (
+    _decode_word,
+    _encode_word,
+    _layout,
+    _max_filling,
+    _min_filling,
     bijection_132_to_231,
     count_132_from_tableau,
     count_231_from_tableau,
     decode_tableau,
-    encode_tableau,
-    max_filling,
-    min_filling,
 )
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "run_suites", "run_suite"]
@@ -130,12 +135,15 @@ def _built(result: SuiteResult, build, *args):
 
 
 def _check_range(ns: range, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
-    """Words [lo, hi) of the stream S_n for n in ``ns``, up to the first failure."""
-    part, keys = SuiteResult("", 0), set()
+    """
+    Words [lo, hi) of the stream S_n for n in ``ns``, up to the first
+    failure.  The range's shape dict lives and dies here.
+    """
+    part, keys, shapes = SuiteResult("", 0), set(), {}
     words = chain.from_iterable(map(oracle.enumerate_sn, ns))
     with suppress(_Stop):
         for word in islice(words, lo, hi):
-            check(part, word, keys)
+            check(part, word, keys, shapes)
     return part, keys
 
 
@@ -151,9 +159,10 @@ def _run_ranged(
     result: SuiteResult, ns: range, workers: int, check, meanwhile=None
 ) -> set:
     """
-    Run ``check(result, word, keys)`` over S_n for every n in ``ns`` and
-    return the union of the keys it collected; ``keys`` carries what a
-    claim about a whole S_n needs, checked by the caller after the walk.
+    Run ``check(result, word, keys, shapes)`` over S_n for every n in
+    ``ns`` and return the union of the keys it collected; ``keys`` carries
+    what a claim about a whole S_n needs, checked by the caller after the
+    walk, and ``shapes`` is the range's shape dict.
     The n's form one stream of sum(n!) words, split once, so a walk opens at
     most one pool; ``meanwhile()`` runs in this process while it works (see
     :func:`permshape.oracle.fan_out`).  Each range stops at its first
@@ -175,7 +184,9 @@ def _run_ranged(
 # ---------------------------------------------------------------------------
 
 
-def _stats_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
+def _stats_check_word(
+    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+) -> None:
     n = len(word)
     parts = path_shape_parts(dyck_word(word))
     descents = descent_positions(word)
@@ -232,7 +243,9 @@ def _naive_barred_132(word: tuple[int, ...]) -> int:
     return count
 
 
-def _cp_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
+def _cp_check_word(
+    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+) -> None:
     barred = count_barred_132_word(word)
     result.require(
         sum(left_borders(word)) == inversion_count(word) + barred,
@@ -264,24 +277,29 @@ def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _shapes_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
+def _shapes_check_word(
+    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+) -> None:
     n = len(word)
     path = dyck_word(word)
-    parts = shape_from_path(path).parts
-    result.require(parts == shape_parts(word), "path shape != border shape at {}", word)
+    s = shape_from_path(path)  # the one check that the path is a Dyck word
+    a = left_borders(word)
     result.require(
-        borders_from_shape(ShapePartition(parts, n)) == left_borders(word),
-        "border reconstruction fails at {}",
+        s.parts == tuple(sorted(a[1:], reverse=True)),
+        "path shape != border shape at {}",
         word,
     )
     result.require(
-        valleys(path) == tuple(2 * d for d in descent_positions(word)),
+        borders_from_shape(s) == a, "border reconstruction fails at {}", word
+    )
+    result.require(
+        _valleys(path) == tuple(2 * d for d in descent_positions(word)),
         "valleys != doubled descents at {}",
         word,
     )
     if n:
         result.require(
-            first_return(path) == 2 * (word.index(n) + 1),
+            _first_return(path) == 2 * (word.index(n) + 1),
             "first return != twice the max position at {}",
             word,
         )
@@ -341,9 +359,11 @@ def suite_count(result: SuiteResult, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -> None:
-    t = encode_tableau(Permutation(word))
-    result.require(decode_tableau(t).entries == word, "round trip broken at {}", word)
+def _tableau_check_word(
+    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+) -> None:
+    t = _encode_word(word, shapes)
+    result.require(_decode_word(t) == word, "round trip broken at {}", word)
     if len(word) > 8:
         return
     keys.add((t.n, t.shape.parts, t.mask))
@@ -360,12 +380,17 @@ def _tableau_check_word(result: SuiteResult, word: tuple[int, ...], keys: set) -
 
 
 def _check_extreme_fillings(part: SuiteResult, ns: range) -> None:
-    """The minimal and full fillings of every shape for n in ``ns``."""
+    """
+    The minimal and full fillings of every shape for n in ``ns``, both
+    built on one layout of the shape; a decode that rejects its filling
+    fails the check.
+    """
     with suppress(_Stop):
         for n in ns:
             for s in oracle.all_shapes(n):
-                low = decode_tableau(min_filling(s))
-                high = decode_tableau(max_filling(s))
+                layout = _layout(s)
+                low = _built(part, decode_tableau, _min_filling(s, layout))
+                high = _built(part, decode_tableau, _max_filling(s, layout))
                 part.require(
                     not contains_231(low.entries),
                     "minimal filling of {} decodes to a 2-3-1 container {}",
@@ -531,7 +556,7 @@ def suite_parity(result: SuiteResult, workers: int) -> None:
         )
         if n % 2 == 0 and n >= 2:
             result.require(even == odd, f"even/odd counts differ at even n={n}")
-    for k, t in enumerate(tangent_numbers(7), start=1):
+    for k, t in enumerate(_built(result, tangent_numbers, 7), start=1):
         result.require(
             t == table.delta[2 * k - 1],
             f"tangent number {k} does not match the imbalance",
@@ -560,12 +585,13 @@ def _joint_key(word: tuple[int, ...]) -> tuple[int, int, int, int]:
 
 
 def _splitting_check_word(
-    result: SuiteResult, word: tuple[int, ...], keys: set
+    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
 ) -> None:
+    # Left borders read only the relative order, so the two sides of the
+    # maximum need no standardizing.
     n = len(word)
     k = word.index(n) + 1
-    left = standardize(word[: k - 1]).entries if k > 1 else ()
-    right = standardize(word[k:]).entries if k < n else ()
+    left, right = word[: k - 1], word[k:]
     result.require(
         sum(left_borders(word))
         == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),

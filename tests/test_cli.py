@@ -4,12 +4,14 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from permshape import verify
+from permshape import genfun, verify
 from permshape.cli import MAP_MAX_N, main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
+from permshape.tableaux import FilledTableau
 
 
 def run_cli(*args):
@@ -371,6 +373,50 @@ class TestSelfCheckDisagreement:
             "     first counterexample: mean routes disagree at n=7: "
         )
         assert lines[2:] == ["result: FAILED"]
+
+    def test_moment_recursion(self, monkeypatch, capsys):
+        real = genfun.factorial
+        monkeypatch.setattr(genfun, "_moment_cache", ([1], [0], [0]))
+        monkeypatch.setattr(genfun, "factorial", lambda m: real(m) + (m == 5))
+        lines = self.run_failing(["verify", "genfun", "--max-n", "4"], capsys)
+        assert lines[0].startswith("FAIL genfun")
+        assert lines[1:] == [
+            "     first counterexample: recursion mass check failed",
+            "result: FAILED",
+        ]
+
+    def test_tangent_numbers(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            genfun, "_tanh_series", lambda order: [Fraction(1, 3)] * (order + 1)
+        )
+        lines = self.run_failing(["verify", "parity", "--max-n", "4"], capsys)
+        assert lines[0].startswith("FAIL parity      checks=8 ")
+        assert lines[1:] == [
+            "     first counterexample: tangent coefficient is not integral",
+            "result: FAILED",
+        ]
+
+    @pytest.mark.parametrize("filling", ["_min_filling", "_max_filling"])
+    def test_extreme_filling(self, filling, monkeypatch, capsys):
+        # The full filling of shape (2, 1) less its dot (1, 2) decodes to
+        # 2,3,1, whose shape is (2, 0).
+        real, full = getattr(verify, filling), verify._max_filling
+
+        def broken(s, layout):
+            if s.parts != (2, 1):
+                return real(s, layout)
+            t = full(s, layout)
+            mask = t.mask & (t.mask - 1)  # less the lowest dot, (1, 2)
+            return FilledTableau._from_mask(s, t.row_labels, mask, layout)
+
+        monkeypatch.setattr(verify, filling, broken)
+        lines = self.run_failing(["verify", "tableau", "--max-n", "3"], capsys)
+        assert lines[0].startswith("FAIL tableau")
+        assert lines[1:] == [
+            "     first counterexample: inconsistent filling: "
+            "host shape differs from the decoded shape",
+            "result: FAILED",
+        ]
 
     def test_parity_table(self, monkeypatch, capsys):
         real = verify.parity_table

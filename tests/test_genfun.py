@@ -6,6 +6,7 @@ from math import comb, factorial
 
 import pytest
 
+from permshape import genfun
 from permshape.genfun import (
     MomentReport,
     QuadPolynomial,
@@ -140,6 +141,13 @@ class TestTangentNumbers:
             tangent_numbers(0)
         with pytest.raises(ValueError):
             tangent_numbers(16)
+
+    def test_fractional_coefficient_is_a_value_error(self, monkeypatch):
+        monkeypatch.setattr(
+            genfun, "_tanh_series", lambda order: [Fraction(1, 3)] * (order + 1)
+        )
+        with pytest.raises(ValueError, match="not integral"):
+            tangent_numbers(3)
 
 
 class TestQuadPolynomial:
@@ -281,6 +289,23 @@ class TestMoments:
     def test_domain_guard(self):
         with pytest.raises(ValueError):
             moments(1)
+
+    def test_cache_order_does_not_matter(self, monkeypatch):
+        # The recursion grows one cache on demand: asked from the top down
+        # with an empty cache, it gives what it gives from the bottom up.
+        upward = [moments(n) for n in range(2, 31)]
+        monkeypatch.setattr(genfun, "_moment_cache", ([1], [0], [0]))
+        downward = [moments(n) for n in range(30, 1, -1)]
+        assert downward[::-1] == upward
+        assert len(genfun._moment_cache[0]) == 31
+
+    def test_failed_mass_check_is_a_value_error(self, monkeypatch):
+        real = genfun.factorial
+        monkeypatch.setattr(genfun, "_moment_cache", ([1], [0], [0]))
+        monkeypatch.setattr(genfun, "factorial", lambda m: real(m) + (m == 5))
+        moments(4)
+        with pytest.raises(ValueError, match="recursion mass check failed"):
+            moments(5)
 
     def test_report_requires_agreement(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,12 @@ class TestStandardize:
         once = standardize(word).entries
         assert standardize(once).entries == once
 
+    @given(st.lists(st.integers(1, 1000), unique=True, max_size=16))
+    def test_left_borders_read_only_the_relative_order(self, values):
+        # Why a side of a word needs no standardizing before its borders.
+        word = tuple(values)
+        assert left_borders(standardize(word).entries) == left_borders(word)
+
 
 class TestBorders:
     def test_running_example_left(self):

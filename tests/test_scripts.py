@@ -18,6 +18,7 @@ SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
         ("worker_scaling.py", ["--n", "5", "--workers", "1", "2"]),
         ("distribution_tables.py", ["--max-n", "4"]),
         ("map_gc.py", ["--requests", "50"]),
+        ("walk_cost.py", ["--n", "5"]),
     ],
 )
 def test_script_runs(script, args):

@@ -10,6 +10,8 @@ from permshape.permutations import Permutation, left_borders
 from permshape.shapes import (
     InvalidDyckWordError,
     ShapePartition,
+    _first_return,
+    _valleys,
     borders_from_shape,
     count_permutations_with_shape,
     dyck_word,
@@ -252,3 +254,10 @@ class TestValleysAndReturns:
         if word:
             n = len(word)
             assert first_return(dyck_word(word)) == 2 * (word.index(n) + 1)
+
+    def test_unchecked_forms_agree_on_every_dyck_word(self):
+        for n in range(1, 8):
+            for s in all_shapes(n):
+                path = path_from_shape(s)
+                assert _valleys(path) == valleys(path)
+                assert _first_return(path) == first_return(path)

@@ -19,6 +19,8 @@ from permshape.shapes import ShapePartition, shape_parts
 from permshape.tableaux import (
     FilledTableau,
     InconsistentFillingError,
+    _decode_word,
+    _encode_word,
     bijection_132_to_231,
     count_132_from_tableau,
     count_231_from_tableau,
@@ -110,6 +112,40 @@ class TestDecode:
                 assert decode_tableau(t).entries == word
                 seen.add((t.shape.parts, t.dots))
             assert len(seen) == factorial(n)
+
+
+def big_perms(max_n=64):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
+    )
+
+
+# The walks' unchecked route is the public one without its checks.
+class TestPrivateRoute:
+    def test_equals_public_on_s0_to_s7(self):
+        shapes = {}
+        for n in range(8):
+            for word in itertools.permutations(range(1, n + 1)):
+                t = encode_tableau(Permutation(word))
+                assert _encode_word(word, {}) == t
+                assert _encode_word(word, shapes) == t
+                assert _decode_word(t) == decode_tableau(t).entries == word
+        assert len(shapes) == sum(len(list(all_shapes(n))) for n in range(8)) == 626
+
+    @given(big_perms())
+    def test_equals_public_up_to_64(self, word):
+        t = encode_tableau(Permutation(word))
+        assert _encode_word(word, {}) == t
+        assert _decode_word(t) == decode_tableau(t).entries == word
+
+    def test_a_held_shape_still_checks_the_labels(self):
+        # A dict entry for the wrong shape must not let a word through.
+        shapes = {}
+        _encode_word((2, 1, 3), shapes)  # shape (1, 0), labels (2,)
+        ((key, entry),) = shapes.items()
+        shapes[key] = (entry[0], ((3,), entry[1][1]))
+        with pytest.raises(ValueError, match="row labels"):
+            _encode_word((2, 1, 3), shapes)
 
 
 class TestExtremeFillings:

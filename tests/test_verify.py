@@ -1,10 +1,10 @@
 import multiprocessing
+import sys
 from dataclasses import replace
 
 import pytest
 
-from permshape import bruhat, oracle, verify
-from permshape.permutations import Permutation
+from permshape import bruhat, oracle, tableaux, verify
 from permshape.verify import run_suite
 
 
@@ -51,9 +51,8 @@ def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
     # The last word of S_7 lies in the second of two ranges; the patched
     # kernel reaches the forked workers with the module.
     last = (7, 6, 5, 4, 3, 2, 1)
-    real = verify.shape_parts
     monkeypatch.setattr(
-        verify, "shape_parts", lambda word: () if word == last else real(word)
+        verify, "left_borders", _shifted_on((last,))(verify.left_borders)
     )
     message = f"path shape != border shape at {last}"
     serial = run_suite("shapes", 7, workers=1)
@@ -84,12 +83,33 @@ _shifted_borders = _shifted_on((FIRST, LAST))
 
 
 def _reversed_on(planted):
-    """A permutation-valued kernel, reversed where its result is planted."""
+    """A word-valued kernel, reversed where its result is planted."""
 
     def plant(real):
         def fake(arg):
-            p = real(arg)
-            return Permutation(p.entries[::-1]) if p.entries in planted else p
+            word = real(arg)
+            return word[::-1] if word in planted else word
+
+        return fake
+
+    return plant
+
+
+def _sides_shifted_on(planted):
+    """
+    Left borders one too high on the sides of the planted words: the calls
+    whose caller checks a planted ``word`` and passes a part of it, as the
+    splitting law does with the two sides of the maximum.  The same words
+    as whole words keep their borders, so the tallies of G_n stay right.
+    """
+
+    def plant(real):
+        def fake(side):
+            word = sys._getframe(1).f_locals.get("word")
+            borders = real(side)
+            if word in planted and side != word:
+                return tuple(v + 1 for v in borders)
+            return borders
 
         return fake
 
@@ -98,14 +118,14 @@ def _reversed_on(planted):
 
 # Per ranged suite, the kernel a planted fault goes into and the fault: each
 # breaks a check at the first word of S_7 and another in the last range.  The
-# splitting law standardises both sides of the maximum, and (1, ..., 6) is the
-# left side of FIRST, (6, ..., 1) the right side of LAST.
+# splitting law reads the left borders of both sides of the maximum, and
+# (1, ..., 6) is the left side of FIRST, (6, ..., 1) the right side of LAST.
 PLANTS = {
     "stats": ("left_borders", _shifted_borders),
     "cp-pattern": ("left_borders", _shifted_borders),
     "shapes": ("left_borders", _shifted_borders),
-    "tableau": ("decode_tableau", _reversed_on((FIRST, LAST))),
-    "genfun": ("standardize", _reversed_on((FIRST[:-1], LAST[1:]))),
+    "tableau": ("_decode_word", _reversed_on((FIRST, LAST))),
+    "genfun": ("left_borders", _sides_shifted_on((FIRST, LAST))),
 }
 
 
@@ -138,8 +158,8 @@ PLANTS_IN_S6 = {
     "stats": ("left_borders", _shifted_on((SIX,))),
     "cp-pattern": ("left_borders", _shifted_on((SIX,))),
     "shapes": ("left_borders", _shifted_on((SIX,))),
-    "tableau": ("decode_tableau", _reversed_on((SIX,))),
-    "genfun": ("standardize", _reversed_on((SIX[:-1],))),
+    "tableau": ("_decode_word", _reversed_on((SIX,))),
+    "genfun": ("left_borders", _sides_shifted_on((SIX,))),
 }
 
 
@@ -172,15 +192,15 @@ def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
     # encoded.  Neither word holds a 1-3-2 or a 2-3-1, so every per-word
     # check passes and only injectivity on S_7 fails, on keys collected in
     # two different ranges.
-    real_encode = verify.encode_tableau
+    real_encode = verify._encode_word
     encoded = []
 
-    def encode(p):
-        encoded[:] = [p]
-        return real_encode(Permutation(FIRST) if p.entries == LAST else p)
+    def encode(word, shapes):
+        encoded[:] = [word]
+        return real_encode(FIRST if word == LAST else word, shapes)
 
-    monkeypatch.setattr(verify, "encode_tableau", encode)
-    monkeypatch.setattr(verify, "decode_tableau", lambda t: encoded[0])
+    monkeypatch.setattr(verify, "_encode_word", encode)
+    monkeypatch.setattr(verify, "_decode_word", lambda t: encoded[0])
     serial = run_suite("tableau", 7, workers=1)
     assert not pool_requests
     parallel = run_suite("tableau", 7, workers=2)
@@ -224,6 +244,24 @@ def test_filling_fault_agrees_across_workers(word_fault, pool_requests, monkeypa
         serial.checks,
         serial.failures,
     )
+
+
+def test_one_layout_per_shape(monkeypatch):
+    # S_0..S_6 hold 197 shapes and, serial, form one range: the walk builds
+    # each shape's layout once, and the extreme fillings once more.
+    calls = []
+    real = tableaux._layout
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(tableaux, "_layout", counting)
+    monkeypatch.setattr(verify, "_layout", counting)
+    assert run_suite("tableau", 6).passed
+    shapes = [s for n in range(7) for s in oracle.all_shapes(n)]
+    assert len(shapes) == 197
+    assert sorted(map(str, calls)) == sorted(map(str, shapes + shapes))
 
 
 def test_a_walk_to_s8_opens_one_pool(pool_requests):
