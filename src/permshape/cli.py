@@ -12,8 +12,9 @@ Subcommands:
 
 This is the one module that turns results into text: the library returns
 values, and every byte permshape prints, in every format, is written here.
-Output goes to stdout, diagnostics to stderr.  Exit codes: 0 on success,
-1 when a verification suite fails, 2 on usage errors.
+Output goes to stdout, diagnostics to stderr.  Exit codes: 0 on success;
+1 when a verification suite fails (any exception raised inside a suite is
+its failed check) or the reader closes stdout early; 2 on usage errors.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import oracle, verify
@@ -290,14 +292,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
         if args.max_n < 0:
             raise ValueError(f"--max-n must be at least 0, got {args.max_n}")
-        if args.subcommand == "map":
-            return _print_map(args)
-        if args.subcommand == "dist":
-            return _print_dist(args)
-        return _print_verify(args)
+        run = {"map": _print_map, "dist": _print_dist}.get(args.subcommand, _print_verify)
+        code = run(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader left: stdout to devnull, so exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,28 +3,24 @@ Umbrella verification suites: every structural claim of the library gets an
 exhaustive cross-check at small n, each suite timed.  A suite is a function
 ``suite(result, workers)`` that reads its depth from ``result.max_n`` and
 counts its checks through :meth:`SuiteResult.require`; the first check that
-fails records its message, the suite's one failure, and ends the suite.
-Every per-word check runs through one runner, :func:`_run_ranged`, which
-takes all the n's of a suite's walk as one stream (S_0, then S_1, ..., each
-lexicographic) and splits that stream once through
-:func:`permshape.oracle.fan_out`, which decides when a pool pays (once the
-walk reaches 7! words); claims about a whole S_n are checked after the
-walk.  The walks feed the kernels words that are permutations by
-construction, so they call the unchecked routes that the public
-constructors and encoders wrap.  Each range keeps one shape dict, from
-(n, parts) to the :class:`ShapePartition` and its tableau layout: the
-tableau check fills it, and it goes away with the range.  Counts over S_n
-go through :func:`permshape.oracle.tally`, which does less per word and
-pools from n = 8 on.  Partial results merge in range order up to the first
-range that failed, so parallel and single-threaded runs agree exactly, on
-failing runs too.  A per-word check passes its message as a template and
-the word as an argument, so a passing check builds no string.
+fails is the suite's one failure and ends it.  Suite names, workers and the
+series order are checked first; past that, a suite runs inside one error
+boundary, :func:`_boundary`, where any other exception is a fault of the
+library and counts as the suite's one failed check.  Every per-word check
+runs through :func:`_run_ranged`: the n's of a suite's walk form one
+lexicographic stream of words, permutations by construction and so fed to
+the kernels' unchecked routes, which :func:`permshape.oracle.fan_out` splits
+once (from 7! words on) into ranges, each with its own boundary and shape
+dict.  The ranges merge in order up to the first that failed, so parallel
+and single-threaded runs agree exactly, on failing runs and on faults
+raised in a worker too.  Claims about a whole S_n are checked after the
+walk; counts over S_n go through :func:`permshape.oracle.tally`.
 """
 from __future__ import annotations
 
 import time
 from collections import Counter
-from contextlib import suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -126,12 +122,16 @@ def _catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def _built(result: SuiteResult, build, *args):
-    """``build(*args)``, whose ValueError (two routes inside it disagree) fails."""
+@contextmanager
+def _boundary(result: SuiteResult):
+    """End at a failed check; any other exception is the one failed check."""
     try:
-        return build(*args)
-    except ValueError as error:
-        result.require(False, str(error))
+        yield
+    except _Stop:
+        pass
+    except Exception as error:
+        result.checks += 1
+        result.failures.append(str(error) or type(error).__name__)
 
 
 def _check_range(ns: range, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
@@ -141,7 +141,7 @@ def _check_range(ns: range, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
     """
     part, keys, shapes = SuiteResult("", 0), set(), {}
     words = chain.from_iterable(map(oracle.enumerate_sn, ns))
-    with suppress(_Stop):
+    with _boundary(part):
         for word in islice(words, lo, hi):
             check(part, word, keys, shapes)
     return part, keys
@@ -159,15 +159,11 @@ def _run_ranged(
     result: SuiteResult, ns: range, workers: int, check, meanwhile=None
 ) -> set:
     """
-    Run ``check(result, word, keys, shapes)`` over S_n for every n in
-    ``ns`` and return the union of the keys it collected; ``keys`` carries
-    what a claim about a whole S_n needs, checked by the caller after the
-    walk, and ``shapes`` is the range's shape dict.
-    The n's form one stream of sum(n!) words, split once, so a walk opens at
-    most one pool; ``meanwhile()`` runs in this process while it works (see
-    :func:`permshape.oracle.fan_out`).  Each range stops at its first
-    failure, and the ranges merge in order up to the first that failed, so
-    a split run matches a single-process one.
+    Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
+    n in ``ns`` (see the module docstring) and return the union of the keys
+    it collected: what a claim about a whole S_n needs, checked by the
+    caller after the walk.  ``meanwhile()`` runs in this process while the
+    walk works (see :func:`permshape.oracle.fan_out`).
     """
     union: set = set()
     total = sum(factorial(n) for n in ns)
@@ -382,15 +378,15 @@ def _tableau_check_word(
 def _check_extreme_fillings(part: SuiteResult, ns: range) -> None:
     """
     The minimal and full fillings of every shape for n in ``ns``, both
-    built on one layout of the shape; a decode that rejects its filling
-    fails the check.
+    built on one layout of the shape, inside a boundary of their own: a
+    decode that rejects its filling fails ``part``.
     """
-    with suppress(_Stop):
+    with _boundary(part):
         for n in ns:
             for s in oracle.all_shapes(n):
                 layout = _layout(s)
-                low = _built(part, decode_tableau, _min_filling(s, layout))
-                high = _built(part, decode_tableau, _max_filling(s, layout))
+                low = decode_tableau(_min_filling(s, layout))
+                high = decode_tableau(_max_filling(s, layout))
                 part.require(
                     not contains_231(low.entries),
                     "minimal filling of {} decodes to a 2-3-1 container {}",
@@ -546,17 +542,17 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
 
 
 def suite_parity(result: SuiteResult, workers: int) -> None:
-    table = _built(result, parity_table, 20)
+    table = parity_table(20)
     for n in range(0, min(result.max_n, 8) + 1):
-        dist = oracle.distribution(n, "lbsum", workers=workers)
-        even, odd = dist.parity_split()
+        # Balance first: the recursion builds it in, so only enumeration breaks it.
+        even, odd = oracle.distribution(n, "lbsum", workers=workers).parity_split()
+        if n % 2 == 0 and n >= 2:
+            result.require(even == odd, f"even/odd counts differ at even n={n}")
         result.require(
             (even, odd) == (table.even[n], table.odd[n]),
             f"enumerated parity split disagrees with the recursion at n={n}",
         )
-        if n % 2 == 0 and n >= 2:
-            result.require(even == odd, f"even/odd counts differ at even n={n}")
-    for k, t in enumerate(_built(result, tangent_numbers, 7), start=1):
+    for k, t in enumerate(tangent_numbers(7), start=1):
         result.require(
             t == table.delta[2 * k - 1],
             f"tangent number {k} does not match the imbalance",
@@ -655,7 +651,7 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
             f"q-Catalan {n} does not sum to the Catalan number",
         )
     for n in range(2, 51):
-        _built(result, moments, n)  # the closed form against the recursion
+        moments(n)  # the closed form against the recursion
         result.checks += 1
     for n in range(2, min(max_n, 8) + 1):
         total = factorial(n)
@@ -700,14 +696,21 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(name: str, max_n: int, workers: int = 1) -> SuiteResult:
-    """Run one suite to depth ``max_n`` (the order, for ``series``), timed."""
+def _check_input(name: str, depth: int, workers: int) -> None:
+    """Bad input raises ValueError here, before a suite's boundary."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if name == "series" and not 1 <= depth <= SERIES_MAX_ORDER:
+        raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {depth}")
     oracle.effective_workers(workers, 0)  # also for suites that never fan out
+
+
+def run_suite(name: str, max_n: int, workers: int = 1) -> SuiteResult:
+    """Run one suite to depth ``max_n`` (the order, for ``series``), timed."""
+    _check_input(name, max_n, workers)
     result = SuiteResult(name, max_n)
     started = time.perf_counter()
-    with suppress(_Stop):
+    with _boundary(result):
         _SUITES[name](result, workers)
     result.seconds = time.perf_counter() - started
     return result
@@ -716,18 +719,11 @@ def run_suite(name: str, max_n: int, workers: int = 1) -> SuiteResult:
 def run_suites(
     selection, max_n: int, workers: int = 1, order: int = 8
 ) -> list[SuiteResult]:
-    names: list[str] = []
-    for item in selection:
-        if item == "all":
-            names.extend(SUITE_NAMES)
-        elif item in SUITE_NAMES:
-            names.append(item)
-        else:
-            raise ValueError(f"unknown suite {item!r}")
-    deduped = list(dict.fromkeys(names))
-    if "series" in deduped and not 1 <= order <= SERIES_MAX_ORDER:
-        raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {order}")
-    return [
-        run_suite(name, order if name == "series" else max_n, workers)
-        for name in deduped
+    names = (SUITE_NAMES if item == "all" else (item,) for item in selection)
+    runs = [
+        (name, order if name == "series" else max_n)
+        for name in dict.fromkeys(chain.from_iterable(names))
     ]
+    for name, depth in runs:  # every input is checked before any suite runs
+        _check_input(name, depth, workers)
+    return [run_suite(name, depth, workers) for name, depth in runs]

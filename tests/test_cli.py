@@ -1,6 +1,8 @@
 import hashlib
 import json
+import multiprocessing
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +13,7 @@ import pytest
 from permshape import genfun, verify
 from permshape.cli import MAP_MAX_N, main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
+from permshape.shapes import dyck_word
 from permshape.tableaux import FilledTableau
 
 
@@ -434,3 +437,102 @@ class TestSelfCheckDisagreement:
             "     first counterexample: delta disagrees with even - odd at n=3",
             "result: FAILED",
         ]
+
+
+# A fault of the library raised inside a suite, in this process or in a pool
+# worker, is that suite's one failed check: FAIL and exit 1 with the same
+# checks and message at any worker count, never a usage error (exit 2) or a
+# traceback.  Three faults hit the last word of S_7, which a 2-worker walk
+# reaches in its second range.
+LAST = (7, 6, 5, 4, 3, 2, 1)
+
+
+def _non_dyck_path(real):
+    return lambda word: "r" + real(word)[1:] if word == LAST else real(word)
+
+
+def _no_border_sequence(real):
+    def fake(s):
+        if s.parts == (6, 5, 4, 3, 2, 1):
+            raise ValueError(f"shape {s} admits no border sequence")
+        return real(s)
+
+    return fake
+
+
+def _overlapping_tiles(real):
+    def fake(s):
+        d = real(s)
+        return replace(d, rectangles=d.rectangles + d.rectangles[:1])
+
+    return fake
+
+
+def _index_error(real):
+    target = dyck_word(LAST)
+
+    def fake(path):
+        if path == target:
+            return ()[0]  # IndexError: tuple index out of range
+        return real(path)
+
+    return fake
+
+
+LIBRARY_FAULTS = {
+    "dyck-word": (
+        "shapes", "dyck_word", _non_dyck_path, 1, "not a Dyck word: 'rrurururururur'"
+    ),
+    "borders-from-shape": (
+        "shapes",
+        "borders_from_shape",
+        _no_border_sequence,
+        1,
+        "shape 6,5,4,3,2,1 admits no border sequence",
+    ),
+    "rectangle-overlap": (
+        "count",
+        "rectangle_decomposition",
+        _overlapping_tiles,
+        0,
+        "rectangles overlap at (1, 1)",
+    ),
+    "valleys-index-error": (
+        "shapes", "_valleys", _index_error, 1, "tuple index out of range"
+    ),
+}
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("fault", list(LIBRARY_FAULTS))
+def test_library_fault_is_a_failed_check(fault, pool_requests, monkeypatch, capsys):
+    suite, name, plant, pools, message = LIBRARY_FAULTS[fault]
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    runs = []
+    for workers in ("1", "2"):
+        assert main(["verify", suite, "--max-n", "7", "--workers", workers]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        status, *rest = captured.out.splitlines()
+        assert status.startswith(f"FAIL {suite}")
+        assert rest == [f"     first counterexample: {message}", "result: FAILED"]
+        runs.append(re.sub(r" [0-9.]+s$", "", status))  # the line less its seconds
+    assert runs[0] == runs[1]
+    assert [processes for _, processes in pool_requests] == [2] * pools
+
+
+def test_quiet_exit_when_the_reader_leaves_early():
+    # The read end is closed before the child writes anything, so its output
+    # meets a broken pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permshape", "verify", "shapes", "--max-n", "5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, "")

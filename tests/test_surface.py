@@ -38,3 +38,26 @@ def test_only_the_cli_writes_text():
         if path.name != "cli.py"
     }
     assert {name: found for name, found in writers.items() if found} == {}
+
+
+def test_verify_has_one_error_boundary():
+    # One try statement in verify.py, the boundary's: no per-call wrapper and
+    # no suppress() may come back beside it.
+    tree = ast.parse((PACKAGE_DIR / "verify.py").read_text())
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))  # except* from 3.11 on
+    owners = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, tries)
+    ]
+    assert owners == ["_boundary"]
+    assert sum(isinstance(node, tries) for node in ast.walk(tree)) == 1
+    names = {
+        getattr(node, field)
+        for node in ast.walk(tree)
+        for field in ("id", "attr", "name")
+        if isinstance(getattr(node, field, None), str)
+    }
+    assert "suppress" not in names

@@ -357,3 +357,33 @@ def test_poset_failure_order(module, name, word, fake, checks, message, monkeypa
     monkeypatch.setattr(module, name, lambda w: fake if w == word else real(w))
     result = run_suite("poset", 6)
     assert (result.passed, result.checks, result.failures) == (False, checks, [message])
+
+
+# The suite's boundary: an exception with no text fails the suite under its
+# type name, counted as one check, and an interrupt still ends the run.
+def test_a_fault_without_text_fails_under_its_type_name(monkeypatch):
+    def raising(word):
+        raise RuntimeError
+
+    monkeypatch.setattr(verify, "dyck_word", raising)
+    result = run_suite("shapes", 3)
+    assert (result.passed, result.checks, result.failures) == (False, 1, ["RuntimeError"])
+
+
+def test_an_interrupt_passes_the_boundary(monkeypatch):
+    def interrupted(word):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "dyck_word", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("shapes", 3)
+
+
+# Bad input is a usage error raised before the boundary, not a failed suite.
+@pytest.mark.parametrize(
+    "name, depth, workers",
+    [("everything", 3, 1), ("series", 11, 1), ("series", 0, 1), ("stats", 3, 0)],
+)
+def test_bad_input_raises_before_the_boundary(name, depth, workers, no_pool):
+    with pytest.raises(ValueError):
+        run_suite(name, depth, workers)
