@@ -16,21 +16,30 @@ series coefficients are fractions.  The central objects are
   together with checks of its differential functional equation and of the
   specialization g(-1, 1, 1, 1, z) = 1 + tanh(z).
 
-All polynomial arithmetic runs on one sparse core, :class:`UniPolynomial`:
-int exponent -> exact ``int`` or ``Fraction`` coefficient.
+Polynomials are held in one sparse core, :class:`UniPolynomial`: int
+exponent -> exact ``int`` or ``Fraction`` coefficient.
 :class:`QuadPolynomial` is a view on it that packs (x, y, p, q) into the key
 ``x << 48 | y << 32 | p << 16 | q``: y, p and q stay below 2**15 in 16-bit
 fields whose top bit catches a carry (an overflow raises ValueError), and x
 is unbounded.  Int order on keys is tuple order, and setting variables to
 one masks their fields away.  :class:`TruncatedSeries` is a list of such
 views with fraction coefficients, one per power of z.
+
+Two computations leave the sparse products for denser forms.  F_n and both
+q-Catalan conventions come from one univariate splitting recursion,
+:func:`_split_recursion`, which sums each level as one big int with a
+byte-aligned slot per exponent (Kronecker substitution): F_60 in about 1 s
+cold, against 9 s for the sparse products.  G_n stays sparse: its dense
+(x, y, p, q) box at n = 12 has 115,776 slots for 7,599 terms.  The series
+identities run on the integer coefficients k! [z^k] g, where a product of
+series is a binomial convolution, so only the tanh values are fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -305,16 +314,54 @@ def _split_recursion(
 ) -> UniPolynomial:
     """
     P_n from the splitting recursion P_m = sum_{k=1}^{m} c P_{k-1} P_{m-k} x^s,
-    with (c, s) = weight(m, k), extending ``cache`` = [P_0, P_1, ...] as needed.
+    with (c, s) = weight(m, k) and c >= 0, extending ``cache`` = [P_0 = 1,
+    P_1, ...] as needed.  The levels are summed as packed ints (Kronecker
+    substitution, von zur Gathen & Gerhard, *Modern Computer Algebra* 8.4):
+    the coefficient of x^e fills byte-aligned slot e, so a product of
+    polynomials is one product of ints, x^s a shift by s slots and c a
+    scaling.  Every coefficient is >= 0, so none of level m exceeds P_m(1),
+    and a slot wide enough for the largest P_m(1) to be built never carries.
     """
-    while len(cache) <= n:
-        m = len(cache)
-        terms = []
-        for k in range(1, m + 1):
-            c, s = weight(m, k)
-            terms.append((cache[k - 1] * cache[m - k]).scaled(c).shifted(s))
-        cache.append(UniPolynomial.sum_of(terms))
+    if n < len(cache):
+        return cache[n]
+    ones = [1]  # P_m(1), from the same recursion on values
+    for m in range(1, n + 1):
+        ones.append(
+            sum(weight(m, k)[0] * ones[k - 1] * ones[m - k] for k in range(1, m + 1))
+        )
+    width = (max(ones).bit_length() + 7) // 8  # bytes per slot
+    bits = 8 * width
+    packed = [_packed(p, width) for p in cache]
+    for m in range(len(cache), n + 1):
+        total = 0
+        for k in range(1, (m + 1) // 2 + 1):
+            product = packed[k - 1] * packed[m - k]
+            # The same product at k and at m + 1 - k, each with its own
+            # weight and shift; once where the two meet.
+            for j in {k, m + 1 - k}:
+                c, s = weight(m, j)
+                total += c * product << bits * s
+        packed.append(total)
+        cache.append(_unpacked(total, width))
     return cache[n]
+
+
+def _packed(poly: UniPolynomial, width: int) -> int:
+    """The coefficients of ``poly`` in ``width``-byte slots, x^0 lowest."""
+    data = b"".join(
+        poly.coefficient(e).to_bytes(width, "little") for e in range(poly.degree + 1)
+    )
+    return int.from_bytes(data, "little")
+
+
+def _unpacked(packed: int, width: int) -> UniPolynomial:
+    data = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
+    return UniPolynomial(
+        {
+            e: int.from_bytes(data[i : i + width], "little")
+            for e, i in enumerate(range(0, len(data), width))
+        }
+    )
 
 
 def lbsum_polynomial(n: int) -> UniPolynomial:
@@ -540,7 +587,12 @@ def _derivatives_at_one(n: int) -> tuple[int, int, int]:
 
 
 def _harmonic(n: int, order: int) -> Fraction:
-    return sum((Fraction(1, i**order) for i in range(1, n + 1)), Fraction(0))
+    """sum_{i=1}^{n} 1/i**order, over one common denominator: one reduction
+    where a running sum of fractions takes one per term."""
+    denominator = lcm(*range(1, n + 1)) ** order
+    return Fraction(
+        sum(denominator // i**order for i in range(1, n + 1)), denominator
+    )
 
 
 @dataclass(frozen=True)
@@ -689,6 +741,14 @@ class TruncatedSeries:
         return [c.evaluate(x, y, p, q) for c in self._coeffs]
 
 
+def _reversed_quad(m: int) -> QuadPolynomial:
+    """m! [z^m] g = x^binom(m,2) G_m(1/x, y, p, q), an integer polynomial."""
+    pivot = comb(m, 2)
+    return QuadPolynomial(
+        {(pivot - ex, ey, ep, eq): c for (ex, ey, ep, eq), c in quad_polynomial(m).terms()}
+    )
+
+
 def series_g(order: int) -> TruncatedSeries:
     """
     The series g(x, y, p, q, z) whose z^n coefficient is
@@ -698,15 +758,8 @@ def series_g(order: int) -> TruncatedSeries:
     """
     coeffs: list[dict[QuadKey, Fraction]] = []
     for m in range(order + 1):
-        pivot = comb(m, 2)
         inv_fact = Fraction(1, factorial(m))
-        poly = quad_polynomial(m)
-        coeffs.append(
-            {
-                (pivot - ex, ey, ep, eq): c * inv_fact
-                for (ex, ey, ep, eq), c in poly.terms()
-            }
-        )
+        coeffs.append({key: c * inv_fact for key, c in _reversed_quad(m).terms()})
     return TruncatedSeries(coeffs, order)
 
 
@@ -741,31 +794,44 @@ def verify_series_identities(order: int) -> SeriesReport:
         dg/dz = g(x,y,p,q,xz) - y p g(x,y,1,q,xpz) (1 - g(x,y,p,1,qz))
 
     holds through z^(order-1), and that g(-1,1,1,1,z) matches 1 + tanh(z)
-    coefficientwise through z^order.
+    coefficientwise through z^order.  Both run on the integer coefficients
+    A_k = k! [z^k] g (exponential generating form): there dg/dz has A_{k+1}
+    at z^k, z -> mz multiplies A_k by m^k, and a product of two series has
+    sum_i binom(k, i) A_i B_{k-i} at z^k.  A failing residual is reported
+    divided by k!, as a coefficient of the series itself.
     """
     if not 1 <= order <= SERIES_MAX_ORDER:
         raise ValueError(
             f"verify_series_identities supports 1 <= order <= {SERIES_MAX_ORDER}"
         )
-    g = series_g(order)
-    lhs = g.derivative_z()
-    shifted = g.subst_z_scaled((1, 0, 0, 0))
-    left_factor = g.with_p_one().subst_z_scaled((1, 0, 1, 0))
-    right_factor = TruncatedSeries.constant(order, 1) - g.with_q_one().subst_z_scaled(
-        (0, 0, 0, 1)
-    )
-    rhs = shifted - (left_factor * right_factor).times_monomial((0, 1, 1, 0))
-    residual = lhs - rhs.truncated(order - 1)
-    equation_status = tuple(not residual.coefficient(k) for k in range(order))
+    a = [_reversed_quad(k) for k in range(order + 1)]
+    # g(x,y,1,q,xpz) and 1 - g(x,y,p,1,qz).
+    left = [a_i.with_p_one().times_monomial((i, 0, i, 0)) for i, a_i in enumerate(a)]
+    right = [a_j.with_q_one().times_monomial((0, 0, 0, j), -1) for j, a_j in enumerate(a)]
+    right[0] += QuadPolynomial.one()
+    residuals = []
+    for k in range(order):
+        product = QuadPolynomial.sum_of(
+            (left[i] * right[k - i]).times_monomial((0, 1, 1, 0), comb(k, i))
+            for i in range(k + 1)
+        )
+        rhs = a[k].times_monomial((k, 0, 0, 0)) - product
+        residuals.append(a[k + 1] - rhs)
+    equation_status = tuple(not r for r in residuals)
     first_fail = _first_false(equation_status)
     failing = None
     if first_fail is not None:
-        c = sorted(residual.coefficient(first_fail).items())
-        failing = {",".join(map(str, key)): str(v) for key, v in c}
-    values = g.evaluate_coefficients(Fraction(-1), Fraction(1), Fraction(1), Fraction(1))
+        scale = factorial(first_fail)
+        failing = {
+            ",".join(map(str, key)): str(Fraction(c, scale))
+            for key, c in residuals[first_fail].terms()
+        }
     one_plus_tanh = _tanh_series(order)
     one_plus_tanh[0] += 1
-    tanh_status = tuple(v == t for v, t in zip(values, one_plus_tanh))
+    tanh_status = tuple(
+        a_k.marginal("x").evaluate(-1) == t * factorial(k)
+        for k, (a_k, t) in enumerate(zip(a, one_plus_tanh))
+    )
     return SeriesReport(
         order=order,
         equation_status=equation_status,

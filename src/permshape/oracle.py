@@ -10,8 +10,12 @@ exactly the serial result.  :func:`tally` is the one counting path over S_n.
 :func:`fan_out` is the library's one parallel layer: it rejects ``workers``
 below 1, decides whether the work is big enough for a pool at all, the pool
 size (``workers`` clamped to the CPU count and to the amount of work), the
-start method (``fork``, else ``spawn``) and the range split, and returns the
-per-range results in range order for the caller to merge.
+start method (``fork``, else ``spawn``) and the split.  A split deals the
+stream out in ``_BLOCKS_PER_WORKER`` contiguous blocks per worker, block t
+to worker t mod w, so that a cost per word that varies along the stream
+evens out between the workers.  Each worker walks its blocks in stream order
+over one iterator (:func:`walk_blocks`) and returns one result per block,
+and :func:`fan_out` hands the caller the results in stream order.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ __all__ = [
     "shape_census",
     "split_ranges",
     "effective_workers",
+    "walk_blocks",
     "fan_out",
 ]
 
@@ -60,6 +65,11 @@ _POOL_MIN_TOTAL = factorial(7)
 # later: on a 2-CPU host, the joint tally of S_7 takes 29 ms inline and
 # 25-40 ms with two workers, that of S_8 130-180 ms against 85-115 ms.
 _TALLY_MIN_TOTAL = factorial(8)
+
+# Blocks per worker of a split walk.  On a 2-CPU host the two halves of the
+# S_0..S_7 stream cost the tableau check 86 and 57 ms; dealt out in 8
+# interleaved blocks per worker, the two shares cost 56 and 57 ms.
+_BLOCKS_PER_WORKER = 8
 
 
 def _stat_lbsum(word: tuple[int, ...]) -> int:
@@ -141,37 +151,60 @@ def effective_workers(
     return max(1, min(workers, os.cpu_count() or 1, total))
 
 
+def walk_blocks(
+    words: Iterator[tuple[int, ...]], blocks: list[tuple[int, int]]
+) -> Iterator[Iterator[tuple[int, ...]]]:
+    """
+    The words [lo, hi) of ``words`` for each of ``blocks``, ascending and
+    disjoint, as slices of the one iterator: the words between two blocks,
+    and whatever the caller left of one slice, are skipped.
+    """
+    at, rest = 0, iter(())
+    for lo, hi in blocks:
+        for _ in rest:
+            pass
+        next(itertools.islice(words, lo - at, lo - at), None)  # skip to lo
+        rest = itertools.islice(words, hi - lo)
+        yield rest
+        at = hi
+
+
 def fan_out(
-    work: Callable[[int, int], object],
+    work: Callable[[list[tuple[int, int]]], list],
     total: int,
     workers: int,
     *,
     min_total: int = _POOL_MIN_TOTAL,
-    meanwhile: Callable[[], object] | None = None,
 ) -> list:
     """
-    Split [0, total) into :func:`effective_workers` contiguous ranges and
-    return ``[work(lo, hi) for each range]`` in range order.  One range runs
-    inline, as does all work below ``min_total`` units (by default 7!, one
-    unit per word: a verify suite's walk over S_0..S_max splits once it
-    reaches 7! words); several run in one process pool, so ``work`` must be
-    picklable (a module-level function, or a :func:`functools.partial` of
-    one).  ``meanwhile()``, if given, runs in this process while the pool
-    works, or after the inline range.
+    Run ``work(blocks)`` once per worker on its blocks of [0, total), a list
+    of (lo, hi) in ascending order, and return the per-block results in
+    block order.  ``work`` returns one result per block, in order, and may
+    stop early: fewer results end that worker's share, and the returned list
+    ends just before the first block without a result.  One worker gets the
+    single block [0, total) and runs inline, as does all work below
+    ``min_total`` units (by default 7!, one unit per word: a verify suite's
+    walk over S_0..S_max splits once it reaches 7! words).  Several workers
+    each get ``_BLOCKS_PER_WORKER`` interleaved blocks and run in one process
+    pool, so ``work`` must be picklable (a module-level function, or a
+    :func:`functools.partial` of one).
     """
-    ranges = split_ranges(total, effective_workers(workers, total, min_total=min_total))
-    if len(ranges) == 1:
-        results = [work(*ranges[0])]
-        if meanwhile is not None:
-            meanwhile()
-        return results
+    count = effective_workers(workers, total, min_total=min_total)
+    if count == 1:
+        return work([(0, total)])
+    blocks = split_ranges(total, count * _BLOCKS_PER_WORKER)
+    shares = [blocks[w :: count] for w in range(count)]
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with context.Pool(len(ranges)) as pool:
-        pending = pool.starmap_async(work, ranges)
-        if meanwhile is not None:
-            meanwhile()
-        return pending.get()
+    with context.Pool(count) as pool:
+        returned = pool.map(work, shares, chunksize=1)
+    results = []
+    for t in range(len(blocks)):
+        share = returned[t % count]
+        if t // count >= len(share):
+            break
+        results.append(share[t // count])
+    return results
 
 
 def avoiders_132(n: int) -> Iterator[tuple[int, ...]]:
@@ -251,8 +284,8 @@ def _tally(words: Iterator[tuple[int, ...]], key: Callable) -> dict:
     return counts
 
 
-def _tally_range(n: int, key: Callable, lo: int, hi: int) -> dict:
-    return _tally(permutation_range(n, lo, hi), key)
+def _tally_blocks(n: int, key: Callable, blocks: list[tuple[int, int]]) -> list[dict]:
+    return [_tally(words, key) for words in walk_blocks(enumerate_sn(n), blocks)]
 
 
 def _merge_tallies(partials: list[dict]) -> dict:
@@ -270,13 +303,13 @@ def _shape_key(word: tuple[int, ...]) -> str:
 def tally(n: int, key: Callable, workers: int = 1) -> dict:
     """
     Exact counts of ``key(word)`` over S_n.  From n = 8 on, ``workers``
-    splits the enumeration into lexicographic ranges counted by separate
+    splits the enumeration into lexicographic blocks counted by separate
     processes (see :func:`fan_out`), so ``key`` must be picklable (a
     module-level function).
     """
     return _merge_tallies(
         fan_out(
-            partial(_tally_range, n, key),
+            partial(_tally_blocks, n, key),
             factorial(n),
             workers,
             min_total=_TALLY_MIN_TOTAL,

@@ -298,6 +298,27 @@ def count_pattern_word(word: Sequence[int], pattern: Sequence[int]) -> int:
     raise ValueError(f"unsupported pattern length {len(pattern)} (only 2 and 3)")
 
 
+def _count_132_231(word: Sequence[int]) -> tuple[int, int]:
+    """
+    The occurrences of 1-3-2 and of 2-3-1 in a permutation of 1..n, in one
+    O(n^2) pass.  A middle letter x with L smaller values on its left has
+    x - 1 - L smaller values on its right, and each of the L * (x - 1 - L)
+    pairs of them is a 1-3-2 or a 2-3-1, so 2-3-1 is that sum less 1-3-2;
+    1-3-2 counts, per smaller y right of x, the values left of x below y.
+    """
+    count = pairs = seen = 0
+    for b, x in enumerate(word):
+        below = seen & ((1 << x) - 1)  # the smaller values left of x
+        if below:
+            left = below.bit_count()
+            pairs += left * (x - 1 - left)
+            for y in word[b + 1 :]:
+                if y < x:
+                    count += (below & ((1 << y) - 1)).bit_count()
+        seen |= 1 << x
+    return count, pairs - count
+
+
 def count_barred_132_word(word: Sequence[int]) -> int:
     """
     Occurrences of 1-3-2 that no larger element interrupts: triples of

@@ -398,6 +398,25 @@ def count_231_from_tableau(t: FilledTableau) -> int:
     return total
 
 
+def _count_132_231_from_tableau(t: FilledTableau) -> tuple[int, int]:
+    """
+    :func:`count_132_from_tableau` and :func:`count_231_from_tableau` in one
+    pass over the pairwise column intersections, which both read.
+    """
+    columns = t._column_masks
+    count_132 = count_231 = 0
+    for i, a in enumerate(columns):
+        if a:
+            count_132 += i * a.bit_count()
+            for j, b in enumerate(columns[i + 1 :], i + 1):
+                if b:
+                    both = (a & b).bit_count()
+                    count_132 -= both
+                    if not a >> j & 1:
+                        count_231 += both
+    return count_132, count_231
+
+
 def tableau_to_json(t: FilledTableau) -> dict:
     """
     The tableau as a JSON-ready dict.  ``"dots"`` is the list of

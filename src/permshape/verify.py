@@ -10,11 +10,16 @@ library and counts as the suite's one failed check.  Every per-word check
 runs through :func:`_run_ranged`: the n's of a suite's walk form one
 lexicographic stream of words, permutations by construction and so fed to
 the kernels' unchecked routes, which :func:`permshape.oracle.fan_out` splits
-once (from 7! words on) into ranges, each with its own boundary and shape
-dict.  The ranges merge in order up to the first that failed, so parallel
-and single-threaded runs agree exactly, on failing runs and on faults
-raised in a worker too.  Claims about a whole S_n are checked after the
-walk; counts over S_n go through :func:`permshape.oracle.tally`.
+once (from 7! words on) into interleaved blocks.  A worker keeps one shape
+dict for all its blocks and stops at its first failed block; each block
+has its own boundary, whose failure names the word it was checking.  The
+blocks merge in stream order up to the first that failed, so every block
+before it is complete and parallel and single-threaded runs agree exactly,
+on failing runs and on faults raised in a worker too.  A check per shape
+(the tableau suite's extreme fillings) rides along: each block carries its
+share of the stream of shapes, and those results merge after the walk.
+Claims about a whole S_n are checked after the walk; counts over S_n go
+through :func:`permshape.oracle.tally`.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, repeat
 from math import comb, factorial
 
 from . import oracle
@@ -49,10 +54,10 @@ from .genfun import (
 )
 from .permutations import (
     Permutation,
+    _count_132_231,
     contains_132,
     contains_231,
     count_barred_132_word,
-    count_pattern_word,
     decreasing_tree_word,
     descent_positions,
     inversion_count,
@@ -76,14 +81,13 @@ from .shapes import (
     shape_parts,
 )
 from .tableaux import (
+    _count_132_231_from_tableau,
     _decode_word,
     _encode_word,
     _layout,
     _max_filling,
     _min_filling,
     bijection_132_to_231,
-    count_132_from_tableau,
-    count_231_from_tableau,
     decode_tableau,
 )
 
@@ -123,28 +127,55 @@ def _catalan(n: int) -> int:
 
 
 @contextmanager
-def _boundary(result: SuiteResult):
-    """End at a failed check; any other exception is the one failed check."""
+def _boundary(result: SuiteResult, where=None):
+    """
+    End at a failed check; any other exception is the one failed check.
+    ``where()``, if given, is called only then and names what was being
+    checked: its text follows the exception's.
+    """
     try:
         yield
     except _Stop:
         pass
     except Exception as error:
         result.checks += 1
-        result.failures.append(str(error) or type(error).__name__)
+        text = str(error) or type(error).__name__
+        result.failures.append(text + where() if where else text)
 
 
-def _check_range(ns: range, check, lo: int, hi: int) -> tuple[SuiteResult, set]:
+def _check_blocks(
+    ns: range, check, shape_check, blocks: list[tuple[int, int]]
+) -> list[tuple[SuiteResult, set, SuiteResult]]:
     """
-    Words [lo, hi) of the stream S_n for n in ``ns``, up to the first
-    failure.  The range's shape dict lives and dies here.
+    The words of each block of the stream S_n for n in ``ns``, block by
+    block up to the first that fails, each with its own result and keys.
+    One shape dict serves all the blocks and lives and dies here.
+    ``shape_check(part, s)``, if given, walks the stream of the shapes of
+    those S_n alongside: out of T words and C shapes, the block of words
+    [lo, hi) carries the shapes [lo * C // T, hi * C // T), checked after
+    its words into a result of their own.
     """
-    part, keys, shapes = SuiteResult("", 0), set(), {}
+    out, shapes = [], {}
     words = chain.from_iterable(map(oracle.enumerate_sn, ns))
-    with _boundary(part):
-        for word in islice(words, lo, hi):
-            check(part, word, keys, shapes)
-    return part, keys
+    shape_slices = repeat(())
+    if shape_check is not None:
+        total, count = sum(map(factorial, ns)), sum(map(_catalan, ns))
+        shape_slices = oracle.walk_blocks(
+            chain.from_iterable(map(oracle.all_shapes, ns)),
+            [(lo * count // total, hi * count // total) for lo, hi in blocks],
+        )
+    for block, shape_block in zip(oracle.walk_blocks(words, blocks), shape_slices):
+        part, keys, shape_part = SuiteResult("", 0), set(), SuiteResult("", 0)
+        with _boundary(part, lambda: f" at {word}"):
+            for word in block:
+                check(part, word, keys, shapes)
+        out.append((part, keys, shape_part))
+        if part.failures:
+            break
+        with _boundary(shape_part):
+            for s in shape_block:
+                shape_check(shape_part, s)
+    return out
 
 
 def _absorb(result: SuiteResult, part: SuiteResult) -> None:
@@ -156,22 +187,33 @@ def _absorb(result: SuiteResult, part: SuiteResult) -> None:
 
 
 def _run_ranged(
-    result: SuiteResult, ns: range, workers: int, check, meanwhile=None
-) -> set:
+    result: SuiteResult,
+    ns: range,
+    workers: int,
+    check,
+    shape_check=None,
+    min_total: int = oracle._POOL_MIN_TOTAL,
+) -> tuple[set, list[SuiteResult]]:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
-    n in ``ns`` (see the module docstring) and return the union of the keys
-    it collected: what a claim about a whole S_n needs, checked by the
-    caller after the walk.  ``meanwhile()`` runs in this process while the
-    walk works (see :func:`permshape.oracle.fan_out`).
+    n in ``ns`` (see the module docstring), and ``shape_check(result, s)``
+    over their shapes alongside (see :func:`_check_blocks`).  Return the
+    union of the keys the walk collected, which claims about a whole S_n
+    need, and the results of the shape checks in stream order, for the
+    caller to absorb after those claims.  A walk below ``min_total`` words
+    runs inline (see :func:`permshape.oracle.fan_out`).
     """
     union: set = set()
+    shape_results = []
     total = sum(factorial(n) for n in ns)
-    work = partial(_check_range, ns, check)
-    for part, keys in oracle.fan_out(work, total, workers, meanwhile=meanwhile):
+    work = partial(_check_blocks, ns, check, shape_check)
+    for part, keys, shape_part in oracle.fan_out(
+        work, total, workers, min_total=min_total
+    ):
         _absorb(result, part)
         union |= keys
-    return union
+        shape_results.append(shape_part)
+    return union, shape_results
 
 
 # ---------------------------------------------------------------------------
@@ -363,64 +405,55 @@ def _tableau_check_word(
     if len(word) > 8:
         return
     keys.add((t.n, t.shape.parts, t.mask))
-    result.require(
-        count_132_from_tableau(t) == count_pattern_word(word, (1, 3, 2)),
-        "tableau 1-3-2 count wrong at {}",
-        word,
-    )
-    result.require(
-        count_231_from_tableau(t) == count_pattern_word(word, (2, 3, 1)),
-        "tableau 2-3-1 count wrong at {}",
-        word,
-    )
+    # Each claim compares a count read off the filling with one of the word.
+    read_132, read_231 = _count_132_231_from_tableau(t)
+    word_132, word_231 = _count_132_231(word)
+    result.require(read_132 == word_132, "tableau 1-3-2 count wrong at {}", word)
+    result.require(read_231 == word_231, "tableau 2-3-1 count wrong at {}", word)
 
 
-def _check_extreme_fillings(part: SuiteResult, ns: range) -> None:
+def _check_extreme_fillings(part: SuiteResult, s: ShapePartition) -> None:
     """
-    The minimal and full fillings of every shape for n in ``ns``, both
-    built on one layout of the shape, inside a boundary of their own: a
-    decode that rejects its filling fails ``part``.
+    The minimal and full fillings of ``s``, both built on one layout of the
+    shape: a decode that rejects its filling fails ``part``.
     """
-    with _boundary(part):
-        for n in ns:
-            for s in oracle.all_shapes(n):
-                layout = _layout(s)
-                low = decode_tableau(_min_filling(s, layout))
-                high = decode_tableau(_max_filling(s, layout))
-                part.require(
-                    not contains_231(low.entries),
-                    "minimal filling of {} decodes to a 2-3-1 container {}",
-                    s,
-                    low,
-                )
-                part.require(
-                    not contains_132(high.entries),
-                    "full filling of {} decodes to a 1-3-2 container {}",
-                    s,
-                    high,
-                )
-                part.require(
-                    shape_parts(low.entries) == s.parts
-                    and shape_parts(high.entries) == s.parts,
-                    "extreme fillings of {} do not preserve the shape",
-                    s,
-                )
+    layout = _layout(s)
+    low = decode_tableau(_min_filling(s, layout))
+    high = decode_tableau(_max_filling(s, layout))
+    part.require(
+        not contains_231(low.entries),
+        "minimal filling of {} decodes to a 2-3-1 container {}",
+        s,
+        low,
+    )
+    part.require(
+        not contains_132(high.entries),
+        "full filling of {} decodes to a 1-3-2 container {}",
+        s,
+        high,
+    )
+    part.require(
+        shape_parts(low.entries) == s.parts and shape_parts(high.entries) == s.parts,
+        "extreme fillings of {} do not preserve the shape",
+        s,
+    )
 
 
 def suite_tableau(result: SuiteResult, workers: int) -> None:
     ns = range(0, min(result.max_n, 9) + 1)
-    # The extreme fillings are checked in this process while the pool walks
-    # S_n, and counted after the walk and the injectivity checks.
-    fillings = SuiteResult("", 0)
-    meanwhile = partial(_check_extreme_fillings, fillings, ns)
-    keys = _run_ranged(result, ns, workers, _tableau_check_word, meanwhile)
+    # The extreme fillings ride along with the walk, a share of the shapes
+    # per block, and count after the walk and the injectivity checks.
+    keys, fillings = _run_ranged(
+        result, ns, workers, _tableau_check_word, _check_extreme_fillings
+    )
     images = Counter(n for n, _, _ in keys)  # distinct (n, shape, mask)
     for n in ns:
         if n <= 8:
             result.require(
                 images[n] == factorial(n), f"encode is not injective on S_{n}"
             )
-    _absorb(result, fillings)
+    for part in fillings:
+        _absorb(result, part)
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +695,15 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
             report.mean == mean and report.variance == second - mean * mean,
             f"moments disagree with enumeration at n={n}",
         )
-    # The splitting law behind every recursion, pointwise.
-    _run_ranged(result, range(1, min(max_n, 9) + 1), workers, _splitting_check_word)
+    # The splitting law behind every recursion, pointwise: a check as light
+    # as a count, so it waits for a pool as long as a tally does.
+    _run_ranged(
+        result,
+        range(1, min(max_n, 9) + 1),
+        workers,
+        _splitting_check_word,
+        min_total=oracle._TALLY_MIN_TOTAL,
+    )
 
 
 def suite_series(result: SuiteResult, workers: int) -> None:

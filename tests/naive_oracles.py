@@ -218,3 +218,62 @@ def naive_poset_counterexamples(words, rank_table_fn, shape_parts_fn):
                 )
                 bad.append((word_a, word_b, side))
     return bad
+
+
+def sparse_split_recursion(n, weight):
+    """
+    [P_0, ..., P_n] of the splitting recursion
+    P_m = sum_{k=1}^{m} c P_{k-1} P_{m-k} x^s, (c, s) = weight(m, k), P_0 = 1,
+    by sparse products of exponent -> coefficient dicts, term by term.
+    """
+    levels = [{0: 1}]
+    for m in range(1, n + 1):
+        out = {}
+        for k in range(1, m + 1):
+            c, s = weight(m, k)
+            for e1, c1 in levels[k - 1].items():
+                for e2, c2 in levels[m - k].items():
+                    out[e1 + e2 + s] = out.get(e1 + e2 + s, 0) + c * c1 * c2
+        levels.append({e: c for e, c in out.items() if c})
+    return levels
+
+
+def fraction_series_report(order):
+    """
+    The report of ``genfun.verify_series_identities`` computed on g itself,
+    with fraction coefficients: truncated series products, derivative and
+    substitutions, and g(-1, 1, 1, 1, z) against 1 + tanh(z).
+    """
+    from fractions import Fraction
+
+    from permshape.genfun import SeriesReport, TruncatedSeries, _tanh_series, series_g
+
+    g = series_g(order)
+    lhs = g.derivative_z()
+    shifted = g.subst_z_scaled((1, 0, 0, 0))
+    left_factor = g.with_p_one().subst_z_scaled((1, 0, 1, 0))
+    right_factor = TruncatedSeries.constant(order, 1) - g.with_q_one().subst_z_scaled(
+        (0, 0, 0, 1)
+    )
+    rhs = shifted - (left_factor * right_factor).times_monomial((0, 1, 1, 0))
+    residual = lhs - rhs.truncated(order - 1)
+    equation_status = tuple(not residual.coefficient(k) for k in range(order))
+    first_fail = next((k for k, ok in enumerate(equation_status) if not ok), None)
+    failing = None
+    if first_fail is not None:
+        c = sorted(residual.coefficient(first_fail).items())
+        failing = {",".join(map(str, key)): str(v) for key, v in c}
+    values = g.evaluate_coefficients(Fraction(-1), Fraction(1), Fraction(1), Fraction(1))
+    one_plus_tanh = _tanh_series(order)
+    one_plus_tanh[0] += 1
+    tanh_status = tuple(v == t for v, t in zip(values, one_plus_tanh))
+    return SeriesReport(
+        order=order,
+        equation_status=equation_status,
+        first_failing_order=first_fail,
+        failing_residual=failing,
+        tanh_status=tanh_status,
+        tanh_first_mismatch=next(
+            (k for k, ok in enumerate(tanh_status) if not ok), None
+        ),
+    )

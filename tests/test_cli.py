@@ -479,16 +479,21 @@ def _index_error(real):
     return fake
 
 
+# A fault raised inside a per-word check names the word being checked.
 LIBRARY_FAULTS = {
     "dyck-word": (
-        "shapes", "dyck_word", _non_dyck_path, 1, "not a Dyck word: 'rrurururururur'"
+        "shapes",
+        "dyck_word",
+        _non_dyck_path,
+        1,
+        f"not a Dyck word: 'rrurururururur' at {LAST}",
     ),
     "borders-from-shape": (
         "shapes",
         "borders_from_shape",
         _no_border_sequence,
         1,
-        "shape 6,5,4,3,2,1 admits no border sequence",
+        f"shape 6,5,4,3,2,1 admits no border sequence at {LAST}",
     ),
     "rectangle-overlap": (
         "count",
@@ -498,7 +503,7 @@ LIBRARY_FAULTS = {
         "rectangles overlap at (1, 1)",
     ),
     "valleys-index-error": (
-        "shapes", "_valleys", _index_error, 1, "tuple index out of range"
+        "shapes", "_valleys", _index_error, 1, f"tuple index out of range at {LAST}"
     ),
 }
 

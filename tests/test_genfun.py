@@ -30,7 +30,11 @@ from permshape.permutations import (
     lr_maxima_count,
 )
 
-from naive_oracles import naive_statistic_distribution
+from naive_oracles import (
+    fraction_series_report,
+    naive_statistic_distribution,
+    sparse_split_recursion,
+)
 
 
 def catalan(n):
@@ -51,6 +55,41 @@ def test_exact_coefficients_pinned():
         "69e4775a6039992f"
     )
     assert digest(q_catalan(28).to_counts().items()) == "c6cc3580d1af2f7c"
+
+
+class TestPackedRecursions:
+    """
+    F_n, q_catalan and q_catalan_alt share one packed-int splitting
+    recursion; each against the sparse products of the same recursion, so
+    that a fault in the shared helper cannot hide behind agreement.
+    """
+
+    @pytest.mark.parametrize(
+        "build, top, weight",
+        [
+            (lbsum_polynomial, 40, lambda m, k: (comb(m - 1, k - 1), k * (m - k))),
+            (q_catalan, 30, lambda m, k: (1, k * (m - k))),
+            (q_catalan_alt, 30, lambda m, k: (1, k - 1)),
+        ],
+        ids=["F", "q_catalan", "q_catalan_alt"],
+    )
+    def test_against_sparse_products(self, build, top, weight, monkeypatch):
+        expected = sparse_split_recursion(top, weight)
+        # Cold, from the top down, and warm, one level at a time.
+        cache = {lbsum_polynomial: "_f_cache", q_catalan: "_qc_cache"}.get(
+            build, "_qc_alt_cache"
+        )
+        monkeypatch.setattr(genfun, cache, [UniPolynomial.one()])
+        assert build(top).to_counts() == expected[top]
+        monkeypatch.setattr(genfun, cache, [UniPolynomial.one()])
+        assert [build(n).to_counts() for n in range(top + 1)] == expected
+
+    def test_slots_wide_enough_at_the_top(self):
+        # F_60 holds 60!-sized coefficients: a slot one byte too narrow
+        # would carry into its neighbour and break the total mass.
+        f = lbsum_polynomial(60)
+        assert f.evaluate(1) == factorial(60)
+        assert f.coefficient(0) == 1 and f.coefficient(comb(60, 2)) == 1
 
 
 class TestUniPolynomial:
@@ -360,6 +399,31 @@ class TestSeries:
             (0, 0, 1, 0): Fraction(1, 2)
         }
         assert (a + b).truncated(1).coefficient(0) == {(0, 0, 0, 0): Fraction(2)}
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_integer_route_matches_fraction_route(self, order):
+        assert verify_series_identities(order) == fraction_series_report(order)
+
+    @pytest.mark.parametrize(
+        "n, fault",
+        [
+            (0, lambda g: g.times_monomial((0, 0, 0, 0), 2)),
+            (2, lambda g: g.times_monomial((0, 0, 0, 0), 2)),
+            (3, lambda g: g + QuadPolynomial.monomial((1, 1, 0, 0))),
+            (5, lambda g: g - QuadPolynomial.monomial((2, 1, 1, 0))),
+            (3, lambda g: QuadPolynomial({(x, q, p, y): c for (x, y, p, q), c in g.terms()})),
+        ],
+        ids=["doubled-G0", "doubled-G2", "extra-term-G3", "missing-term-G5", "swapped-y-q-G3"],
+    )
+    def test_routes_agree_on_a_planted_fault(self, n, fault, monkeypatch):
+        real = genfun.quad_polynomial
+        monkeypatch.setattr(
+            genfun, "quad_polynomial", lambda m: fault(real(m)) if m == n else real(m)
+        )
+        for order in (1, 4, 6):
+            report = verify_series_identities(order)
+            assert report == fraction_series_report(order)
+        assert not report.ok
 
     def test_order_guard(self):
         with pytest.raises(ValueError):

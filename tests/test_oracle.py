@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from functools import partial
+
+from permshape import oracle
 from permshape.oracle import (
     all_shapes,
     avoiders_132,
@@ -30,6 +33,26 @@ from naive_oracles import (
 
 def catalan(n):
     return comb(2 * n, n) // (n + 1)
+
+
+def _ranges(blocks):
+    """One range per block: the blocks a worker was dealt, made visible."""
+    return [range(lo, hi) for lo, hi in blocks]
+
+
+def _owned(blocks):
+    """Each block with the process that ran it."""
+    return [(os.getpid(), lo, hi) for lo, hi in blocks]
+
+
+def _until(stop, blocks):
+    """One range per block, up to and including the block that holds ``stop``."""
+    out = []
+    for lo, hi in blocks:
+        out.append(range(lo, hi))
+        if lo <= stop < hi:
+            break
+    return out
 
 
 class TestEnumeration:
@@ -82,13 +105,13 @@ class TestFanOut:
     def test_rejects_workers_below_one(self, no_pool):
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
-                fan_out(lambda lo, hi: (lo, hi), 10, workers)
+                fan_out(_ranges, 10, workers)
 
     def test_single_range_runs_inline(self, no_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert fan_out(lambda lo, hi: (lo, hi), 10, 4) == [(0, 10)]
+        assert fan_out(_ranges, 10, 4) == [range(0, 10)]
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert fan_out(lambda lo, hi: (lo, hi), 1, 4) == [(0, 1)]
+        assert fan_out(_ranges, 1, 4) == [range(0, 1)]
 
     def test_one_cpu_opens_no_pool(self, no_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -128,22 +151,29 @@ class TestFanOut:
     def test_walks_below_seven_factorial_run_inline(self, pool_requests):
         assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
         assert shape_census(6, workers=2) == shape_census(6)
-        assert fan_out(lambda lo, hi: (lo, hi), 63, 2, min_total=64) == [(0, 63)]
+        assert fan_out(_ranges, 63, 2, min_total=64) == [range(0, 63)]
         assert not pool_requests
 
-    def test_meanwhile_runs_once_in_this_process(self, pool_requests):
-        pids = []
-
-        def meanwhile():
-            pids.append(os.getpid())
-
-        assert fan_out(range, 10, 2, meanwhile=meanwhile) == [range(10)]
-        assert fan_out(range, 10, 2, min_total=0, meanwhile=meanwhile) == [
-            range(0, 5),
-            range(5, 10),
-        ]
-        assert pids == [os.getpid()] * 2
+    def test_blocks_are_dealt_round_robin(self, pool_requests):
+        # 2 workers x 8 blocks: block t goes to share t mod 2, one pool task
+        # each, and the results come back in stream order, covering
+        # [0, total) once.
+        results = fan_out(_owned, 100, 2, min_total=0)
+        assert [(lo, hi) for _, lo, hi in results] == split_ranges(100, 16)
+        pids = [pid for pid, _, _ in results]
+        assert os.getpid() not in pids
+        assert pids == [pids[0], pids[1]] * 8
         assert [processes for _, processes in pool_requests] == [2]
+
+    @pytest.mark.parametrize("stop", [0, 6, 7, 93, 99])
+    def test_results_end_at_the_first_block_a_worker_left(self, stop, pool_requests):
+        # The worker that meets ``stop`` in block t returns nothing after it,
+        # so the results run in order up to block t + 1, the other worker's
+        # next, and end before block t + 2, the first without a result.
+        blocks = split_ranges(100, 2 * oracle._BLOCKS_PER_WORKER)
+        t = next(t for t, (lo, hi) in enumerate(blocks) if lo <= stop < hi)
+        results = fan_out(partial(_until, stop), 100, 2, min_total=0)
+        assert results == [range(lo, hi) for lo, hi in blocks[: t + 2]]
 
     def test_tallies_of_s7_run_inline(self, pool_requests):
         # A count does less per word than a check, so it waits for S_8.

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permshape.oracle import all_shapes
+from permshape.oracle import all_shapes, enumerate_sn
 from permshape.permutations import (
     Permutation,
+    _count_132_231,
     contains_132,
     contains_231,
     count_pattern_word,
@@ -19,6 +20,7 @@ from permshape.shapes import ShapePartition, shape_parts
 from permshape.tableaux import (
     FilledTableau,
     InconsistentFillingError,
+    _count_132_231_from_tableau,
     _decode_word,
     _encode_word,
     bijection_132_to_231,
@@ -252,6 +254,40 @@ class TestPatternCountsFromFilling:
         t = encode_tableau(Permutation(word))
         assert count_132_from_tableau(t) == naive_pattern_count(word, (1, 3, 2))
         assert count_231_from_tableau(t) == naive_pattern_count(word, (2, 3, 1))
+
+
+class TestFusedPatternCounts:
+    """
+    The tableau walk of verify reads both counts off one pass per side;
+    each side against the separate counts, on every word of S_0..S_8.
+    """
+
+    def test_every_word_to_s8(self):
+        shapes = {}
+        for n in range(9):
+            for word in enumerate_sn(n):
+                t = _encode_word(word, shapes)
+                expected = (
+                    count_pattern_word(word, (1, 3, 2)),
+                    count_pattern_word(word, (2, 3, 1)),
+                )
+                assert _count_132_231(word) == expected
+                assert _count_132_231_from_tableau(t) == (
+                    count_132_from_tableau(t),
+                    count_231_from_tableau(t),
+                )
+                assert _count_132_231_from_tableau(t) == expected
+
+    @given(perms(64))
+    def test_up_to_64(self, word):
+        t = encode_tableau(Permutation(word))
+        expected = (
+            count_pattern_word(word, (1, 3, 2)),
+            count_pattern_word(word, (2, 3, 1)),
+        )
+        assert _count_132_231(word) == expected
+        assert _count_132_231_from_tableau(t) == expected
+        assert expected == (count_132_from_tableau(t), count_231_from_tableau(t))
 
 
 class TestJson:

@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 
@@ -8,12 +9,12 @@ from permshape import bruhat, oracle, tableaux, verify
 from permshape.verify import run_suite
 
 
-# Pools a 2-worker run opens: one per check walk of S_7 (genfun's is the
-# splitting law), and none for the suites whose walks of S_7 are counts
-# (count, parity and genfun's joint tally pool from S_8 on) or that never
+# Pools a 2-worker run opens: one per check walk of S_7, and none for the
+# suites whose walks of S_7 are counts or as light as one (count, parity,
+# genfun's joint tally and its splitting law pool from S_8 on) or that never
 # fan out (poset compares whole up-set bitsets in one process).
 POOLS = {
-    "count": 0, "parity": 0, "genfun": 1, "bijection": 0, "series": 0, "poset": 0
+    "count": 0, "parity": 0, "genfun": 0, "bijection": 0, "series": 0, "poset": 0
 }
 
 
@@ -48,8 +49,8 @@ def test_parallel_suite_matches_serial(name, max_n, pool_requests):
     reason="the patched kernel reaches the workers only through fork",
 )
 def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
-    # The last word of S_7 lies in the second of two ranges; the patched
-    # kernel reaches the forked workers with the module.
+    # The last word of S_7 lies in the second worker's last block; the
+    # patched kernel reaches the forked workers with the module.
     last = (7, 6, 5, 4, 3, 2, 1)
     monkeypatch.setattr(
         verify, "left_borders", _shifted_on((last,))(verify.left_borders)
@@ -117,7 +118,7 @@ def _sides_shifted_on(planted):
 
 
 # Per ranged suite, the kernel a planted fault goes into and the fault: each
-# breaks a check at the first word of S_7 and another in the last range.  The
+# breaks a check at the first word of S_7 and another in the last block.  The
 # splitting law reads the left borders of both sides of the maximum, and
 # (1, ..., 6) is the left side of FIRST, (6, ..., 1) the right side of LAST.
 PLANTS = {
@@ -128,6 +129,10 @@ PLANTS = {
     "genfun": ("left_borders", _sides_shifted_on((FIRST, LAST))),
 }
 
+# The splitting law checks as little per word as a count, so genfun's walk,
+# like its joint tally, fans out from S_8 on: run to 8, it opens two pools.
+DEPTHS = {"genfun": (8, 2)}  # suite -> (max_n, pools of a 2-worker run)
+
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -136,11 +141,12 @@ PLANTS = {
 @pytest.mark.parametrize("name", list(PLANTS))
 def test_failing_runs_agree_across_workers(name, pool_requests, monkeypatch):
     attribute, plant = PLANTS[name]
+    max_n, pools = DEPTHS.get(name, (7, 1))
     monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
-    serial = run_suite(name, 7, workers=1)
+    serial = run_suite(name, max_n, workers=1)
     assert not pool_requests
-    parallel = run_suite(name, 7, workers=2)
-    assert pool_requests == [("fork", 2)]
+    parallel = run_suite(name, max_n, workers=2)
+    assert pool_requests == [("fork", 2)] * pools
     assert not serial.passed and len(serial.failures) == 1
     assert f"at {FIRST}" in serial.failures[0]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
@@ -151,8 +157,8 @@ def test_failing_runs_agree_across_workers(name, pool_requests, monkeypatch):
 
 
 # A suite's walk over S_0..S_7 is one stream of 5914 words split once, so the
-# first word of S_6 (stream index 154 from S_0) now lies in the first
-# worker's range instead of the parent's serial walk.
+# first word of S_6 (stream index 154 from S_0) lies in the first worker's
+# first block, not in a serial walk of the parent.
 SIX = (1, 2, 3, 4, 5, 6)
 PLANTS_IN_S6 = {
     "stats": ("left_borders", _shifted_on((SIX,))),
@@ -170,12 +176,62 @@ PLANTS_IN_S6 = {
 @pytest.mark.parametrize("name", list(PLANTS_IN_S6))
 def test_fault_in_s6_agrees_across_workers(name, pool_requests, monkeypatch):
     attribute, plant = PLANTS_IN_S6[name]
+    max_n, pools = DEPTHS.get(name, (7, 1))
     monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
-    serial = run_suite(name, 7, workers=1)
+    serial = run_suite(name, max_n, workers=1)
     assert not pool_requests
-    parallel = run_suite(name, 7, workers=2)
-    assert [processes for _, processes in pool_requests] == [2]
+    parallel = run_suite(name, max_n, workers=2)
+    assert [processes for _, processes in pool_requests] == [2] * pools
     assert not serial.passed and f"at {SIX}" in serial.failures[0]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+# A 2-worker walk of the S_0..S_7 stream deals 16 blocks round robin: worker 0
+# holds blocks 0 and 14 first and last, worker 1 blocks 1 and 15.  A fault at
+# the first or last word of any of them, or in two at once, gives the serial
+# verdict, checks and first failure.  Block 0 starts with () and (1,), whose
+# shifted borders no check can see, so its first fault goes into (1, 2).
+STREAM = list(chain.from_iterable(oracle.enumerate_sn(n) for n in range(8)))
+BLOCKS = oracle.split_ranges(len(STREAM), 2 * oracle._BLOCKS_PER_WORKER)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize(
+    "planted",
+    [
+        ((0, 0),),
+        ((0, -1),),
+        ((1, 0),),
+        ((1, -1),),
+        ((14, 0),),
+        ((14, -1),),
+        ((15, 0),),
+        ((15, -1),),
+        ((1, -1), (14, 0)),
+        ((15, 0), (2, 0)),
+    ],
+    ids=lambda planted: "+".join(f"b{t}{'first' if i == 0 else 'last'}" for t, i in planted),
+)
+def test_faults_in_first_and_last_blocks_agree(planted, pool_requests, monkeypatch):
+    words = [
+        STREAM[max(BLOCKS[t][0], 2) if i == 0 else BLOCKS[t][1] - 1] for t, i in planted
+    ]
+    monkeypatch.setattr(
+        verify, "left_borders", _shifted_on(tuple(words))(verify.left_borders)
+    )
+    serial = run_suite("shapes", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("shapes", 7, workers=2)
+    assert pool_requests == [("fork", 2)]
+    first = min(words, key=STREAM.index)
+    assert serial.failures == [f"path shape != border shape at {first}"]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
         serial.checks,
@@ -190,8 +246,8 @@ def test_fault_in_s6_agrees_across_workers(name, pool_requests, monkeypatch):
 def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
     # LAST encodes to the tableau of FIRST, which decodes to the word just
     # encoded.  Neither word holds a 1-3-2 or a 2-3-1, so every per-word
-    # check passes and only injectivity on S_7 fails, on keys collected in
-    # two different ranges.
+    # check passes and only injectivity on S_7 fails, on keys collected by
+    # two different workers.
     real_encode = verify._encode_word
     encoded = []
 
@@ -213,31 +269,48 @@ def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
     )
 
 
-# The extreme fillings are checked in the parent while the pool walks S_7 and
-# counted after the walk: a failed filling gives the same result at both
-# worker counts, and a failed word of the walk is still reported first.
+# The extreme fillings ride along with the walk, a share of the shapes in each
+# block, and count after the walk: a failed filling gives the same result at
+# both worker counts, the earliest shape's failure first wherever the later
+# one ran, and a failed word of the walk is still reported first.  The
+# minimal filling of shape 6,5,4,3,2,1 decodes to LAST, in the last block.
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
-@pytest.mark.parametrize("word_fault", [False, True], ids=["filling", "word-first"])
-def test_filling_fault_agrees_across_workers(word_fault, pool_requests, monkeypatch):
+@pytest.mark.parametrize(
+    "word_fault, planted, first_filling",
+    [
+        (False, ((3, 2, 1),), "2,1"),
+        (True, ((3, 2, 1),), "2,1"),
+        (False, (LAST,), "6,5,4,3,2,1"),
+        (False, (LAST, (3, 2, 1)), "2,1"),
+    ],
+    ids=["filling", "word-first", "filling-late", "filling-both"],
+)
+def test_filling_fault_agrees_across_workers(
+    word_fault, planted, first_filling, pool_requests, monkeypatch
+):
     real_contains = verify.contains_231
     monkeypatch.setattr(
-        verify, "contains_231", lambda word: word == (3, 2, 1) or real_contains(word)
+        verify, "contains_231", lambda word: word in planted or real_contains(word)
     )
     if word_fault:
-        real_count = verify.count_pattern_word
+        real_count = verify._count_132_231
         monkeypatch.setattr(
             verify,
-            "count_pattern_word",
-            lambda word, pattern: real_count(word, pattern) + (word == LAST),
+            "_count_132_231",
+            lambda word: (real_count(word)[0] + (word == LAST), real_count(word)[1]),
         )
     serial = run_suite("tableau", 7, workers=1)
     assert not pool_requests
     parallel = run_suite("tableau", 7, workers=2)
     assert [processes for _, processes in pool_requests] == [2]
-    first = f"tableau 1-3-2 count wrong at {LAST}" if word_fault else "minimal filling"
+    first = (
+        f"tableau 1-3-2 count wrong at {LAST}"
+        if word_fault
+        else f"minimal filling of {first_filling} decodes"
+    )
     assert serial.failures[0].startswith(first)
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -367,7 +440,9 @@ def test_a_fault_without_text_fails_under_its_type_name(monkeypatch):
 
     monkeypatch.setattr(verify, "dyck_word", raising)
     result = run_suite("shapes", 3)
-    assert (result.passed, result.checks, result.failures) == (False, 1, ["RuntimeError"])
+    assert (result.passed, result.checks, result.failures) == (
+        False, 1, ["RuntimeError at ()"]
+    )
 
 
 def test_an_interrupt_passes_the_boundary(monkeypatch):
