@@ -3,7 +3,8 @@
 
 Each run is a fresh interpreter that runs the ten suites of
 ``permshape verify all`` in order, one CLI call per suite (``--max-n 7``,
-poset at ``--max-n 5``, ``--workers 2``, JSON output), and times each call.
+poset at ``--max-n 5``, ``--workers 2``, JSON output), and times each call;
+``--max-n`` sets a smaller depth, poset's staying at most 5.
 The script prints, per suite, the median seconds over the runs and how many
 runs it was the slowest suite of, with the host's CPU count.  Every call
 must pass, otherwise the script says which and exits 1.
@@ -24,11 +25,11 @@ from permshape.verify import SUITE_NAMES
 CHILD = """
 import contextlib, io, json, sys, time
 from permshape import cli
-max_n, poset_n, workers, names = json.loads(sys.argv[1])
+max_n, names = json.loads(sys.argv[1])
 seconds = {}
 for name in names:
-    depth = poset_n if name == "poset" else max_n
-    argv = ["verify", name, "--max-n", str(depth), "--workers", str(workers),
+    depth = min(max_n, 5) if name == "poset" else max_n
+    argv = ["verify", name, "--max-n", str(depth), "--workers", "2",
             "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()):
         started = time.perf_counter()
@@ -38,10 +39,10 @@ print(json.dumps(seconds))
 """
 
 
-def one_run(max_n: int, poset_n: int, workers: int) -> dict:
+def one_run(max_n: int) -> dict:
     source = os.path.dirname(os.path.dirname(os.path.abspath(permshape.__file__)))
     env = {**os.environ, "PYTHONPATH": source}
-    config = json.dumps([max_n, poset_n, workers, list(SUITE_NAMES)])
+    config = json.dumps([max_n, list(SUITE_NAMES)])
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, config],
         capture_output=True,
@@ -61,16 +62,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=10, help="fresh interpreters")
     parser.add_argument("--max-n", type=int, default=7, help="depth of every suite")
-    parser.add_argument("--poset-n", type=int, default=5, help="depth of poset")
-    parser.add_argument("--workers", type=int, default=2, help="worker processes")
     args = parser.parse_args()
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    runs = [one_run(args.max_n, args.poset_n, args.workers) for _ in range(args.runs)]
+    runs = [one_run(args.max_n) for _ in range(args.runs)]
     slowest = [max(run, key=run.get) for run in runs]
     print(
-        f"{args.runs} run(s), --max-n {args.max_n} (poset {args.poset_n}), "
-        f"--workers {args.workers}, host reports {os.cpu_count()} CPU(s)"
+        f"{args.runs} run(s), --max-n {args.max_n} (poset {min(args.max_n, 5)}), "
+        f"--workers 2, host reports {os.cpu_count()} CPU(s)"
     )
     print(f"{'suite':<11} {'median s':>9} {'slowest':>8}")
     for name in SUITE_NAMES:

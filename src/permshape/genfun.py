@@ -75,6 +75,13 @@ class UniPolynomial:
         object.__setattr__(self, "_coeffs", data)
 
     @classmethod
+    def _of(cls, data: dict[int, Coeff]) -> "UniPolynomial":
+        """A polynomial on ``data`` itself, which holds no zero coefficient."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "_coeffs", data)
+        return poly
+
+    @classmethod
     def zero(cls) -> "UniPolynomial":
         return cls()
 
@@ -114,13 +121,13 @@ class UniPolynomial:
         for poly in polys:
             for e, c in poly._coeffs.items():
                 out[e] = out.get(e, 0) + c
-        return cls(out)
+        return cls._of(_nonzero(out))
 
     def __add__(self, other: "UniPolynomial") -> "UniPolynomial":
         return UniPolynomial.sum_of((self, other))
 
     def __neg__(self) -> "UniPolynomial":
-        return UniPolynomial({e: -c for e, c in self._coeffs.items()})
+        return UniPolynomial._of({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "UniPolynomial") -> "UniPolynomial":
         return self + -other
@@ -131,16 +138,18 @@ class UniPolynomial:
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return UniPolynomial(out)
+        return UniPolynomial._of(_nonzero(out))
 
     def scaled(self, factor: Coeff) -> "UniPolynomial":
         if factor == 1:
             return self
-        return UniPolynomial({e: factor * c for e, c in self._coeffs.items()})
+        if not factor:
+            return UniPolynomial()
+        return UniPolynomial._of({e: factor * c for e, c in self._coeffs.items()})
 
     def shifted(self, exponent: int) -> "UniPolynomial":
         """Multiply by x**exponent, or by the monomial of a packed key."""
-        return UniPolynomial({e + exponent: c for e, c in self._coeffs.items()})
+        return UniPolynomial._of({e + exponent: c for e, c in self._coeffs.items()})
 
     def merged(self, keep: int, shift: int = 0) -> "UniPolynomial":
         """Send each key e to (e & keep) >> shift, adding the coefficients
@@ -149,10 +158,12 @@ class UniPolynomial:
         for e, c in self._coeffs.items():
             e = (e & keep) >> shift
             out[e] = out.get(e, 0) + c
-        return UniPolynomial(out)
+        return UniPolynomial._of(_nonzero(out))
 
     def derivative(self) -> "UniPolynomial":
-        return UniPolynomial({e - 1: e * c for e, c in self._coeffs.items() if e > 0})
+        return UniPolynomial._of(
+            {e - 1: e * c for e, c in self._coeffs.items() if e > 0}
+        )
 
     def evaluate(self, point):
         return self._weighted_sum(lambda e: point**e)
@@ -165,7 +176,7 @@ class UniPolynomial:
         """x**degree * P(1/x), valid when degree bounds the actual degree."""
         if any(e > degree for e in self._coeffs):
             raise ValueError("reversal pivot below the degree")
-        return UniPolynomial({degree - e: c for e, c in self._coeffs.items()})
+        return UniPolynomial._of({degree - e: c for e, c in self._coeffs.items()})
 
     def to_counts(self) -> dict[int, Coeff]:
         return dict(self._coeffs)
@@ -182,6 +193,13 @@ class UniPolynomial:
             else:
                 bits.append(f"{c}*x^{e}" if c != 1 else f"x^{e}")
         return " + ".join(bits)
+
+
+def _nonzero(data: dict[int, Coeff]) -> dict[int, Coeff]:
+    """``data`` with its zero coefficients deleted, in place."""
+    for e in [e for e, c in data.items() if not c]:
+        del data[e]
+    return data
 
 
 QuadKey = tuple[int, int, int, int]  # exponents of (x, y, p, q)

@@ -156,17 +156,26 @@ def walk_blocks(
 ) -> Iterator[Iterator[tuple[int, ...]]]:
     """
     The words [lo, hi) of ``words`` for each of ``blocks``, ascending and
-    disjoint, as slices of the one iterator: the words between two blocks,
-    and whatever the caller left of one slice, are skipped.
+    disjoint, as slices of the one iterator.  A slice moves the iterator
+    only once it is read: it first finishes the slice before it, whatever
+    the caller left of that, then skips the words between the two.  So
+    whatever the stream raises, in a block or in a gap before it, is
+    raised by reading that block's slice.
     """
-    at, rest = 0, iter(())
+    at, previous = 0, iter(())
     for lo, hi in blocks:
-        for _ in rest:
-            pass
-        next(itertools.islice(words, lo - at, lo - at), None)  # skip to lo
-        rest = itertools.islice(words, hi - lo)
-        yield rest
+        previous = itertools.chain.from_iterable(
+            _slice_after(words, previous, lo - at, hi - lo)
+        )
+        yield previous
         at = hi
+
+
+def _slice_after(words, previous, gap, size):
+    for _ in previous:
+        pass
+    next(itertools.islice(words, gap, gap), None)  # skip the gap
+    yield itertools.islice(words, size)
 
 
 def fan_out(

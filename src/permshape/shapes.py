@@ -278,20 +278,31 @@ def rectangle_decomposition(s: ShapePartition) -> RectangleDecomposition:
     weakly above and to the left of it is removed, and the subshapes below
     it and to its right are tiled recursively (below first).
     """
-    rects: list[Rectangle] = []
+    return RectangleDecomposition(
+        s, tuple(Rectangle(*fields) for fields in _rectangles(s.parts))
+    )
 
-    def cut(rows: list[tuple[int, int]], col_offset: int) -> None:
-        # rows: (absolute row index from top, remaining length), lengths
-        # weakly decreasing and positive.
+
+def _rectangles(parts: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """
+    The tiles of :func:`rectangle_decomposition` as plain (column, width,
+    height, corner_row) tuples, in the same order.
+    """
+    rects: list[tuple[int, int, int, int]] = []
+    # (rows, column offset) still to cut, the subshape below a tile on top
+    # so that it is cut before the one to the tile's right.  rows: (absolute
+    # row index from top, remaining length), lengths weakly decreasing and
+    # positive.
+    pending = [([(idx + 1, v) for idx, v in enumerate(parts) if v > 0], 0)]
+    while pending:
+        rows, col_offset = pending.pop()
         if not rows:
-            return
-        best_i = -1
-        best_hook = -1
+            continue
+        best_i = best_hook = -1
         for i in range(1, len(rows) + 1):
             length = rows[i - 1][1]
-            is_corner = i == len(rows) or rows[i][1] < length
-            if not is_corner:
-                continue
+            if i < len(rows) and rows[i][1] == length:
+                continue  # not a corner
             hook = i + length - 1
             # Later corners have strictly smaller lengths, so on equal hook
             # the later corner is the leftmost one.
@@ -300,21 +311,11 @@ def rectangle_decomposition(s: ShapePartition) -> RectangleDecomposition:
                 best_i = i
         i = best_i
         width = rows[i - 1][1]
-        rects.append(
-            Rectangle(
-                column=col_offset + width,
-                width=width,
-                height=i,
-                corner_row=rows[i - 1][0],
-            )
-        )
-        cut(rows[i:], col_offset)
+        rects.append((col_offset + width, width, i, rows[i - 1][0]))
         shrunk = [(r, length - width) for r, length in rows[:i] if length > width]
-        cut(shrunk, col_offset + width)
-
-    nonzero = [(idx + 1, v) for idx, v in enumerate(s.parts) if v > 0]
-    cut(nonzero, 0)
-    return RectangleDecomposition(s, tuple(rects))
+        pending.append((shrunk, col_offset + width))
+        pending.append((rows[i:], col_offset))
+    return rects
 
 
 def count_permutations_with_shape(s: ShapePartition) -> int:

@@ -29,15 +29,14 @@ hands it a fresh one.  The two checks above still run on every tableau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, count
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .permutations import Permutation, contains_132, left_borders
 from .shapes import (
     ShapePartition,
+    _rectangles,
     borders_from_shape,
-    rectangle_decomposition,
     shape,
     shape_parts,
 )
@@ -170,6 +169,25 @@ def _inversion_mask(word: Sequence[int]) -> int:
     return mask
 
 
+class _computed_once:
+    """
+    :func:`functools.cached_property` without its lock, which costs about
+    as much as splitting a filling of S_7 into columns: the first read
+    stores the value in the instance's ``__dict__``, where later reads find
+    it first.
+    """
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True, init=False)
 class FilledTableau:
     """
@@ -246,7 +264,7 @@ class FilledTableau:
         """The dots as (column, row label) pairs."""
         return frozenset(_cells(self.mask, self.n))
 
-    @cached_property
+    @_computed_once
     def _column_masks(self) -> list[int]:
         return _columns(self.mask, self.n)
 
@@ -287,7 +305,8 @@ def _decode_word(t: FilledTableau) -> tuple[int, ...]:
     """
     unused = list(range(1, t.n + 1))
     values: list[int] = []
-    for i, c in enumerate(t.column_dot_counts(), start=1):
+    for i, column in enumerate(t._column_masks, start=1):
+        c = column.bit_count()
         if c >= len(unused):
             raise InvalidFillingError(
                 f"column {i} holds {c} dots but only {len(unused)} values remain"
@@ -328,9 +347,9 @@ def _min_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
     labels = layout[0]
     top_down = labels[::-1]  # geometric rows 1.. from the top
     mask = 0
-    for rect in rectangle_decomposition(s).rectangles:
-        for row in range(rect.corner_row - rect.height + 1, rect.corner_row + 1):
-            mask |= 1 << ((rect.column - 1) * n + top_down[row - 1] - 1)
+    for column, _, height, corner_row in _rectangles(s.parts):
+        for row in range(corner_row - height + 1, corner_row + 1):
+            mask |= 1 << ((column - 1) * n + top_down[row - 1] - 1)
     return FilledTableau._from_mask(s, labels, mask, layout)
 
 

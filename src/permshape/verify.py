@@ -12,8 +12,10 @@ lexicographic stream of words, permutations by construction and so fed to
 the kernels' unchecked routes, which :func:`permshape.oracle.fan_out` splits
 once (from 7! words on) into interleaved blocks.  A worker keeps one shape
 dict for all its blocks and stops at its first failed block; each block
-has its own boundary, whose failure names the word it was checking.  The
-blocks merge in stream order up to the first that failed, so every block
+has its own boundary, whose failure names the word it was checking.  A
+block moves the stream only inside that boundary, so a fault of the stream
+itself, in the block or in the gap a worker skips before it, fails that
+block and names no word.  The blocks merge in stream order up to the first that failed, so every block
 before it is complete and parallel and single-threaded runs agree exactly,
 on failing runs and on faults raised in a worker too.  A check per shape
 (the tableau suite's extreme fillings) rides along: each block carries its
@@ -150,10 +152,10 @@ def _check_blocks(
     The words of each block of the stream S_n for n in ``ns``, block by
     block up to the first that fails, each with its own result and keys.
     One shape dict serves all the blocks and lives and dies here.
-    ``shape_check(part, s)``, if given, walks the stream of the shapes of
-    those S_n alongside: out of T words and C shapes, the block of words
-    [lo, hi) carries the shapes [lo * C // T, hi * C // T), checked after
-    its words into a result of their own.
+    ``shape_check(part, s, shapes)``, if given, walks the stream of the
+    shapes of those S_n alongside: out of T words and C shapes, the block of
+    words [lo, hi) carries the shapes [lo * C // T, hi * C // T), checked
+    after its words into a result of their own.
     """
     out, shapes = [], {}
     words = chain.from_iterable(map(oracle.enumerate_sn, ns))
@@ -166,15 +168,17 @@ def _check_blocks(
         )
     for block, shape_block in zip(oracle.walk_blocks(words, blocks), shape_slices):
         part, keys, shape_part = SuiteResult("", 0), set(), SuiteResult("", 0)
-        with _boundary(part, lambda: f" at {word}"):
+        word = None  # the word under check; None while the stream moves
+        with _boundary(part, lambda: "" if word is None else f" at {word}"):
             for word in block:
                 check(part, word, keys, shapes)
+                word = None
         out.append((part, keys, shape_part))
         if part.failures:
             break
         with _boundary(shape_part):
             for s in shape_block:
-                shape_check(shape_part, s)
+                shape_check(shape_part, s, shapes)
     return out
 
 
@@ -196,8 +200,8 @@ def _run_ranged(
 ) -> tuple[set, list[SuiteResult]]:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
-    n in ``ns`` (see the module docstring), and ``shape_check(result, s)``
-    over their shapes alongside (see :func:`_check_blocks`).  Return the
+    n in ``ns`` (see the module docstring), and ``shape_check(result, s,
+    shapes)`` over their shapes alongside (see :func:`_check_blocks`).  Return the
     union of the keys the walk collected, which claims about a whole S_n
     need, and the results of the shape checks in stream order, for the
     caller to absorb after those claims.  A walk below ``min_total`` words
@@ -412,12 +416,18 @@ def _tableau_check_word(
     result.require(read_231 == word_231, "tableau 2-3-1 count wrong at {}", word)
 
 
-def _check_extreme_fillings(part: SuiteResult, s: ShapePartition) -> None:
+def _check_extreme_fillings(
+    part: SuiteResult, s: ShapePartition, shapes: dict
+) -> None:
     """
-    The minimal and full fillings of ``s``, both built on one layout of the
+    The minimal and full fillings of ``s``, both built on the layout the
+    walk's shape dict holds for it, added there if the walk has not met the
     shape: a decode that rejects its filling fails ``part``.
     """
-    layout = _layout(s)
+    key = (s.n, s.parts)
+    if key not in shapes:
+        shapes[key] = (s, _layout(s))
+    layout = shapes[key][1]
     low = decode_tableau(_min_filling(s, layout))
     high = decode_tableau(_max_filling(s, layout))
     part.require(

@@ -101,6 +101,16 @@ class TestUniPolynomial:
         assert p.shifted(2).to_counts() == {2: 1, 4: 3}
         assert (p - p).is_zero()
 
+    def test_results_hold_no_zero_coefficient(self):
+        # Sums, products and merged keys that cancel drop the term; a
+        # polynomial built from the same terms compares equal.
+        p, q = UniPolynomial({0: 1, 1: 1}), UniPolynomial({0: 1, 1: -1})
+        assert (p * q).to_counts() == {0: 1, 2: -1} == (p * q)._coeffs
+        assert (p + q).to_counts() == {0: 2}
+        assert UniPolynomial({1: 1, 2: -1}).merged(0).to_counts() == {}
+        assert p.scaled(0).is_zero() and p.scaled(0) == UniPolynomial()
+        assert (p * q) == UniPolynomial({0: 1, 1: 0, 2: -1})
+
     def test_evaluate_and_derivative(self):
         p = UniPolynomial({0: 1, 1: 1, 2: 3, 3: 1})
         assert p.evaluate(1) == 6

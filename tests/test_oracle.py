@@ -20,6 +20,7 @@ from permshape.oracle import (
     shape_census,
     split_ranges,
     tally,
+    walk_blocks,
 )
 from permshape.shapes import ShapePartition, count_permutations_with_shape
 from permshape.verify import run_suite
@@ -153,6 +154,25 @@ class TestFanOut:
         assert shape_census(6, workers=2) == shape_census(6)
         assert fan_out(_ranges, 63, 2, min_total=64) == [range(0, 63)]
         assert not pool_requests
+
+    def test_a_block_moves_the_stream_only_once_read(self):
+        # Left partly read or unread, a slice still ends where its block
+        # does, and the next slice starts at its own lo.
+        blocks = [(2, 5), (7, 9), (12, 15), (16, 18)]
+        first, second, third, fourth = walk_blocks(iter(range(20)), blocks)
+        assert next(first) == 2
+        assert list(third) == [12, 13, 14]
+        assert list(second) == [] and list(fourth) == [16, 17]
+
+    def test_a_fault_in_a_gap_is_raised_by_the_next_block(self):
+        def stream():
+            yield from range(10)
+            raise RuntimeError("gap")
+
+        first, second = walk_blocks(stream(), [(0, 2), (12, 14)])
+        assert list(first) == [0, 1]
+        with pytest.raises(RuntimeError, match="gap"):
+            next(second)
 
     def test_blocks_are_dealt_round_robin(self, pool_requests):
         # 2 workers x 8 blocks: block t goes to share t mod 2, one pool task

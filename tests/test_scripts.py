@@ -19,10 +19,7 @@ SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
         ("distribution_tables.py", ["--max-n", "4"]),
         ("map_gc.py", ["--requests", "50"]),
         ("walk_cost.py", ["--n", "5"]),
-        (
-            "suite_times.py",
-            ["--runs", "1", "--max-n", "4", "--poset-n", "3", "--workers", "1"],
-        ),
+        ("suite_times.py", ["--runs", "1", "--max-n", "4"]),
     ],
 )
 def test_script_runs(script, args):

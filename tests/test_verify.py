@@ -239,6 +239,73 @@ def test_faults_in_first_and_last_blocks_agree(planted, pool_requests, monkeypat
     )
 
 
+def _raising_at(real, planted):
+    """A stream of ``real(n)`` that raises where it would yield ``planted``."""
+
+    def stream(n):
+        for item in real(n):
+            if item == planted:
+                raise RuntimeError("planted stream fault")
+            yield item
+
+    return stream
+
+
+# A fault raised by the stream itself, not by a check, is raised by reading
+# the block it falls in or a later block, whose gap skips over it; so it is
+# the one failure wherever it falls, with the serial checks, and names no
+# word, since no word was under check.
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize(
+    "planted",
+    [STREAM[2], STREAM[BLOCKS[1][0]], STREAM[BLOCKS[2][0] + 5], STREAM[-1]],
+    ids=["b0", "b1first", "b2", "last"],
+)
+def test_word_stream_fault_agrees_across_workers(planted, pool_requests, monkeypatch):
+    monkeypatch.setattr(
+        oracle, "enumerate_sn", _raising_at(oracle.enumerate_sn, planted)
+    )
+    serial = run_suite("shapes", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("shapes", 7, workers=2)
+    assert pool_requests == [("fork", 2)]
+    assert serial.failures == ["planted stream fault"]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+# The same for the stream of shapes the tableau suite's fillings ride on: an
+# early shape falls in block 0, which the other worker's first block skips.
+SHAPES = list(chain.from_iterable(map(oracle.all_shapes, range(8))))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("index", [3, 300, len(SHAPES) - 1], ids=["early", "mid", "last"])
+def test_shape_stream_fault_agrees_across_workers(index, pool_requests, monkeypatch):
+    monkeypatch.setattr(
+        oracle, "all_shapes", _raising_at(oracle.all_shapes, SHAPES[index])
+    )
+    serial = run_suite("tableau", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("tableau", 7, workers=2)
+    assert [processes for _, processes in pool_requests] == [2]
+    assert serial.failures == ["planted stream fault"]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
@@ -321,7 +388,7 @@ def test_filling_fault_agrees_across_workers(
 
 def test_one_layout_per_shape(monkeypatch):
     # S_0..S_6 hold 197 shapes and, serial, form one range: the walk builds
-    # each shape's layout once, and the extreme fillings once more.
+    # each shape's layout once, and the extreme fillings reuse it.
     calls = []
     real = tableaux._layout
 
@@ -335,7 +402,7 @@ def test_one_layout_per_shape(monkeypatch):
     shapes = [s for n in range(7) for s in oracle.all_shapes(n)]
     assert len(shapes) == 197
     assert sorted((s.n, s.parts) for s in calls) == sorted(
-        (s.n, s.parts) for s in shapes * 2
+        (s.n, s.parts) for s in shapes
     )
 
 
