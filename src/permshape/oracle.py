@@ -172,6 +172,7 @@ def walk_blocks(
 
 
 def _slice_after(words, previous, gap, size):
+    """The one slice of a block of :func:`walk_blocks`, made once it is read."""
     for _ in previous:
         pass
     next(itertools.islice(words, gap, gap), None)  # skip the gap

@@ -171,10 +171,10 @@ def _inversion_mask(word: Sequence[int]) -> int:
 
 class _computed_once:
     """
-    :func:`functools.cached_property` without its lock, which costs about
-    as much as splitting a filling of S_7 into columns: the first read
-    stores the value in the instance's ``__dict__``, where later reads find
-    it first.
+    :func:`functools.cached_property` without its lock, which on Python
+    3.11 adds about half the cost of splitting a filling of S_7 into its
+    columns: the first read stores the value in the instance's
+    ``__dict__``, where later reads find it first.
     """
 
     def __init__(self, compute: Callable) -> None:

@@ -15,9 +15,10 @@ dict for all its blocks and stops at its first failed block; each block
 has its own boundary, whose failure names the word it was checking.  A
 block moves the stream only inside that boundary, so a fault of the stream
 itself, in the block or in the gap a worker skips before it, fails that
-block and names no word.  The blocks merge in stream order up to the first that failed, so every block
-before it is complete and parallel and single-threaded runs agree exactly,
-on failing runs and on faults raised in a worker too.  A check per shape
+block and names no word.  The blocks merge in stream order up to the first
+that failed, so every block before it is complete and parallel and
+single-threaded runs agree exactly, on failing runs and on faults raised in
+a worker too.  A check per shape
 (the tableau suite's extreme fillings) rides along: each block carries its
 share of the stream of shapes, and those results merge after the walk.
 Claims about a whole S_n are checked after the walk; counts over S_n go
@@ -201,10 +202,10 @@ def _run_ranged(
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
     n in ``ns`` (see the module docstring), and ``shape_check(result, s,
-    shapes)`` over their shapes alongside (see :func:`_check_blocks`).  Return the
-    union of the keys the walk collected, which claims about a whole S_n
-    need, and the results of the shape checks in stream order, for the
-    caller to absorb after those claims.  A walk below ``min_total`` words
+    shapes)`` over their shapes alongside (see :func:`_check_blocks`).
+    Return the union of the keys the walk collected, which claims about a
+    whole S_n need, and the results of the shape checks in stream order,
+    for the caller to absorb after those claims.  A walk below ``min_total`` words
     runs inline (see :func:`permshape.oracle.fan_out`).
     """
     union: set = set()

@@ -289,7 +289,9 @@ SHAPES = list(chain.from_iterable(map(oracle.all_shapes, range(8))))
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
-@pytest.mark.parametrize("index", [3, 300, len(SHAPES) - 1], ids=["early", "mid", "last"])
+@pytest.mark.parametrize(
+    "index", [3, 300, len(SHAPES) - 1], ids=["early", "mid", "last"]
+)
 def test_shape_stream_fault_agrees_across_workers(index, pool_requests, monkeypatch):
     monkeypatch.setattr(
         oracle, "all_shapes", _raising_at(oracle.all_shapes, SHAPES[index])
