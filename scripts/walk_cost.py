@@ -2,11 +2,11 @@
 """Measure the per-word cost of each exhaustive verify walk.
 
 Runs the per-word check of each ranged suite (stats, cp-pattern, shapes,
-tableau and the splitting law of genfun) over every 8th word of S_n, in
-this process, three times, and prints the fastest pass as microseconds per
-word, with the host's CPU count.  The words are listed before the clock
-starts, so enumeration is not counted; every check must pass, otherwise
-the script says which and exits 1.
+tableau and genfun, whose check also counts the word's exponents of G_n)
+over every 8th word of S_n, in this process, three times, and prints the
+fastest pass as microseconds per word, with the host's CPU count.  The
+words are listed before the clock starts, so enumeration is not counted;
+every check must pass, otherwise the script says which and exits 1.
 Example: ``scripts/walk_cost.py --n 8``.
 """
 import argparse
@@ -23,7 +23,7 @@ CHECKS = {
     "cp-pattern": verify._cp_check_word,
     "shapes": verify._shapes_check_word,
     "tableau": verify._tableau_check_word,
-    "splitting law": verify._splitting_check_word,
+    "genfun": verify._genfun_check_word,
 }
 STEP = 8
 REPEATS = 3
@@ -34,7 +34,7 @@ def cost(name: str, check, words: list) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         result = verify.SuiteResult(name, 0)
-        keys: set = set()
+        keys: dict = {}
         shapes: dict = {}
         started = time.perf_counter()
         try:

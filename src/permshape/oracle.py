@@ -5,7 +5,8 @@ shape censuses, and direct generators for the two pattern-avoidance classes.
 Every walk over S_n goes through :func:`itertools.permutations`, which is
 lexicographic (Knuth, TAOCP 4A, 7.2.1.2); a lexicographic range is a slice of
 that one stream, so work split into ranges across processes merges back into
-exactly the serial result.  :func:`tally` is the one counting path over S_n.
+exactly the serial result.  :func:`tally` counts a key over S_n; the walks
+of :mod:`permshape.verify` count the keys of their checks as they check.
 
 :func:`fan_out` is the library's one parallel layer: it rejects ``workers``
 below 1, decides whether the work is big enough for a pool at all, the pool

@@ -382,45 +382,28 @@ def bijection_132_to_231(p: Permutation) -> Permutation:
 
 
 def count_132_from_tableau(t: FilledTableau) -> int:
-    """
-    Occurrences of 1-3-2 read off a permutation's tableau: pairs of an empty
-    cell with a dotted cell to its right within one row.  A dot in column i
-    has i - 1 cells to its left, so the count is the sum of i - 1 over the
-    dots less the pairs of dots sharing a row, which two columns hold as the
-    popcount of their intersection.
-    """
-    columns = t._column_masks
-    total = 0
-    for i, a in enumerate(columns):
-        if a:
-            total += i * a.bit_count()
-            for b in columns[i + 1 :]:
-                total -= (a & b).bit_count()
-    return total
+    """Occurrences of 1-3-2 read off a permutation's tableau."""
+    return _count_132_231_from_tableau(t)[0]
 
 
 def count_231_from_tableau(t: FilledTableau) -> int:
-    """
-    Occurrences of 2-3-1 read off a permutation's tableau: pairs of dots
-    (i, k), (j, k) in one row with i < j whose companion cell (i, j) is
-    absent or empty; a dotted companion marks a decreasing triple instead.
-    The rows where columns i and j both hold a dot are the intersection of
-    the two column masks.
-    """
-    columns = t._column_masks
-    total = 0
-    for i, a in enumerate(columns):
-        if a:
-            for j in range(i + 1, len(columns)):
-                if not a >> j & 1:  # the companion cell (i + 1, j + 1) is empty
-                    total += (a & columns[j]).bit_count()
-    return total
+    """Occurrences of 2-3-1 read off a permutation's tableau."""
+    return _count_132_231_from_tableau(t)[1]
 
 
 def _count_132_231_from_tableau(t: FilledTableau) -> tuple[int, int]:
     """
-    :func:`count_132_from_tableau` and :func:`count_231_from_tableau` in one
-    pass over the pairwise column intersections, which both read.
+    Occurrences of 1-3-2 and of 2-3-1 read off a permutation's tableau, in
+    one pass over the pairwise column intersections, which both read; the
+    rows where columns i and j both hold a dot are the intersection of the
+    two column masks.
+
+    The 1-3-2s are the pairs of an empty cell with a dotted cell to its
+    right within one row.  A dot in column i has i - 1 cells to its left, so
+    their count is the sum of i - 1 over the dots less the pairs of dots
+    sharing a row.  The 2-3-1s are the pairs of dots (i, k), (j, k) in one
+    row with i < j whose companion cell (i, j) is absent or empty; a dotted
+    companion marks a decreasing triple instead.
     """
     columns = t._column_masks
     count_132 = count_231 = 0
@@ -431,7 +414,7 @@ def _count_132_231_from_tableau(t: FilledTableau) -> tuple[int, int]:
                 if b:
                     both = (a & b).bit_count()
                     count_132 -= both
-                    if not a >> j & 1:
+                    if not a >> j & 1:  # the companion cell (i + 1, j + 1) is empty
                         count_231 += both
     return count_132, count_231
 

@@ -21,8 +21,8 @@ single-threaded runs agree exactly, on failing runs and on faults raised in
 a worker too.  A check per shape
 (the tableau suite's extreme fillings) rides along: each block carries its
 share of the stream of shapes, and those results merge after the walk.
-Claims about a whole S_n are checked after the walk; counts over S_n go
-through :func:`permshape.oracle.tally`.
+A block also counts the keys its checks give it, and claims about a whole
+S_n are checked after the walk on those counts, merged.
 """
 from __future__ import annotations
 
@@ -148,11 +148,11 @@ def _boundary(result: SuiteResult, where=None):
 
 def _check_blocks(
     ns: range, check, shape_check, blocks: list[tuple[int, int]]
-) -> list[tuple[SuiteResult, set, SuiteResult]]:
+) -> list[tuple[SuiteResult, dict, SuiteResult]]:
     """
     The words of each block of the stream S_n for n in ``ns``, block by
-    block up to the first that fails, each with its own result and keys.
-    One shape dict serves all the blocks and lives and dies here.
+    block up to the first that fails, each with its own result and key
+    counts.  One shape dict serves all the blocks and lives and dies here.
     ``shape_check(part, s, shapes)``, if given, walks the stream of the
     shapes of those S_n alongside: out of T words and C shapes, the block of
     words [lo, hi) carries the shapes [lo * C // T, hi * C // T), checked
@@ -168,7 +168,7 @@ def _check_blocks(
             [(lo * count // total, hi * count // total) for lo, hi in blocks],
         )
     for block, shape_block in zip(oracle.walk_blocks(words, blocks), shape_slices):
-        part, keys, shape_part = SuiteResult("", 0), set(), SuiteResult("", 0)
+        part, keys, shape_part = SuiteResult("", 0), {}, SuiteResult("", 0)
         word = None  # the word under check; None while the stream moves
         with _boundary(part, lambda: "" if word is None else f" at {word}"):
             for word in block:
@@ -198,27 +198,27 @@ def _run_ranged(
     check,
     shape_check=None,
     min_total: int = oracle._POOL_MIN_TOTAL,
-) -> tuple[set, list[SuiteResult]]:
+) -> tuple[dict, list[SuiteResult]]:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
     n in ``ns`` (see the module docstring), and ``shape_check(result, s,
     shapes)`` over their shapes alongside (see :func:`_check_blocks`).
-    Return the union of the keys the walk collected, which claims about a
-    whole S_n need, and the results of the shape checks in stream order,
-    for the caller to absorb after those claims.  A walk below ``min_total`` words
-    runs inline (see :func:`permshape.oracle.fan_out`).
+    Return the counts the checks kept in the dict ``keys``, merged over the
+    walk, which claims about a whole S_n need, and the results of the shape
+    checks in stream order, for the caller to absorb after those claims.  A
+    walk below ``min_total`` words runs inline (see
+    :func:`permshape.oracle.fan_out`).
     """
-    union: set = set()
-    shape_results = []
+    counts, shape_results = [], []
     total = sum(factorial(n) for n in ns)
     work = partial(_check_blocks, ns, check, shape_check)
     for part, keys, shape_part in oracle.fan_out(
         work, total, workers, min_total=min_total
     ):
         _absorb(result, part)
-        union |= keys
+        counts.append(keys)
         shape_results.append(shape_part)
-    return union, shape_results
+    return oracle._merge_tallies(counts), shape_results
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ def _run_ranged(
 
 
 def _stats_check_word(
-    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+    result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     n = len(word)
     parts = path_shape_parts(dyck_word(word))
@@ -287,7 +287,7 @@ def _naive_barred_132(word: tuple[int, ...]) -> int:
 
 
 def _cp_check_word(
-    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+    result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     barred = count_barred_132_word(word)
     result.require(
@@ -321,7 +321,7 @@ def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
 
 
 def _shapes_check_word(
-    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+    result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     n = len(word)
     path = dyck_word(word)
@@ -403,13 +403,14 @@ def suite_count(result: SuiteResult, workers: int) -> None:
 
 
 def _tableau_check_word(
-    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+    result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     t = _encode_word(word, shapes)
     result.require(_decode_word(t) == word, "round trip broken at {}", word)
     if len(word) > 8:
         return
-    keys.add((t.n, t.shape.parts, t.mask))
+    key = (t.n, t.shape.parts, t.mask)
+    keys[key] = keys.get(key, 0) + 1
     # Each claim compares a count read off the filling with one of the word.
     read_132, read_231 = _count_132_231_from_tableau(t)
     word_132, word_231 = _count_132_231(word)
@@ -613,28 +614,30 @@ def suite_parity(result: SuiteResult, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _joint_key(word: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(area, des, last descent, n - lrmax): the exponents of G_n."""
-    descents = descent_positions(word)
-    return (
-        sum(left_borders(word)),
-        len(descents),
-        descents[-1] if descents else 0,
-        len(word) - lr_maxima_count(word),
-    )
-
-
-def _splitting_check_word(
-    result: SuiteResult, word: tuple[int, ...], keys: set, shapes: dict
+def _genfun_check_word(
+    result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
-    # Left borders read only the relative order, so the two sides of the
-    # maximum need no standardizing.
+    """
+    Count the word's exponents of G_n, (n, area, des, last descent,
+    n - lrmax), or (n, area) from n = 9 on, and check the splitting law at
+    its maximum.  Left borders read only the relative order, so the two
+    sides of the maximum need no standardizing.
+    """
     n = len(word)
+    area = sum(left_borders(word))
+    if n <= 8:
+        descents = descent_positions(word)
+        last = descents[-1] if descents else 0
+        key = (n, area, len(descents), last, n - lr_maxima_count(word))
+    else:
+        key = (n, area)
+    keys[key] = keys.get(key, 0) + 1
+    if not n:
+        return
     k = word.index(n) + 1
     left, right = word[: k - 1], word[k:]
     result.require(
-        sum(left_borders(word))
-        == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),
+        area == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),
         "splitting law fails at {}",
         word,
     )
@@ -642,18 +645,20 @@ def _splitting_check_word(
 
 def suite_genfun(result: SuiteResult, workers: int) -> None:
     max_n = result.max_n
-    # One walk of S_n per n <= 8: the joint tally of G_n, whose first
-    # coordinate is the area; n = 9 counts the area alone.
-    joints: dict[int, dict[tuple[int, int, int, int], int]] = {}
-    areas: dict[int, dict[int, int]] = {}
-    for n in range(0, min(max_n, 9) + 1):
-        if n <= 8:
-            joints[n] = oracle.tally(n, _joint_key, workers)
-            areas[n] = {}
-            for (area, *_), count in joints[n].items():
-                areas[n][area] = areas[n].get(area, 0) + count
-        else:
-            areas[n] = oracle.distribution(n, "lbsum", workers=workers).counts
+    ns = range(0, min(max_n, 9) + 1)
+    # One walk of S_0..S_9 at most, a check as light as a count, so it waits
+    # for a pool as long as a tally does: the splitting law per word, and the
+    # joint counts of G_n for n <= 8, whose first coordinate is the area.
+    counts, _ = _run_ranged(
+        result, ns, workers, _genfun_check_word, min_total=oracle._TALLY_MIN_TOTAL
+    )
+    joints: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in ns}
+    areas: dict[int, dict[int, int]] = {n: {} for n in ns}
+    for (n, area, *rest), count in counts.items():
+        areas[n][area] = areas[n].get(area, 0) + count
+        if rest:
+            joints[n][(area, *rest)] = count
+    for n in ns:
         result.require(
             lbsum_polynomial(n).to_counts() == areas[n],
             f"F_{n} disagrees with the enumerated distribution",
@@ -664,14 +669,13 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
             f"F_{n}(1) != {n}!",
         )
     for n in range(0, 13):
-        result.require(
-            quad_polynomial(n).marginal("x") == lbsum_polynomial(n),
-            f"G_{n}(x,1,1,1) != F_{n}",
-        )
         f = lbsum_polynomial(n)
         result.require(
             f.degree == comb(n, 2) and f.coefficient(comb(n, 2)) == 1,
             f"degree bound fails for F_{n}",
+        )
+        result.require(
+            quad_polynomial(n).marginal("x") == f, f"G_{n}(x,1,1,1) != F_{n}"
         )
     for n in range(0, min(max_n, 8) + 1):
         result.require(
@@ -706,15 +710,6 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
             report.mean == mean and report.variance == second - mean * mean,
             f"moments disagree with enumeration at n={n}",
         )
-    # The splitting law behind every recursion, pointwise: a check as light
-    # as a count, so it waits for a pool as long as a tally does.
-    _run_ranged(
-        result,
-        range(1, min(max_n, 9) + 1),
-        workers,
-        _splitting_check_word,
-        min_total=oracle._TALLY_MIN_TOTAL,
-    )
 
 
 def suite_series(result: SuiteResult, workers: int) -> None:

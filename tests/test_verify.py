@@ -10,9 +10,10 @@ from permshape.verify import run_suite
 
 
 # Pools a 2-worker run opens: one per check walk of S_7, and none for the
-# suites whose walks of S_7 are counts or as light as one (count, parity,
-# genfun's joint tally and its splitting law pool from S_8 on) or that never
-# fan out (poset compares whole up-set bitsets in one process).
+# suites whose walks of S_7 are counts or as light as one (count, parity and
+# genfun's one walk, which counts G_n and checks the splitting law, pool from
+# S_8 on) or that never fan out (poset compares whole up-set bitsets in one
+# process).
 POOLS = {
     "count": 0, "parity": 0, "genfun": 0, "bijection": 0, "series": 0, "poset": 0
 }
@@ -101,7 +102,7 @@ def _sides_shifted_on(planted):
     Left borders one too high on the sides of the planted words: the calls
     whose caller checks a planted ``word`` and passes a part of it, as the
     splitting law does with the two sides of the maximum.  The same words
-    as whole words keep their borders, so the tallies of G_n stay right.
+    as whole words keep their borders, so the counts of G_n stay right.
     """
 
     def plant(real):
@@ -129,9 +130,9 @@ PLANTS = {
     "genfun": ("left_borders", _sides_shifted_on((FIRST, LAST))),
 }
 
-# The splitting law checks as little per word as a count, so genfun's walk,
-# like its joint tally, fans out from S_8 on: run to 8, it opens two pools.
-DEPTHS = {"genfun": (8, 2)}  # suite -> (max_n, pools of a 2-worker run)
+# genfun's one walk checks as little per word as a count, so it fans out
+# from S_8 on: run to 8, it opens one pool.
+DEPTHS = {"genfun": (8, 1)}  # suite -> (max_n, pools of a 2-worker run)
 
 
 @pytest.mark.skipif(
@@ -412,6 +413,24 @@ def test_a_walk_to_s8_opens_one_pool(pool_requests):
     result = run_suite("stats", 8, workers=2)
     assert result.passed
     assert [processes for _, processes in pool_requests] == [2]
+
+
+def test_genfun_walks_each_sn_once(monkeypatch):
+    # One walk counts the exponents of G_n and checks the splitting law.
+    walked = []
+    real = oracle.enumerate_sn
+
+    def counting(n):
+        walked.append(n)
+        return real(n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle.tally was called")
+
+    monkeypatch.setattr(oracle, "enumerate_sn", counting)
+    monkeypatch.setattr(oracle, "tally", refuse)
+    assert run_suite("genfun", 8).passed
+    assert sorted(walked) == list(range(9))
 
 
 class _Unprintable(tuple):
