@@ -1,75 +1,103 @@
 """
 permshape: permutation statistics through Dyck paths, staircase shapes,
 dotted tableaux, Bruhat order, and exact generating functions.
-"""
 
-from .permutations import (
-    InvalidPermutationError,
-    Permutation,
-    StatVector,
-    identity,
-    parse_permutation,
-    standardize,
-)
-from .shapes import (
-    Rectangle,
-    RectangleDecomposition,
-    ShapePartition,
-    borders_from_shape,
-    count_permutations_with_shape,
-    first_return,
-    path_from_shape,
-    rectangle_decomposition,
-    shape,
-    shape_from_path,
-    valleys,
-)
-from .tableaux import (
-    FilledTableau,
-    InconsistentFillingError,
-    InvalidFillingError,
-    bijection_132_to_231,
-    count_132_from_tableau,
-    count_231_from_tableau,
-    decode_tableau,
-    encode_tableau,
-    is_valid_filling,
-    max_filling,
-    min_filling,
-    tableau_from_json,
-    tableau_to_json,
-)
-from .bruhat import (
-    PosetReport,
-    bruhat_covers,
-    bruhat_leq,
-    shape_contains,
-    verify_poset_equivalence,
-)
-from .genfun import (
-    MomentReport,
-    ParityTable,
-    QuadPolynomial,
-    SeriesReport,
-    TruncatedSeries,
-    UniPolynomial,
-    lbsum_polynomial,
-    moments,
-    parity_table,
-    q_catalan,
-    q_catalan_alt,
-    quad_polynomial,
-    tangent_numbers,
-    verify_series_identities,
-)
-from .oracle import (
-    Distribution,
-    all_shapes,
-    avoiders_132,
-    avoiders_231,
-    distribution,
-    enumerate_sn,
-    shape_census,
-)
+``import permshape`` runs this file only.  A public name is looked up in
+``_EXPORTS`` on first use (PEP 562): that imports the one submodule defining
+it and keeps the name here, so later lookups are plain attribute reads.
+Submodules (``permshape.oracle``, ``permshape.verify``, ...) resolve the
+same way.
+"""
+import importlib
 
 __version__ = "0.1.0"
+
+# Each submodule and the names the package re-exports from it.
+_EXPORTS = {
+    "permutations": (
+        "InvalidPermutationError",
+        "Permutation",
+        "StatVector",
+        "identity",
+        "parse_permutation",
+        "standardize",
+    ),
+    "shapes": (
+        "Rectangle",
+        "RectangleDecomposition",
+        "ShapePartition",
+        "borders_from_shape",
+        "count_permutations_with_shape",
+        "first_return",
+        "path_from_shape",
+        "rectangle_decomposition",
+        "shape",
+        "shape_from_path",
+        "valleys",
+    ),
+    "tableaux": (
+        "FilledTableau",
+        "InconsistentFillingError",
+        "InvalidFillingError",
+        "bijection_132_to_231",
+        "count_132_from_tableau",
+        "count_231_from_tableau",
+        "decode_tableau",
+        "encode_tableau",
+        "is_valid_filling",
+        "max_filling",
+        "min_filling",
+        "tableau_from_json",
+        "tableau_to_json",
+    ),
+    "bruhat": (
+        "PosetReport",
+        "bruhat_covers",
+        "bruhat_leq",
+        "shape_contains",
+        "verify_poset_equivalence",
+    ),
+    "genfun": (
+        "MomentReport",
+        "ParityTable",
+        "QuadPolynomial",
+        "SeriesReport",
+        "TruncatedSeries",
+        "UniPolynomial",
+        "lbsum_polynomial",
+        "moments",
+        "parity_table",
+        "q_catalan",
+        "q_catalan_alt",
+        "quad_polynomial",
+        "tangent_numbers",
+        "verify_series_identities",
+    ),
+    "oracle": (
+        "Distribution",
+        "all_shapes",
+        "avoiders_132",
+        "avoiders_231",
+        "distribution",
+        "enumerate_sn",
+        "shape_census",
+    ),
+}
+_SUBMODULES = (*_EXPORTS, "cli", "verify")
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCE]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__package__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

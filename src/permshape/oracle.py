@@ -153,31 +153,38 @@ def effective_workers(
 
 
 def walk_blocks(
-    words: Iterator[tuple[int, ...]], blocks: list[tuple[int, int]]
+    words: Iterator[tuple[int, ...]], blocks: list[tuple[int, int]], total: int
 ) -> Iterator[Iterator[tuple[int, ...]]]:
     """
-    The words [lo, hi) of ``words`` for each of ``blocks``, ascending and
-    disjoint, as slices of the one iterator.  A slice moves the iterator
-    only once it is read: it first finishes the slice before it, whatever
-    the caller left of that, then skips the words between the two.  So
-    whatever the stream raises, in a block or in a gap before it, is
-    raised by reading that block's slice.
+    The words [lo, hi) of ``words``, a stream of ``total`` words, for each
+    of ``blocks``, ascending and disjoint, as slices of the one iterator.  A
+    slice moves the iterator only once it is read: it first finishes the
+    slice before it, whatever the caller left of that, then skips the words
+    between the two.  So whatever the stream raises, in a block or in a gap
+    before it, is raised by reading that block's slice.  So is a stream of
+    the wrong length: a slice that comes up short raises RuntimeError once
+    read to its end, as does the slice ending at ``total`` if words remain.
     """
     at, previous = 0, iter(())
     for lo, hi in blocks:
         previous = itertools.chain.from_iterable(
-            _slice_after(words, previous, lo - at, hi - lo)
+            _slice_after(words, previous, lo - at, hi - lo, hi == total, total)
         )
         yield previous
         at = hi
 
 
-def _slice_after(words, previous, gap, size):
+def _slice_after(words, previous, gap, size, last, total):
     """The one slice of a block of :func:`walk_blocks`, made once it is read."""
     for _ in previous:
         pass
     next(itertools.islice(words, gap, gap), None)  # skip the gap
-    yield itertools.islice(words, size)
+    read = itertools.count(1)  # compress takes one count per word it passes
+    yield itertools.compress(itertools.islice(words, size), read)
+    if next(read) - 1 < size:
+        raise RuntimeError(f"the stream ends short of its {total} words")
+    if last and next(words, None) is not None:
+        raise RuntimeError(f"the stream runs past its {total} words")
 
 
 def fan_out(
@@ -296,7 +303,10 @@ def _tally(words: Iterator[tuple[int, ...]], key: Callable) -> dict:
 
 
 def _tally_blocks(n: int, key: Callable, blocks: list[tuple[int, int]]) -> list[dict]:
-    return [_tally(words, key) for words in walk_blocks(enumerate_sn(n), blocks)]
+    return [
+        _tally(words, key)
+        for words in walk_blocks(enumerate_sn(n), blocks, factorial(n))
+    ]
 
 
 def _merge_tallies(partials: list[dict]) -> dict:

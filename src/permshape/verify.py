@@ -15,10 +15,11 @@ dict for all its blocks and stops at its first failed block; each block
 has its own boundary, whose failure names the word it was checking.  A
 block moves the stream only inside that boundary, so a fault of the stream
 itself, in the block or in the gap a worker skips before it, fails that
-block and names no word.  The blocks merge in stream order up to the first
-that failed, so every block before it is complete and parallel and
-single-threaded runs agree exactly, on failing runs and on faults raised in
-a worker too.  A check per shape
+block and names no word; so does a stream of the wrong length, in the
+block that comes up short or in the last block if words remain.  The
+blocks merge in stream order up to the first that failed, so every block
+before it is complete and parallel and single-threaded runs agree exactly,
+on failing runs and on faults raised in a worker too.  A check per shape
 (the tableau suite's extreme fillings) rides along: each block carries its
 share of the stream of shapes, and those results merge after the walk.
 A block also counts the keys its checks give it, and claims about a whole
@@ -160,14 +161,17 @@ def _check_blocks(
     """
     out, shapes = [], {}
     words = chain.from_iterable(map(oracle.enumerate_sn, ns))
+    total = sum(map(factorial, ns))
     shape_slices = repeat(())
     if shape_check is not None:
-        total, count = sum(map(factorial, ns)), sum(map(_catalan, ns))
+        count = sum(map(_catalan, ns))
         shape_slices = oracle.walk_blocks(
             chain.from_iterable(map(oracle.all_shapes, ns)),
             [(lo * count // total, hi * count // total) for lo, hi in blocks],
+            count,
         )
-    for block, shape_block in zip(oracle.walk_blocks(words, blocks), shape_slices):
+    word_slices = oracle.walk_blocks(words, blocks, total)
+    for block, shape_block in zip(word_slices, shape_slices):
         part, keys, shape_part = SuiteResult("", 0), {}, SuiteResult("", 0)
         word = None  # the word under check; None while the stream moves
         with _boundary(part, lambda: "" if word is None else f" at {word}"):
@@ -385,13 +389,21 @@ def suite_count(result: SuiteResult, workers: int) -> None:
             )
             decomposition = rectangle_decomposition(s)
             cells = decomposition.cell_assignment()
+            # As many distinct cells as the diagram has, all inside it, are
+            # the diagram's cells {(r, c) : 1 <= c <= parts[r - 1]}.
+            parts = s.parts
+            inside = all(
+                0 < r <= len(parts) and 0 < c <= parts[r - 1] for r, c in cells
+            )
             corners = sum(
                 1
-                for j, v in enumerate(s.parts)
-                if v and (j + 1 == len(s.parts) or s.parts[j + 1] < v)
+                for j, v in enumerate(parts)
+                if v and (j + 1 == len(parts) or parts[j + 1] < v)
             )
             result.require(
-                len(cells) == s.area and len(decomposition.rectangles) == corners,
+                len(cells) == s.area
+                and inside
+                and len(decomposition.rectangles) == corners,
                 f"rectangles do not tile shape {key!r} one per corner",
             )
 

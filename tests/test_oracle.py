@@ -159,7 +159,7 @@ class TestFanOut:
         # Left partly read or unread, a slice still ends where its block
         # does, and the next slice starts at its own lo.
         blocks = [(2, 5), (7, 9), (12, 15), (16, 18)]
-        first, second, third, fourth = walk_blocks(iter(range(20)), blocks)
+        first, second, third, fourth = walk_blocks(iter(range(20)), blocks, 20)
         assert next(first) == 2
         assert list(third) == [12, 13, 14]
         assert list(second) == [] and list(fourth) == [16, 17]
@@ -169,10 +169,32 @@ class TestFanOut:
             yield from range(10)
             raise RuntimeError("gap")
 
-        first, second = walk_blocks(stream(), [(0, 2), (12, 14)])
+        first, second = walk_blocks(stream(), [(0, 2), (12, 14)], 14)
         assert list(first) == [0, 1]
         with pytest.raises(RuntimeError, match="gap"):
             next(second)
+
+    def test_a_stream_of_the_wrong_length_fails_where_it_shows(self):
+        # Short: the slice that runs out raises once read to its end, after
+        # yielding what there was.  Long: the slice ending the stream raises.
+        blocks = [(0, 4), (6, 10)]
+        first, second = walk_blocks(iter(range(9)), blocks, 10)
+        assert list(first) == [0, 1, 2, 3]
+        assert next(second) == 6 and next(second) == 7 and next(second) == 8
+        with pytest.raises(RuntimeError, match="ends short of its 10 words"):
+            next(second)
+        (only,) = walk_blocks(iter(range(11)), [(0, 10)], 10)
+        with pytest.raises(RuntimeError, match="runs past its 10 words"):
+            list(only)
+        # A block that does not end the stream leaves what follows alone.
+        (head,) = walk_blocks(iter(range(11)), [(0, 10)], 11)
+        assert list(head) == list(range(10))
+
+    def test_a_tally_of_the_wrong_length_fails(self, monkeypatch):
+        real = oracle.enumerate_sn
+        monkeypatch.setattr(oracle, "enumerate_sn", lambda n: iter(list(real(n))[1:]))
+        with pytest.raises(RuntimeError, match="ends short of its 120 words"):
+            shape_census(5)
 
     def test_blocks_are_dealt_round_robin(self, pool_requests):
         # 2 workers x 8 blocks: block t goes to share t mod 2, one pool task

@@ -20,6 +20,7 @@ SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
         ("map_gc.py", ["--requests", "50"]),
         ("walk_cost.py", ["--n", "5"]),
         ("suite_times.py", ["--runs", "1", "--max-n", "4"]),
+        ("import_cost.py", ["--runs", "1"]),
     ],
 )
 def test_script_runs(script, args):

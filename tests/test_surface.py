@@ -1,12 +1,18 @@
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import permshape
 
 PACKAGE_DIR = pathlib.Path(permshape.__file__).parent
+SOURCE = str(PACKAGE_DIR.parent)
 MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py"))
 WITH_ALL = [
     name
@@ -61,3 +67,99 @@ def test_verify_has_one_error_boundary():
         if isinstance(getattr(node, field, None), str)
     }
     assert "suppress" not in names
+
+
+def _fresh(code):
+    """The JSON that ``code`` prints last, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SOURCE},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Printed after an import: what it left loaded of permshape and two of the
+# heavier standard modules the package uses.
+LOADED = """
+import json, sys
+print(json.dumps(sorted(
+    name for name in sys.modules
+    if name.startswith("permshape") or name in ("multiprocessing", "fractions")
+)))
+"""
+
+
+def test_importing_the_package_runs_only_its_init():
+    assert _fresh("import permshape" + LOADED) == ["permshape"]
+
+
+def test_a_name_loads_only_the_submodule_defining_it():
+    loaded = _fresh("from permshape import parse_permutation, shape" + LOADED)
+    assert loaded == ["permshape", "permshape.permutations", "permshape.shapes"]
+
+
+def test_package_names_are_their_submodules_names():
+    # Every name's first lookup goes through the package's __getattr__.
+    rows = _fresh(
+        """
+        import json, sys, permshape
+        rows = []
+        for name in permshape.__all__:
+            value = getattr(permshape, name)
+            module = sys.modules[value.__module__]
+            rows.append([
+                module.__name__,
+                name in module.__all__,
+                getattr(module, name) is value,
+                vars(permshape)[name] is value,
+            ])
+        print(json.dumps(rows))
+        """
+    )
+    assert len(rows) == len(set(permshape.__all__)) == len(permshape.__all__)
+    for module, listed, same, kept in rows:
+        assert module.startswith("permshape.") and listed and same and kept
+
+
+def test_submodules_resolve_and_unknown_names_do_not():
+    resolved, missing = _fresh(
+        """
+        import json, permshape
+        try:
+            permshape.no_such_name
+        except AttributeError as error:
+            print(json.dumps([permshape.oracle.__name__, str(error)]))
+        """
+    )
+    assert resolved == "permshape.oracle"
+    assert missing == "module 'permshape' has no attribute 'no_such_name'"
+    assert {"oracle", "verify", "cli", "shape"} <= set(dir(permshape))
+
+
+def test_spawned_workers_import_what_they_need():
+    # Under spawn a worker starts from a bare interpreter and imports the
+    # submodules its pickled work names; its checks must equal the serial
+    # run's.
+    methods, serial, parallel = _fresh(
+        """
+        import json, multiprocessing, multiprocessing.context, os
+        from permshape.verify import run_suite
+
+        methods, real = [], multiprocessing.context.BaseContext.Pool
+        def recording(self, *args, **kwargs):
+            methods.append(self.get_start_method())
+            return real(self, *args, **kwargs)
+        multiprocessing.context.BaseContext.Pool = recording
+        multiprocessing.get_all_start_methods = lambda: ["spawn"]
+        os.cpu_count = lambda: 2
+        serial, parallel = run_suite("stats", 7, 1), run_suite("stats", 7, 2)
+        print(json.dumps([
+            methods, [serial.passed, serial.checks], [parallel.passed, parallel.checks]
+        ]))
+        """
+    )
+    assert methods == ["spawn"]
+    assert serial == parallel == [True, 17740]

@@ -272,10 +272,8 @@ class TestFusedPatternCounts:
                     count_pattern_word(word, (2, 3, 1)),
                 )
                 assert _count_132_231(word) == expected
-                assert _count_132_231_from_tableau(t) == (
-                    count_132_from_tableau(t),
-                    count_231_from_tableau(t),
-                )
+                assert count_132_from_tableau(t) == expected[0]
+                assert count_231_from_tableau(t) == expected[1]
                 assert _count_132_231_from_tableau(t) == expected
 
     @given(perms(64))

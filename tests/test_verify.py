@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from permshape import bruhat, oracle, tableaux, verify
+from permshape import bruhat, oracle, shapes, tableaux, verify
 from permshape.verify import run_suite
 
 
@@ -281,6 +281,51 @@ def test_word_stream_fault_agrees_across_workers(planted, pool_requests, monkeyp
     )
 
 
+def _dropping(real, dropped):
+    """A stream of ``real(n)`` without the word ``dropped``."""
+    return lambda n: (word for word in real(n) if word != dropped)
+
+
+def _repeating(real, repeated):
+    """A stream of ``real(n)`` that yields the word ``repeated`` twice."""
+    return lambda n: chain.from_iterable(
+        (word, word) if word == repeated else (word,) for word in real(n)
+    )
+
+
+# A stream that loses or repeats a word passes every per-word check, so the
+# walk itself must notice: the short block, or the one ending the stream with
+# a word left over, fails with the same message and checks at 1 and 2 workers.
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("name", ["stats", "cp-pattern", "shapes"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_dropping, "the stream ends short of its 5914 words"),
+        (_repeating, "the stream runs past its 5914 words"),
+    ],
+    ids=["lost", "repeated"],
+)
+def test_a_walk_of_the_wrong_length_fails(
+    name, fault, message, pool_requests, monkeypatch
+):
+    monkeypatch.setattr(
+        oracle, "enumerate_sn", fault(oracle.enumerate_sn, STREAM[4000])
+    )
+    serial = run_suite(name, 7, workers=1)
+    parallel = run_suite(name, 7, workers=2)
+    assert pool_requests == [("fork", 2)]
+    assert serial.failures == [message]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
 # The same for the stream of shapes the tableau suite's fillings ride on: an
 # early shape falls in block 0, which the other worker's first block skips.
 SHAPES = list(chain.from_iterable(map(oracle.all_shapes, range(8))))
@@ -474,6 +519,26 @@ def test_a_tree_rotated_at_the_root_breaks_the_parent_law(monkeypatch):
     result = run_suite("stats", 3)
     assert not result.passed
     assert result.failures == [f"tree parent law fails at {word}"]
+
+
+def test_a_tile_moved_off_the_diagram_fails_the_tiling(monkeypatch):
+    # Moved one row down, the first tile of the staircase still covers as
+    # many cells as the shape has, one tile per corner: only the cells
+    # themselves show that it hangs below the diagram.
+    real = shapes._rectangles
+
+    def moved(parts):
+        tiles = real(parts)
+        if parts == (6, 5, 4, 3, 2, 1):
+            column, width, height, corner_row = tiles[0]
+            tiles[0] = (column, width, height, corner_row + 1)
+        return tiles
+
+    monkeypatch.setattr(shapes, "_rectangles", moved)
+    result = run_suite("count", 7)
+    assert result.failures == [
+        "rectangles do not tile shape '6,5,4,3,2,1' one per corner"
+    ]
 
 
 def test_poset_opens_no_pool(no_pool):
