@@ -29,13 +29,13 @@ from . import oracle, verify
 from .genfun import lbsum_polynomial, q_catalan, quad_polynomial
 from .permutations import (
     Permutation,
+    _stat_vector,
     left_borders,
     parse_permutation,
     right_borders,
-    stat_vector,
 )
 from .shapes import ShapePartition, count_permutations_with_shape, dyck_word
-from .tableaux import encode_tableau, tableau_to_json
+from .tableaux import _encode_word, tableau_to_json
 
 __all__ = ["main", "map_report", "predicted_distribution"]
 
@@ -45,15 +45,19 @@ MAP_MAX_N = 1500
 
 
 def map_report(p: Permutation) -> dict:
-    """Everything the ``map`` subcommand prints, as one plain dict."""
+    """
+    Everything the ``map`` subcommand prints, as one plain dict.  One pass
+    of the left borders serves the statistics, the report and the tableau.
+    """
     word = p.entries
-    sv = stat_vector(word)
-    t = encode_tableau(p)
+    borders = left_borders(word)
+    sv = _stat_vector(word, borders)
+    t = _encode_word(word, {}, borders)
     return {
         "permutation": list(word),
         "dyck_word": dyck_word(word),
         "shape": t.shape.to_text(),
-        "left_borders": list(left_borders(word)),
+        "left_borders": list(borders),
         "right_borders": list(right_borders(word)),
         "stats": {
             "des": sv.des,

@@ -245,13 +245,18 @@ def lr_maxima_count(word: Sequence[int]) -> int:
 
 def stat_vector(word: Sequence[int]) -> StatVector:
     """All seven statistics of a word in one call."""
+    return _stat_vector(word, left_borders(word))
+
+
+def _stat_vector(word: Sequence[int], borders: Sequence[int]) -> StatVector:
+    """:func:`stat_vector` of a word whose left borders the caller has."""
     descents = descent_positions(word)
     return StatVector(
         des=len(descents),
         maj=sum(descents),
         lrmax=lr_maxima_count(word),
         maxdes=descents[-1] if descents else 0,
-        lbsum=sum(left_borders(word)),
+        lbsum=sum(borders),
         inv=inversion_count(word),
         descent_set=frozenset(descents),
     )

@@ -15,7 +15,9 @@ n-bit fields from the low end, so ascending bit order is (column, label)
 order and a column's dot count is the popcount of its field.  Every
 tableau, whether built by the public constructor, the encoder, the extreme
 fillings or from JSON, passes the same two checks: its row labels equal the
-shape's, and its mask has no bit outside the shape's cells.
+shape's, and its mask has no bit outside the shape's cells.  What a shape
+fixes of its fillings is its layout: the row labels, the mask of its cells,
+the border numbers both come from and the mask of each row's last cell.
 
 Validation happens at the edge.  The public constructor, ``encode_tableau``
 (through its :class:`Permutation` argument) and ``decode_tableau`` check
@@ -25,12 +27,15 @@ route, ``_encode_word`` or ``_decode_word``.  The exhaustive walks of
 construction, and hand ``_encode_word`` one dict per range of a walk, which
 keeps each shape's :class:`ShapePartition` and layout; ``encode_tableau``
 hands it a fresh one.  The two checks above still run on every tableau.
+The labels are rebuilt from a word's borders once per entry, by the word
+that creates it; every later word of that shape compares its borders with
+the layout's, and the labels are a function of the borders.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .permutations import Permutation, contains_132, left_borders
 from .shapes import (
@@ -93,23 +98,34 @@ def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
     return {j: length for j, length in enumerate(a, start=1) if length > 0}
 
 
-_Layout = tuple[tuple[int, ...], int]
+class _Layout(NamedTuple):
+    """
+    What a shape fixes of every filling: its row labels, the mask of its
+    cells, the border numbers they come from, and the mask of each labelled
+    row's last cell, (a_j, j).
+    """
+
+    labels: tuple[int, ...]
+    allowed: int
+    borders: tuple[int, ...]
+    corners: int
 
 
 def _layout(s: ShapePartition) -> _Layout:
     """
-    The shape's row labels and the mask of its cells.  Column i holds the
-    rows of length >= i, so the column's label set grows from the widest
-    column down.
+    The shape's :class:`_Layout`.  Column i holds the rows of length >= i,
+    so the column's label set grows from the widest column down; a cell is
+    a row's last when the cell to its right is not the shape's.
     """
     n = s.n
-    buckets = _row_buckets(borders_from_shape(s))
+    borders = borders_from_shape(s)
+    buckets = _row_buckets(borders)
     allowed = column = 0
     for length in range(n - 1, 0, -1):
         for j in buckets[length]:
             column |= 1 << (j - 1)
         allowed = (allowed << n) | column
-    return _labels(buckets), allowed
+    return _Layout(_labels(buckets), allowed, borders, allowed & ~(allowed >> n))
 
 
 def _stray_dot(s: ShapePartition, col: int, label: int) -> ValueError:
@@ -241,7 +257,7 @@ class FilledTableau:
         the shape's :func:`_layout`.
         """
         row_labels = tuple(row_labels)
-        expected, allowed = layout
+        expected, allowed = layout.labels, layout.allowed
         if row_labels != expected:
             raise ValueError(
                 f"row labels {row_labels} do not match the shape "
@@ -273,22 +289,36 @@ class FilledTableau:
         return tuple(field.bit_count() for field in self._column_masks)
 
 
-def _encode_word(word: Sequence[int], shapes: dict) -> FilledTableau:
+def _encode_word(
+    word: Sequence[int], shapes: dict, borders: tuple[int, ...] | None = None
+) -> FilledTableau:
     """
     The filled tableau of a permutation word, not checked to be one.  One
-    pass of its left borders gives both the shape (a_2..a_n sorted
-    decreasingly) and the row labels, and :meth:`FilledTableau._set`
-    compares those labels with the ones it rebuilds from the shape's parts
-    alone.  ``shapes`` maps (n, parts) to the shape and its layout, so a
-    caller that keeps it over many words builds each shape once.
+    pass of its left borders (``borders``, if the caller has them) gives
+    the shape (a_2..a_n sorted decreasingly), and the borders are compared
+    with the ones the shape's parts alone give.  ``shapes`` maps (n, parts)
+    to the shape and its layout, so a caller that keeps it over many words
+    builds each shape once.  The entry's creator rebuilds the row labels
+    from the word's borders and :meth:`FilledTableau._set` compares them
+    with the layout's; a word that meets a held entry is compared by its
+    borders, of which the labels are a function.
     """
-    borders = left_borders(word)
+    if borders is None:
+        borders = left_borders(word)
     key = (len(word), tuple(sorted(borders[1:], reverse=True)))
-    if key not in shapes:
+    entry = shapes.get(key)
+    if entry is None:
         s = ShapePartition(key[1], key[0])
-        shapes[key] = (s, _layout(s))
-    s, layout = shapes[key]
-    labels = _labels(_row_buckets(borders))
+        entry = shapes[key] = (s, _layout(s))
+        labels = _labels(_row_buckets(borders))
+    elif borders == entry[1].borders:
+        labels = entry[1].labels
+    else:
+        raise ValueError(
+            f"left borders {borders} do not match the shape "
+            f"(expected {entry[1].borders})"
+        )
+    s, layout = entry
     return FilledTableau._from_mask(s, labels, _inversion_mask(word), layout)
 
 
@@ -344,7 +374,7 @@ def is_valid_filling(t: FilledTableau) -> bool:
 
 def _min_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
     n = s.n
-    labels = layout[0]
+    labels = layout.labels
     top_down = labels[::-1]  # geometric rows 1.. from the top
     mask = 0
     for column, _, height, corner_row in _rectangles(s.parts):
@@ -354,7 +384,7 @@ def _min_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
 
 
 def _max_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
-    return FilledTableau._from_mask(s, layout[0], layout[1], layout)
+    return FilledTableau._from_mask(s, layout.labels, layout.allowed, layout)
 
 
 def min_filling(s: ShapePartition) -> FilledTableau:

@@ -12,18 +12,23 @@ lexicographic stream of words, permutations by construction and so fed to
 the kernels' unchecked routes, which :func:`permshape.oracle.fan_out` splits
 once (from 7! words on) into interleaved blocks.  A worker keeps one shape
 dict for all its blocks and stops at its first failed block; each block
-has its own boundary, whose failure names the word it was checking.  A
-block moves the stream only inside that boundary, so a fault of the stream
-itself, in the block or in the gap a worker skips before it, fails that
-block and names no word; so does a stream of the wrong length, in the
-block that comes up short or in the last block if words remain.  The
-blocks merge in stream order up to the first that failed, so every block
-before it is complete and parallel and single-threaded runs agree exactly,
-on failing runs and on faults raised in a worker too.  A check per shape
-(the tableau suite's extreme fillings) rides along: each block carries its
-share of the stream of shapes, and those results merge after the walk.
-A block also counts the keys its checks give it, and claims about a whole
-S_n are checked after the walk on those counts, merged.
+has its own boundary, whose failure names the word it was checking.  The
+dict holds what a check can share between words: the tableau walk's
+layouts, by (n, parts), and the shapes and stats walks' side of each Dyck
+path, by the path, computed when a word first meets it.  A word's own
+side and every comparison still run per word, so no comparison reads both
+of its sides from one entry.  A block moves the stream only inside that
+boundary, so a fault of the stream itself, in the block or in the gap a
+worker skips before it, fails that block and names no word; so does a
+stream of the wrong length, in the block that comes up short or in the
+last block if words remain.  The blocks merge in stream order up to the
+first that failed, so every block before it is complete and parallel and
+single-threaded runs agree exactly, on failing runs and on faults raised
+in a worker too.  A check per shape (the tableau suite's extreme fillings)
+rides along: each block carries its share of the stream of shapes, and
+those results merge after the walk.  A block also counts the keys its
+checks give it, and claims about a whole S_n are checked after the walk on
+those counts, merged.
 """
 from __future__ import annotations
 
@@ -231,23 +236,38 @@ def _run_ranged(
 # ---------------------------------------------------------------------------
 
 
+def _path_stats(path: str) -> tuple[int, int, int, int, int]:
+    """
+    The path's side of the stats laws, read off its shape's parts: how many
+    distinct nonzero parts, how many nonzero parts, the largest part, the
+    sum of the distinct parts and the area.
+    """
+    parts = path_shape_parts(path)
+    nonzero = [v for v in parts if v]
+    distinct = set(nonzero)
+    largest = nonzero[0] if nonzero else 0
+    return len(distinct), len(nonzero), largest, sum(distinct), sum(parts)
+
+
 def _stats_check_word(
     result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     n = len(word)
-    parts = path_shape_parts(dyck_word(word))
+    path = dyck_word(word)
+    side = shapes.get(path)
+    if side is None:
+        side = shapes[path] = _path_stats(path)
+    distinct, nonzero, largest, distinct_sum, area = side
     descents = descent_positions(word)
-    nonzero = [v for v in parts if v]
     a = left_borders(word)
     b = right_borders(word)
     reflected = tuple(n + 1 - b[n - 1 - t] for t in range(n))
     laws = {
-        "distinct nonzero parts != des": len(set(nonzero)) == len(descents),
-        "nonzero parts != n - lrmax": len(nonzero) == n - lr_maxima_count(word),
-        "largest part != last descent": (nonzero[0] if nonzero else 0)
-        == (descents[-1] if descents else 0),
-        "sum of distinct parts != maj": sum(set(nonzero)) == sum(descents),
-        "area != border sum": sum(parts) == sum(a),
+        "distinct nonzero parts != des": distinct == len(descents),
+        "nonzero parts != n - lrmax": nonzero == n - lr_maxima_count(word),
+        "largest part != last descent": largest == (descents[-1] if descents else 0),
+        "sum of distinct parts != maj": distinct_sum == sum(descents),
+        "area != border sum": area == sum(a),
         "nonzero borders != descent set": {v for v in a if v} == set(descents),
         "right-border reflection law fails": reflected == left_borders(word[::-1]),
     }
@@ -324,29 +344,42 @@ def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _path_shapes(path: str) -> tuple:
+    """
+    The path's side of the shapes checks: its shape's parts, the borders
+    rebuilt from that shape, its valleys and, unless it is empty, its first
+    return.  :func:`shape_from_path` is the one check that the path is a
+    Dyck word.
+    """
+    s = shape_from_path(path)
+    first = _first_return(path) if path else None
+    return s.parts, borders_from_shape(s), _valleys(path), first
+
+
 def _shapes_check_word(
     result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     n = len(word)
     path = dyck_word(word)
-    s = shape_from_path(path)  # the one check that the path is a Dyck word
+    side = shapes.get(path)
+    if side is None:
+        side = shapes[path] = _path_shapes(path)
+    parts, borders, valleys, first = side
     a = left_borders(word)
     result.require(
-        s.parts == tuple(sorted(a[1:], reverse=True)),
+        parts == tuple(sorted(a[1:], reverse=True)),
         "path shape != border shape at {}",
         word,
     )
+    result.require(borders == a, "border reconstruction fails at {}", word)
     result.require(
-        borders_from_shape(s) == a, "border reconstruction fails at {}", word
-    )
-    result.require(
-        _valleys(path) == tuple(2 * d for d in descent_positions(word)),
+        valleys == tuple(2 * d for d in descent_positions(word)),
         "valleys != doubled descents at {}",
         word,
     )
     if n:
         result.require(
-            _first_return(path) == 2 * (word.index(n) + 1),
+            first == 2 * (word.index(n) + 1),
             "first return != twice the max position at {}",
             word,
         )
@@ -418,7 +451,15 @@ def _tableau_check_word(
     result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     t = _encode_word(word, shapes)
-    result.require(_decode_word(t) == word, "round trip broken at {}", word)
+    # The dots are the word's inversions: row j holds the dot (a_j, j) and
+    # none right of it, so a layout whose rows all end on a dot, with no dot
+    # outside them, is the word's.
+    corners = shapes[len(word), t.shape.parts][1].corners
+    result.require(
+        _decode_word(t) == word and t.mask & corners == corners,
+        "round trip broken at {}",
+        word,
+    )
     if len(word) > 8:
         return
     key = (t.n, t.shape.parts, t.mask)

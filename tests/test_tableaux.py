@@ -141,12 +141,14 @@ class TestPrivateRoute:
         assert _decode_word(t) == decode_tableau(t).entries == word
 
     def test_a_held_shape_still_checks_the_labels(self):
-        # A dict entry for the wrong shape must not let a word through.
+        # A dict entry for the wrong shape must not let a word through.  A
+        # word that meets a held entry is compared by its borders, which fix
+        # its labels: borders (0, 0, 1) would label the row 3, not 2.
         shapes = {}
-        _encode_word((2, 1, 3), shapes)  # shape (1, 0), labels (2,)
-        ((key, entry),) = shapes.items()
-        shapes[key] = (entry[0], ((3,), entry[1][1]))
-        with pytest.raises(ValueError, match="row labels"):
+        _encode_word((2, 1, 3), shapes)  # shape (1, 0), borders (0, 1, 0)
+        ((key, (s, layout)),) = shapes.items()
+        shapes[key] = (s, layout._replace(borders=(0, 0, 1)))
+        with pytest.raises(ValueError, match="left borders"):
             _encode_word((2, 1, 3), shapes)
 
 

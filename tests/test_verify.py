@@ -541,6 +541,85 @@ def test_a_tile_moved_off_the_diagram_fails_the_tiling(monkeypatch):
     ]
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+def test_a_tableau_on_the_wrong_layout_fails(pool_requests, monkeypatch):
+    # Borders one off in the tableau's own route only: at (4, 7, 2, 6, 5, 1,
+    # 3), a_7 goes 5 -> 6, which is still the border sequence of a shape, so
+    # labels and layout agree with each other and every dot lies inside the
+    # rows.  Row 7 then claims cell (6, 7), where no inversion sits.
+    word = (4, 7, 2, 6, 5, 1, 3)
+    real = tableaux.left_borders
+
+    def shifted(w):
+        a = real(w)
+        return a[:-1] + (a[-1] + 1,) if w == word else a
+
+    assert shifted(word) == (0, 0, 2, 2, 4, 5, 6)
+    monkeypatch.setattr(tableaux, "left_borders", shifted)
+    serial = run_suite("tableau", 7, workers=1)
+    parallel = run_suite("tableau", 7, workers=2)
+    assert [processes for _, processes in pool_requests] == [2]
+    assert serial.failures == [f"round trip broken at {word}"]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+def _counting(calls, name, real):
+    def counted(*args):
+        calls.append((name, args))
+        return real(*args)
+
+    return counted
+
+
+# The walk's shape dict holds each path's side of the shapes and stats
+# checks: over S_0..S_7, serial, each path-side kernel runs once per
+# distinct path, of which there are 626 (the empty path has no first
+# return), while the word side runs on every one of the 5914 words.
+@pytest.mark.parametrize(
+    "name, kernels",
+    [
+        ("shapes", ["shape_from_path", "borders_from_shape", "_valleys", "_first_return"]),
+        ("stats", ["path_shape_parts"]),
+    ],
+)
+def test_each_path_is_read_once(name, kernels, monkeypatch):
+    calls = []
+    for kernel in [*kernels, "left_borders"]:
+        monkeypatch.setattr(
+            verify, kernel, _counting(calls, kernel, getattr(verify, kernel))
+        )
+    assert run_suite(name, 7, workers=1).passed
+    paths = {shapes.path_from_shape(s) for n in range(8) for s in oracle.all_shapes(n)}
+    assert len(paths) == 626
+    for kernel in kernels:
+        args = [args for called, args in calls if called == kernel]
+        expected = 625 if kernel == "_first_return" else 626
+        assert len(args) == len(set(args)) == expected, kernel
+    # The word side: left_borders once per word, twice (the word and its
+    # reversal) in stats.
+    borders = sum(called == "left_borders" for called, _ in calls)
+    assert borders == 5914 * (2 if name == "stats" else 1)
+
+
+def test_labels_are_rebuilt_once_per_held_entry(monkeypatch):
+    # Serial, S_0..S_7 is one block and its words meet every shape before
+    # the extreme fillings do: each of the 626 entries' labels are rebuilt
+    # once by the layout and once from the first word that creates it.
+    calls = []
+    monkeypatch.setattr(
+        tableaux, "_row_buckets", _counting(calls, "", tableaux._row_buckets)
+    )
+    assert run_suite("tableau", 7, workers=1).passed
+    assert len(calls) == 2 * 626
+
+
 def test_poset_opens_no_pool(no_pool):
     result = run_suite("poset", 7, workers=2)
     assert (result.passed, result.checks) == (True, 746017)
