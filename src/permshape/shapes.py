@@ -121,11 +121,12 @@ class ShapePartition:
     @classmethod
     def from_text(cls, text: str, n: int | None = None) -> "ShapePartition":
         """Parse the comma-separated form, e.g. ``"7,5,5,2,1,1,0"``."""
-        stripped = text.strip()
-        if not stripped:
-            parts: tuple[int, ...] = ()
-        else:
-            parts = tuple(int(t) for t in stripped.split(","))
+        parts: list[int] = []
+        for token in text.strip().split(",") if text.strip() else ():
+            try:
+                parts.append(int(token))
+            except ValueError:
+                raise ValueError(f"non-integer part {token!r}") from None
         if n is None:
             n = len(parts) + 1
         return cls(parts, n)

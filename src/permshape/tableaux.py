@@ -14,8 +14,8 @@ the dot in column i, row label j is bit (i - 1) * n + (j - 1).  Columns are
 n-bit fields from the low end, so ascending bit order is (column, label)
 order and a column's dot count is the popcount of its field.  Every
 tableau, whether built by the public constructor, the encoder, the extreme
-fillings or from JSON, passes the same two checks: its row labels equal the
-shape's, and its mask has no bit outside the shape's cells.  What a shape
+fillings or from JSON, has the shape's row labels (the constructor compares
+the caller's with them) and no bit outside the shape's cells.  What a shape
 fixes of its fillings is its layout: the row labels, the mask of its cells,
 the border numbers both come from and the mask of each row's last cell.
 
@@ -25,11 +25,10 @@ everything; each encoder and decoder is that check followed by one private
 route, ``_encode_word`` or ``_decode_word``.  The exhaustive walks of
 :mod:`permshape.verify` feed those routes words that are permutations by
 construction, and hand ``_encode_word`` one dict per range of a walk, which
-keeps each shape's :class:`ShapePartition` and layout; ``encode_tableau``
-hands it a fresh one.  The two checks above still run on every tableau.
-The labels are rebuilt from a word's borders once per entry, by the word
-that creates it; every later word of that shape compares its borders with
-the layout's, and the labels are a function of the borders.
+maps (n, parts) to the shape's layout through :func:`_held_layout` alone;
+``encode_tableau`` hands it a fresh one.  A word's left borders are compared
+with the layout's, which the shape alone gives, and its labels are the
+layout's.  A tableau keeps the layout it was checked against.
 """
 from __future__ import annotations
 
@@ -84,13 +83,9 @@ def _row_buckets(borders: Sequence[int]) -> list[list[int]]:
     return buckets
 
 
-def _labels(buckets: list[list[int]]) -> tuple[int, ...]:
-    return tuple(chain.from_iterable(buckets[1:]))
-
-
 def row_labels_for(s: ShapePartition) -> tuple[int, ...]:
     """Row labels bottom to top: positions j with a_j > 0, sorted by (a_j, j)."""
-    return _labels(_row_buckets(borders_from_shape(s)))
+    return _layout(s).labels
 
 
 def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
@@ -100,11 +95,12 @@ def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
 
 class _Layout(NamedTuple):
     """
-    What a shape fixes of every filling: its row labels, the mask of its
-    cells, the border numbers they come from, and the mask of each labelled
-    row's last cell, (a_j, j).
+    What a shape fixes of every filling: the shape, its row labels, the mask
+    of its cells, the border numbers they come from, and the mask of each
+    labelled row's last cell, (a_j, j).
     """
 
+    shape: ShapePartition
     labels: tuple[int, ...]
     allowed: int
     borders: tuple[int, ...]
@@ -125,7 +121,16 @@ def _layout(s: ShapePartition) -> _Layout:
         for j in buckets[length]:
             column |= 1 << (j - 1)
         allowed = (allowed << n) | column
-    return _Layout(_labels(buckets), allowed, borders, allowed & ~(allowed >> n))
+    labels = tuple(chain.from_iterable(buckets[1:]))
+    return _Layout(s, labels, allowed, borders, allowed & ~(allowed >> n))
+
+
+def _held_layout(shapes: dict, n: int, parts: tuple[int, ...]) -> _Layout:
+    """The layout ``shapes`` holds for (n, parts), built and added if it holds none."""
+    layout = shapes.get((n, parts))
+    if layout is None:
+        layout = shapes[n, parts] = _layout(ShapePartition(parts, n))
+    return layout
 
 
 def _stray_dot(s: ShapePartition, col: int, label: int) -> ValueError:
@@ -211,7 +216,8 @@ class FilledTableau:
     (layout in the module docstring).  The constructor takes the dots as
     (column, row label) pairs and raises ValueError for labels that are not
     the shape's or for a dot outside its row.  The column masks are split
-    off ``mask`` at most once per instance, on first use.
+    off ``mask`` at most once per instance, on first use.  The layout it was
+    checked against, ``_shape_layout``, is no field, so ``==`` skips it.
     """
 
     shape: ShapePartition
@@ -231,45 +237,31 @@ class FilledTableau:
             if not (1 <= col <= n and 1 <= label <= n):
                 raise _stray_dot(shape, col, label)
             mask |= 1 << ((col - 1) * n + label - 1)
-        self._set(shape, row_labels, mask, _layout(shape))
-
-    @classmethod
-    def _from_mask(
-        cls,
-        shape: ShapePartition,
-        row_labels: Iterable[int],
-        mask: int,
-        layout: _Layout,
-    ) -> "FilledTableau":
-        t = cls.__new__(cls)
-        t._set(shape, row_labels, mask, layout)
-        return t
-
-    def _set(
-        self,
-        shape: ShapePartition,
-        row_labels: Iterable[int],
-        mask: int,
-        layout: _Layout,
-    ) -> None:
-        """
-        The one validating route every constructor ends in; ``layout`` is
-        the shape's :func:`_layout`.
-        """
+        layout = _layout(shape)
         row_labels = tuple(row_labels)
-        expected, allowed = layout.labels, layout.allowed
-        if row_labels != expected:
+        if row_labels != layout.labels:
             raise ValueError(
                 f"row labels {row_labels} do not match the shape "
-                f"(expected {expected})"
+                f"(expected {layout.labels})"
             )
-        stray = mask & ~allowed
+        self._set(layout, mask)
+
+    @classmethod
+    def _from_mask(cls, layout: _Layout, mask: int) -> "FilledTableau":
+        """The filling ``mask`` of the layout's shape, labelled as the layout is."""
+        t = cls.__new__(cls)
+        t._set(layout, mask)
+        return t
+
+    def _set(self, layout: _Layout, mask: int) -> None:
+        """The one validating route every constructor ends in: no dot off the cells."""
+        stray = mask & ~layout.allowed
         if stray:
-            col, label = divmod((stray & -stray).bit_length() - 1, shape.n)
-            raise _stray_dot(shape, col + 1, label + 1)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "row_labels", row_labels)
-        object.__setattr__(self, "mask", mask)
+            col, label = divmod((stray & -stray).bit_length() - 1, layout.shape.n)
+            raise _stray_dot(layout.shape, col + 1, label + 1)
+        # Frozen: the fields go straight into the instance dict, in one call.
+        fields = {"shape": layout.shape, "row_labels": layout.labels, "mask": mask}
+        self.__dict__.update(fields, _shape_layout=layout)
 
     @property
     def n(self) -> int:
@@ -295,31 +287,19 @@ def _encode_word(
     """
     The filled tableau of a permutation word, not checked to be one.  One
     pass of its left borders (``borders``, if the caller has them) gives
-    the shape (a_2..a_n sorted decreasingly), and the borders are compared
-    with the ones the shape's parts alone give.  ``shapes`` maps (n, parts)
-    to the shape and its layout, so a caller that keeps it over many words
-    builds each shape once.  The entry's creator rebuilds the row labels
-    from the word's borders and :meth:`FilledTableau._set` compares them
-    with the layout's; a word that meets a held entry is compared by its
-    borders, of which the labels are a function.
+    the shape, a_2..a_n sorted decreasingly, whose layout ``shapes`` holds
+    (:func:`_held_layout`).  The borders are compared with the layout's,
+    which the shape alone gives, and the row labels are the layout's.
     """
     if borders is None:
         borders = left_borders(word)
-    key = (len(word), tuple(sorted(borders[1:], reverse=True)))
-    entry = shapes.get(key)
-    if entry is None:
-        s = ShapePartition(key[1], key[0])
-        entry = shapes[key] = (s, _layout(s))
-        labels = _labels(_row_buckets(borders))
-    elif borders == entry[1].borders:
-        labels = entry[1].labels
-    else:
+    layout = _held_layout(shapes, len(word), tuple(sorted(borders[1:], reverse=True)))
+    if borders != layout.borders:
         raise ValueError(
             f"left borders {borders} do not match the shape "
-            f"(expected {entry[1].borders})"
+            f"(expected {layout.borders})"
         )
-    s, layout = entry
-    return FilledTableau._from_mask(s, labels, _inversion_mask(word), layout)
+    return FilledTableau._from_mask(layout, _inversion_mask(word))
 
 
 def encode_tableau(p: Permutation) -> FilledTableau:
@@ -372,19 +352,18 @@ def is_valid_filling(t: FilledTableau) -> bool:
     return True
 
 
-def _min_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
-    n = s.n
-    labels = layout.labels
-    top_down = labels[::-1]  # geometric rows 1.. from the top
+def _min_filling(layout: _Layout) -> FilledTableau:
+    n = layout.shape.n
+    top_down = layout.labels[::-1]  # geometric rows 1.. from the top
     mask = 0
-    for column, _, height, corner_row in _rectangles(s.parts):
+    for column, _, height, corner_row in _rectangles(layout.shape.parts):
         for row in range(corner_row - height + 1, corner_row + 1):
             mask |= 1 << ((column - 1) * n + top_down[row - 1] - 1)
-    return FilledTableau._from_mask(s, labels, mask, layout)
+    return FilledTableau._from_mask(layout, mask)
 
 
-def _max_filling(s: ShapePartition, layout: _Layout) -> FilledTableau:
-    return FilledTableau._from_mask(s, layout.labels, layout.allowed, layout)
+def _max_filling(layout: _Layout) -> FilledTableau:
+    return FilledTableau._from_mask(layout, layout.allowed)
 
 
 def min_filling(s: ShapePartition) -> FilledTableau:
@@ -393,12 +372,12 @@ def min_filling(s: ShapePartition) -> FilledTableau:
     every rectangle of the corner decomposition is dotted.  Its decode avoids
     the pattern 2-3-1.
     """
-    return _min_filling(s, _layout(s))
+    return _min_filling(_layout(s))
 
 
 def max_filling(s: ShapePartition) -> FilledTableau:
     """The fully dotted filling of a shape; its decode avoids 1-3-2."""
-    return _max_filling(s, _layout(s))
+    return _max_filling(_layout(s))
 
 
 def bijection_132_to_231(p: Permutation) -> Permutation:
@@ -464,6 +443,27 @@ def tableau_to_json(t: FilledTableau) -> dict:
     }
 
 
+def _int_list(value, size: int | None = None) -> bool:
+    """Whether ``value`` is a list or tuple of ints, ``size`` if given; no bools."""
+    ints = isinstance(value, (list, tuple)) and all(type(v) is int for v in value)
+    return ints and size in (None, len(value))
+
+
 def tableau_from_json(data: dict) -> FilledTableau:
-    s = ShapePartition(tuple(data["shape"]), data["n"])
-    return FilledTableau(s, data["row_labels"], data["dots"])
+    """
+    The tableau of a :func:`tableau_to_json` document.  Any other document,
+    a bool where an int belongs included, raises ValueError.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("a tableau document is a dict")
+    n, parts, labels, dots = map(data.get, ("n", "shape", "row_labels", "dots"))
+    pairs = isinstance(dots, (list, tuple)) and all(_int_list(d, 2) for d in dots)
+    for needed, present in (
+        ("an int n", type(n) is int),
+        ("shape, a list of ints", _int_list(parts)),
+        ("row_labels, a list of ints", _int_list(labels)),
+        ("dots, a list of int pairs", pairs),
+    ):
+        if not present:
+            raise ValueError(f"a tableau document needs {needed}")
+    return FilledTableau(ShapePartition(tuple(parts), n), labels, dots)

@@ -14,10 +14,11 @@ once (from 7! words on) into interleaved blocks.  A worker keeps one shape
 dict for all its blocks and stops at its first failed block; each block
 has its own boundary, whose failure names the word it was checking.  The
 dict holds what a check can share between words: the tableau walk's
-layouts, by (n, parts), and the shapes and stats walks' side of each Dyck
-path, by the path, computed when a word first meets it.  A word's own
-side and every comparison still run per word, so no comparison reads both
-of its sides from one entry.  A block moves the stream only inside that
+layouts, by (n, parts), which :mod:`permshape.tableaux` alone makes and
+reads, and the shapes and stats walks' side of each Dyck path, by the
+path, computed when a word first meets it.  A word's own side and every
+comparison still run per word, so no comparison reads both of its sides
+from one entry.  A block moves the stream only inside that
 boundary, so a fault of the stream itself, in the block or in the gap a
 worker skips before it, fails that block and names no word; so does a
 stream of the wrong length, in the block that comes up short or in the
@@ -93,7 +94,7 @@ from .tableaux import (
     _count_132_231_from_tableau,
     _decode_word,
     _encode_word,
-    _layout,
+    _held_layout,
     _max_filling,
     _min_filling,
     bijection_132_to_231,
@@ -454,7 +455,7 @@ def _tableau_check_word(
     # The dots are the word's inversions: row j holds the dot (a_j, j) and
     # none right of it, so a layout whose rows all end on a dot, with no dot
     # outside them, is the word's.
-    corners = shapes[len(word), t.shape.parts][1].corners
+    corners = t._shape_layout.corners
     result.require(
         _decode_word(t) == word and t.mask & corners == corners,
         "round trip broken at {}",
@@ -476,15 +477,12 @@ def _check_extreme_fillings(
 ) -> None:
     """
     The minimal and full fillings of ``s``, both built on the layout the
-    walk's shape dict holds for it, added there if the walk has not met the
-    shape: a decode that rejects its filling fails ``part``.
+    walk's shape dict holds (:func:`_held_layout`): a decode that rejects its
+    filling fails ``part``.
     """
-    key = (s.n, s.parts)
-    if key not in shapes:
-        shapes[key] = (s, _layout(s))
-    layout = shapes[key][1]
-    low = decode_tableau(_min_filling(s, layout))
-    high = decode_tableau(_max_filling(s, layout))
+    layout = _held_layout(shapes, s.n, s.parts)
+    low = decode_tableau(_min_filling(layout))
+    high = decode_tableau(_max_filling(layout))
     part.require(
         not contains_231(low.entries),
         "minimal filling of {} decodes to a 2-3-1 container {}",

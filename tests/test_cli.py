@@ -167,6 +167,14 @@ class TestDist:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text, token", [(",", "''"), ("1,x", "'x'")])
+    def test_bad_shape_token_is_named(self, text, token, capsys):
+        args = ["dist", "--n", "3", "--stat", "shape", "--shape", text]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: non-integer part {token}\n"
+
     def test_json_stable_under_reruns(self, capsys):
         args = ["dist", "--n", "5", "--stat", "lbsum", "--format", "json", "--check"]
         assert main(args) == 0
@@ -405,12 +413,12 @@ class TestSelfCheckDisagreement:
         # 2,3,1, whose shape is (2, 0).
         real, full = getattr(verify, filling), verify._max_filling
 
-        def broken(s, layout):
-            if s.parts != (2, 1):
-                return real(s, layout)
-            t = full(s, layout)
+        def broken(layout):
+            if layout.shape.parts != (2, 1):
+                return real(layout)
+            t = full(layout)
             mask = t.mask & (t.mask - 1)  # less the lowest dot, (1, 2)
-            return FilledTableau._from_mask(s, t.row_labels, mask, layout)
+            return FilledTableau._from_mask(layout, mask)
 
         monkeypatch.setattr(verify, filling, broken)
         lines = self.run_failing(["verify", "tableau", "--max-n", "3"], capsys)

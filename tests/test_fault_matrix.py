@@ -70,9 +70,7 @@ def _stale_columns(real):
         if word != TWIN:
             return t
         early = real(TWIN_EARLY, shapes)
-        stale = tableaux.FilledTableau._from_mask(
-            t.shape, t.row_labels, early.mask, tableaux._layout(t.shape)
-        )
+        stale = tableaux.FilledTableau._from_mask(t._shape_layout, early.mask)
         stale.__dict__["_column_masks"] = t._column_masks
         return stale
 

@@ -146,10 +146,19 @@ class TestPrivateRoute:
         # its labels: borders (0, 0, 1) would label the row 3, not 2.
         shapes = {}
         _encode_word((2, 1, 3), shapes)  # shape (1, 0), borders (0, 1, 0)
-        ((key, (s, layout)),) = shapes.items()
-        shapes[key] = (s, layout._replace(borders=(0, 0, 1)))
+        ((key, layout),) = shapes.items()
+        shapes[key] = layout._replace(borders=(0, 0, 1))
         with pytest.raises(ValueError, match="left borders"):
             _encode_word((2, 1, 3), shapes)
+
+    def test_a_new_shape_checks_the_borders_too(self):
+        # With a fresh dict, as on the map path, the word creates the entry:
+        # borders (0, 0, 1) give the shape (1, 0), whose own borders are
+        # (0, 1, 0), so they are refused before any label is read off them.
+        with pytest.raises(
+            ValueError, match=r"left borders \(0, 0, 1\) do not match the shape"
+        ):
+            _encode_word((2, 1, 3), {}, (0, 0, 1))
 
 
 class TestExtremeFillings:
@@ -303,6 +312,29 @@ class TestJson:
         t = encode_tableau(RUNNING)
         data = json.loads(json.dumps(tableau_to_json(t)))
         assert tableau_from_json(data) == t
+
+    # Every malformed document is a ValueError, and JSON true is no integer.
+    @pytest.mark.parametrize(
+        "data, needed",
+        [
+            ({"n": 2, "shape": [0.5], "row_labels": [2], "dots": []}, "shape"),
+            ({"n": 2, "shape": [1], "dots": []}, "row_labels"),
+            ({"n": 2, "shape": [True], "row_labels": [2], "dots": [[True, 2]]}, "shape"),
+            ({"n": 2, "shape": [1], "row_labels": [2], "dots": [[True, 2]]}, "dots"),
+            ({"n": 2, "shape": [1], "row_labels": [True], "dots": []}, "row_labels"),
+            ({"n": True, "shape": [], "row_labels": [], "dots": []}, "an int n"),
+            ({"n": "2", "shape": [1], "row_labels": [2], "dots": []}, "an int n"),
+            ({"n": 2, "shape": [1], "row_labels": [2], "dots": [[1]]}, "dots"),
+            ({"n": 2, "shape": [1], "row_labels": [2], "dots": {"1": 2}}, "dots"),
+        ],
+    )
+    def test_malformed_document(self, data, needed):
+        with pytest.raises(ValueError, match=f"a tableau document needs {needed}"):
+            tableau_from_json(data)
+
+    def test_a_document_is_a_dict(self):
+        with pytest.raises(ValueError, match="a tableau document is a dict"):
+            tableau_from_json([2, [1], [2], []])
 
     def test_fields(self):
         data = tableau_to_json(encode_tableau(Permutation((2, 1))))

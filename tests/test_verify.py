@@ -445,7 +445,6 @@ def test_one_layout_per_shape(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(tableaux, "_layout", counting)
-    monkeypatch.setattr(verify, "_layout", counting)
     assert run_suite("tableau", 6).passed
     shapes = [s for n in range(7) for s in oracle.all_shapes(n)]
     assert len(shapes) == 197
@@ -608,16 +607,16 @@ def test_each_path_is_read_once(name, kernels, monkeypatch):
     assert borders == 5914 * (2 if name == "stats" else 1)
 
 
-def test_labels_are_rebuilt_once_per_held_entry(monkeypatch):
+def test_labels_are_built_once_per_entry(monkeypatch):
     # Serial, S_0..S_7 is one block and its words meet every shape before
-    # the extreme fillings do: each of the 626 entries' labels are rebuilt
-    # once by the layout and once from the first word that creates it.
+    # the extreme fillings do: each of the 626 entries' labels are built
+    # once, by its layout; no word rebuilds them from its borders.
     calls = []
     monkeypatch.setattr(
         tableaux, "_row_buckets", _counting(calls, "", tableaux._row_buckets)
     )
     assert run_suite("tableau", 7, workers=1).passed
-    assert len(calls) == 2 * 626
+    assert len(calls) == 626
 
 
 def test_poset_opens_no_pool(no_pool):
