@@ -18,11 +18,11 @@ layouts, by (n, parts), which :mod:`permshape.tableaux` alone makes and
 reads, and the shapes and stats walks' side of each Dyck path, by the
 path, computed when a word first meets it.  A word's own side and every
 comparison still run per word, so no comparison reads both of its sides
-from one entry.  A block moves the stream only inside that
-boundary, so a fault of the stream itself, in the block or in the gap a
-worker skips before it, fails that block and names no word; so does a
-stream of the wrong length, in the block that comes up short or in the
-last block if words remain.  The blocks merge in stream order up to the
+from one entry.  A block moves the stream only inside that boundary, so
+a fault of the stream itself, in the block or in the gap a worker skips
+before it, fails that block and names no word; so does a stream of the
+wrong length, in the block that comes up short or in the last block if
+words remain.  The blocks merge in stream order up to the
 first that failed, so every block before it is complete and parallel and
 single-threaded runs agree exactly, on failing runs and on faults raised
 in a worker too.  A check per shape (the tableau suite's extreme fillings)

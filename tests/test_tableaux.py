@@ -315,26 +315,23 @@ class TestJson:
 
     # Every malformed document is a ValueError, and JSON true is no integer.
     @pytest.mark.parametrize(
-        "data, needed",
+        "data, message",
         [
-            ({"n": 2, "shape": [0.5], "row_labels": [2], "dots": []}, "shape"),
-            ({"n": 2, "shape": [1], "dots": []}, "row_labels"),
-            ({"n": 2, "shape": [True], "row_labels": [2], "dots": [[True, 2]]}, "shape"),
-            ({"n": 2, "shape": [1], "row_labels": [2], "dots": [[True, 2]]}, "dots"),
-            ({"n": 2, "shape": [1], "row_labels": [True], "dots": []}, "row_labels"),
-            ({"n": True, "shape": [], "row_labels": [], "dots": []}, "an int n"),
-            ({"n": "2", "shape": [1], "row_labels": [2], "dots": []}, "an int n"),
-            ({"n": 2, "shape": [1], "row_labels": [2], "dots": [[1]]}, "dots"),
-            ({"n": 2, "shape": [1], "row_labels": [2], "dots": {"1": 2}}, "dots"),
+            ({"n": 2, "shape": [0.5], "row_labels": [2], "dots": []}, "needs shape"),
+            ({"n": 2, "shape": [1], "dots": []}, "needs row_labels"),
+            ({"n": 2, "shape": [True], "row_labels": [2], "dots": [[True, 2]]}, "needs shape"),
+            ({"n": 2, "shape": [1], "row_labels": [2], "dots": [[True, 2]]}, "needs dots"),
+            ({"n": 2, "shape": [1], "row_labels": [True], "dots": []}, "needs row_labels"),
+            ({"n": True, "shape": [], "row_labels": [], "dots": []}, "needs an int n"),
+            ({"n": "2", "shape": [1], "row_labels": [2], "dots": []}, "needs an int n"),
+            ({"n": 2, "shape": [1], "row_labels": [2], "dots": [[1]]}, "needs dots"),
+            ({"n": 2, "shape": [1], "row_labels": [2], "dots": {"1": 2}}, "needs dots"),
+            ([2, [1], [2], []], "is a dict"),
         ],
     )
-    def test_malformed_document(self, data, needed):
-        with pytest.raises(ValueError, match=f"a tableau document needs {needed}"):
+    def test_malformed_document(self, data, message):
+        with pytest.raises(ValueError, match=f"^a tableau document {message}"):
             tableau_from_json(data)
-
-    def test_a_document_is_a_dict(self):
-        with pytest.raises(ValueError, match="a tableau document is a dict"):
-            tableau_from_json([2, [1], [2], []])
 
     def test_fields(self):
         data = tableau_to_json(encode_tableau(Permutation((2, 1))))
