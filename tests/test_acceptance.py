@@ -6,6 +6,7 @@ measured timings.  Criterion 14 includes a parallel-speedup measurement that
 needs several physical CPU cores to have any chance of passing.
 """
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -47,6 +48,9 @@ from permshape.tableaux import (
     min_filling,
     tableau_from_json,
 )
+
+# A child interpreter imports the package under test, installed or not.
+SOURCE = str(pathlib.Path(verify.__file__).resolve().parent.parent)
 
 
 def catalan(n):
@@ -263,6 +267,7 @@ def test_criterion_14a_verify_all_exits_clean():
             [sys.executable, "-m", "permshape", "verify", "all", "--max-n", "7"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": SOURCE},
         )
         elapsed = time.perf_counter() - started
         assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import multiprocessing
+import os
+import pathlib
 import random
 import re
 import subprocess
@@ -10,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import permshape
 from permshape import genfun, verify
 from permshape.cli import MAP_MAX_N, main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
@@ -17,11 +20,19 @@ from permshape.shapes import dyck_word
 from permshape.tableaux import FilledTableau
 
 
+# A child interpreter imports the package under test, installed or not.
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": str(pathlib.Path(permshape.__file__).resolve().parent.parent),
+}
+
+
 def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "permshape", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
@@ -545,6 +556,7 @@ def test_quiet_exit_when_the_reader_leaves_early():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=CHILD_ENV,
     )
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
