@@ -94,6 +94,7 @@ class ShapePartition:
     """
     A partition fitting inside the staircase (n-1, n-2, ..., 1), stored with
     exactly n - 1 parts.  Trailing zeros are kept so that n stays recoverable.
+    ``n`` and every part must be ints; a bool is none.
     """
 
     parts: tuple[int, ...]
@@ -101,6 +102,8 @@ class ShapePartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
+        if type(self.n) is not int:
+            raise ValueError(f"non-integer n {self.n!r}")
         if self.n < 0:
             raise ValueError("n must be nonnegative")
         expected = max(self.n - 1, 0)
@@ -111,6 +114,8 @@ class ShapePartition:
             )
         prev = self.n - 1
         for j, part in enumerate(self.parts):
+            if type(part) is not int:
+                raise ValueError(f"non-integer part {part!r}")
             if part < 0 or part > prev or part > self.n - 1 - j:
                 raise ValueError(
                     f"parts must decrease weakly and fit the staircase; "

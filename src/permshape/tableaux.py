@@ -24,11 +24,12 @@ Validation happens at the edge.  The public constructor, ``encode_tableau``
 everything; each encoder and decoder is that check followed by one private
 route, ``_encode_word`` or ``_decode_word``.  The exhaustive walks of
 :mod:`permshape.verify` feed those routes words that are permutations by
-construction, and hand ``_encode_word`` one dict per range of a walk, which
-maps (n, parts) to the shape's layout through :func:`_held_layout` alone;
-``encode_tableau`` hands it a fresh one.  A word's left borders are compared
-with the layout's, which the shape alone gives, and its labels are the
-layout's.  A tableau keeps the layout it was checked against.
+construction, and hand ``_encode_word`` one dict per range of a walk, in
+which it alone maps (n, parts) to the shape's layout; ``encode_tableau``
+hands it a fresh one.  A word's left borders are compared with the
+layout's, which the shape alone gives, and its labels are the layout's.  A
+tableau keeps the layout it was checked against, which is how the walk
+reaches a shape's extreme fillings: at the word whose filling is full.
 """
 from __future__ import annotations
 
@@ -125,14 +126,6 @@ def _layout(s: ShapePartition) -> _Layout:
     return _Layout(s, labels, allowed, borders, allowed & ~(allowed >> n))
 
 
-def _held_layout(shapes: dict, n: int, parts: tuple[int, ...]) -> _Layout:
-    """The layout ``shapes`` holds for (n, parts), built and added if it holds none."""
-    layout = shapes.get((n, parts))
-    if layout is None:
-        layout = shapes[n, parts] = _layout(ShapePartition(parts, n))
-    return layout
-
-
 def _stray_dot(s: ShapePartition, col: int, label: int) -> ValueError:
     length = row_lengths_by_label(s).get(label)
     if length is None:
@@ -215,7 +208,8 @@ class FilledTableau:
     A shape with labeled rows and its dots, one bit per cell of ``mask``
     (layout in the module docstring).  The constructor takes the dots as
     (column, row label) pairs and raises ValueError for labels that are not
-    the shape's or for a dot outside its row.  The column masks are split
+    the shape's, for a dot outside its row, and for a label or coordinate
+    that is not an int (a bool is none).  The column masks are split
     off ``mask`` at most once per instance, on first use.  The layout it was
     checked against, ``_shape_layout``, is no field, so ``==`` skips it.
     """
@@ -233,13 +227,16 @@ class FilledTableau:
         n = shape.n
         mask = 0
         for col, label in dots:
+            if type(col) is not int or type(label) is not int:
+                raise ValueError(f"non-integer dot {(col, label)!r}")
             # Checked before packing: (1, n + 1) would land on bit n, (2, 1).
             if not (1 <= col <= n and 1 <= label <= n):
                 raise _stray_dot(shape, col, label)
             mask |= 1 << ((col - 1) * n + label - 1)
         layout = _layout(shape)
         row_labels = tuple(row_labels)
-        if row_labels != layout.labels:
+        # (2.0,) == (2,): equal values are not enough.
+        if row_labels != layout.labels or any(type(j) is not int for j in row_labels):
             raise ValueError(
                 f"row labels {row_labels} do not match the shape "
                 f"(expected {layout.labels})"
@@ -288,12 +285,16 @@ def _encode_word(
     The filled tableau of a permutation word, not checked to be one.  One
     pass of its left borders (``borders``, if the caller has them) gives
     the shape, a_2..a_n sorted decreasingly, whose layout ``shapes`` holds
-    (:func:`_held_layout`).  The borders are compared with the layout's,
-    which the shape alone gives, and the row labels are the layout's.
+    by (n, parts), built and added at the shape's first word.  The borders
+    are compared with the layout's, which the shape alone gives, and the
+    row labels are the layout's.
     """
     if borders is None:
         borders = left_borders(word)
-    layout = _held_layout(shapes, len(word), tuple(sorted(borders[1:], reverse=True)))
+    n, parts = len(word), tuple(sorted(borders[1:], reverse=True))
+    layout = shapes.get((n, parts))
+    if layout is None:
+        layout = shapes[n, parts] = _layout(ShapePartition(parts, n))
     if borders != layout.borders:
         raise ValueError(
             f"left borders {borders} do not match the shape "

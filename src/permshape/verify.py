@@ -25,11 +25,11 @@ wrong length, in the block that comes up short or in the last block if
 words remain.  The blocks merge in stream order up to the
 first that failed, so every block before it is complete and parallel and
 single-threaded runs agree exactly, on failing runs and on faults raised
-in a worker too.  A check per shape (the tableau suite's extreme fillings)
-rides along: each block carries its share of the stream of shapes, and
-those results merge after the walk.  A block also counts the keys its
-checks give it, and claims about a whole S_n are checked after the walk on
-those counts, merged.
+in a worker too.  A walk is this one stream: a check per shape (the tableau
+suite's extreme fillings) runs at the one word that marks its shape, the
+word whose filling is full.  A block also counts the keys its checks give
+it, and claims about a whole S_n are checked after the walk on those
+counts, merged.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from math import comb, factorial
 
 from . import oracle
@@ -94,7 +94,6 @@ from .tableaux import (
     _count_132_231_from_tableau,
     _decode_word,
     _encode_word,
-    _held_layout,
     _max_filling,
     _min_filling,
     bijection_132_to_231,
@@ -154,51 +153,26 @@ def _boundary(result: SuiteResult, where=None):
 
 
 def _check_blocks(
-    ns: range, check, shape_check, blocks: list[tuple[int, int]]
-) -> list[tuple[SuiteResult, dict, SuiteResult]]:
+    ns: range, check, blocks: list[tuple[int, int]]
+) -> list[tuple[SuiteResult, dict]]:
     """
     The words of each block of the stream S_n for n in ``ns``, block by
     block up to the first that fails, each with its own result and key
     counts.  One shape dict serves all the blocks and lives and dies here.
-    ``shape_check(part, s, shapes)``, if given, walks the stream of the
-    shapes of those S_n alongside: out of T words and C shapes, the block of
-    words [lo, hi) carries the shapes [lo * C // T, hi * C // T), checked
-    after its words into a result of their own.
     """
     out, shapes = [], {}
     words = chain.from_iterable(map(oracle.enumerate_sn, ns))
-    total = sum(map(factorial, ns))
-    shape_slices = repeat(())
-    if shape_check is not None:
-        count = sum(map(_catalan, ns))
-        shape_slices = oracle.walk_blocks(
-            chain.from_iterable(map(oracle.all_shapes, ns)),
-            [(lo * count // total, hi * count // total) for lo, hi in blocks],
-            count,
-        )
-    word_slices = oracle.walk_blocks(words, blocks, total)
-    for block, shape_block in zip(word_slices, shape_slices):
-        part, keys, shape_part = SuiteResult("", 0), {}, SuiteResult("", 0)
+    for block in oracle.walk_blocks(words, blocks, sum(map(factorial, ns))):
+        part, keys = SuiteResult("", 0), {}
         word = None  # the word under check; None while the stream moves
         with _boundary(part, lambda: "" if word is None else f" at {word}"):
             for word in block:
                 check(part, word, keys, shapes)
                 word = None
-        out.append((part, keys, shape_part))
+        out.append((part, keys))
         if part.failures:
             break
-        with _boundary(shape_part):
-            for s in shape_block:
-                shape_check(shape_part, s, shapes)
     return out
-
-
-def _absorb(result: SuiteResult, part: SuiteResult) -> None:
-    """Add the checks of a part run on its own; stop at its failure."""
-    result.checks += part.checks
-    if part.failures:
-        result.failures = part.failures
-        raise _Stop
 
 
 def _run_ranged(
@@ -206,29 +180,25 @@ def _run_ranged(
     ns: range,
     workers: int,
     check,
-    shape_check=None,
     min_total: int = oracle._POOL_MIN_TOTAL,
-) -> tuple[dict, list[SuiteResult]]:
+) -> dict:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
-    n in ``ns`` (see the module docstring), and ``shape_check(result, s,
-    shapes)`` over their shapes alongside (see :func:`_check_blocks`).
-    Return the counts the checks kept in the dict ``keys``, merged over the
-    walk, which claims about a whole S_n need, and the results of the shape
-    checks in stream order, for the caller to absorb after those claims.  A
-    walk below ``min_total`` words runs inline (see
+    n in ``ns`` (see the module docstring), and return the counts the checks
+    kept in the dict ``keys``, merged over the walk, which claims about a
+    whole S_n need.  A walk below ``min_total`` words runs inline (see
     :func:`permshape.oracle.fan_out`).
     """
-    counts, shape_results = [], []
+    counts = []
     total = sum(factorial(n) for n in ns)
-    work = partial(_check_blocks, ns, check, shape_check)
-    for part, keys, shape_part in oracle.fan_out(
-        work, total, workers, min_total=min_total
-    ):
-        _absorb(result, part)
+    work = partial(_check_blocks, ns, check)
+    for part, keys in oracle.fan_out(work, total, workers, min_total=min_total):
+        result.checks += part.checks
+        if part.failures:
+            result.failures = part.failures
+            raise _Stop
         counts.append(keys)
-        shape_results.append(shape_part)
-    return oracle._merge_tallies(counts), shape_results
+    return oracle._merge_tallies(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +422,22 @@ def _tableau_check_word(
     result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
     t = _encode_word(word, shapes)
+    layout = t._shape_layout
     # The dots are the word's inversions: row j holds the dot (a_j, j) and
     # none right of it, so a layout whose rows all end on a dot, with no dot
     # outside them, is the word's.
-    corners = t._shape_layout.corners
+    corners = layout.corners
     result.require(
         _decode_word(t) == word and t.mask & corners == corners,
         "round trip broken at {}",
         word,
     )
+    # A filling decodes to one word, so at most one word per shape has the
+    # full filling: its shape's extreme fillings are checked here, and the
+    # word is counted per n.
+    if t.mask == layout.allowed:
+        _check_extreme_fillings(result, layout)
+        keys[t.n] = keys.get(t.n, 0) + 1
     if len(word) > 8:
         return
     key = (t.n, t.shape.parts, t.mask)
@@ -472,30 +449,27 @@ def _tableau_check_word(
     result.require(read_231 == word_231, "tableau 2-3-1 count wrong at {}", word)
 
 
-def _check_extreme_fillings(
-    part: SuiteResult, s: ShapePartition, shapes: dict
-) -> None:
+def _check_extreme_fillings(result: SuiteResult, layout) -> None:
     """
-    The minimal and full fillings of ``s``, both built on the layout the
-    walk's shape dict holds (:func:`_held_layout`): a decode that rejects its
-    filling fails ``part``.
+    The minimal and full fillings of the layout's shape: a decode that
+    rejects its filling fails ``result``.
     """
-    layout = _held_layout(shapes, s.n, s.parts)
+    s = layout.shape
     low = decode_tableau(_min_filling(layout))
     high = decode_tableau(_max_filling(layout))
-    part.require(
+    result.require(
         not contains_231(low.entries),
         "minimal filling of {} decodes to a 2-3-1 container {}",
         s,
         low,
     )
-    part.require(
+    result.require(
         not contains_132(high.entries),
         "full filling of {} decodes to a 1-3-2 container {}",
         s,
         high,
     )
-    part.require(
+    result.require(
         shape_parts(low.entries) == s.parts and shape_parts(high.entries) == s.parts,
         "extreme fillings of {} do not preserve the shape",
         s,
@@ -504,19 +478,22 @@ def _check_extreme_fillings(
 
 def suite_tableau(result: SuiteResult, workers: int) -> None:
     ns = range(0, min(result.max_n, 9) + 1)
-    # The extreme fillings ride along with the walk, a share of the shapes
-    # per block, and count after the walk and the injectivity checks.
-    keys, fillings = _run_ranged(
-        result, ns, workers, _tableau_check_word, _check_extreme_fillings
-    )
-    images = Counter(n for n, _, _ in keys)  # distinct (n, shape, mask)
+    keys = _run_ranged(result, ns, workers, _tableau_check_word)
+    # The keys: each distinct (n, shape, mask), and n for the full fillings.
+    images = Counter(key[0] for key in keys if type(key) is tuple)
     for n in ns:
         if n <= 8:
             result.require(
                 images[n] == factorial(n), f"encode is not injective on S_{n}"
             )
-    for part in fillings:
-        _absorb(result, part)
+    # Any count of full fillings but one per shape means that some shape's
+    # extreme fillings went unchecked.
+    for n in ns:
+        if keys.get(n, 0) != _catalan(n):
+            raise ValueError(
+                f"the extreme fillings met {keys.get(n, 0)} of the "
+                f"{_catalan(n)} shapes of S_{n}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +677,7 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
     # One walk of S_0..S_9 at most, a check as light as a count, so it waits
     # for a pool as long as a tally does: the splitting law per word, and the
     # joint counts of G_n for n <= 8, whose first coordinate is the area.
-    counts, _ = _run_ranged(
+    counts = _run_ranged(
         result, ns, workers, _genfun_check_word, min_total=oracle._TALLY_MIN_TOTAL
     )
     joints: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in ns}

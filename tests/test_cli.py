@@ -421,7 +421,8 @@ class TestSelfCheckDisagreement:
     @pytest.mark.parametrize("filling", ["_min_filling", "_max_filling"])
     def test_extreme_filling(self, filling, monkeypatch, capsys):
         # The full filling of shape (2, 1) less its dot (1, 2) decodes to
-        # 2,3,1, whose shape is (2, 0).
+        # 2,3,1, whose shape is (2, 0); the fillings of (2, 1) are checked
+        # at (3, 2, 1), the word whose filling is full.
         real, full = getattr(verify, filling), verify._max_filling
 
         def broken(layout):
@@ -436,7 +437,7 @@ class TestSelfCheckDisagreement:
         assert lines[0].startswith("FAIL tableau")
         assert lines[1:] == [
             "     first counterexample: inconsistent filling: "
-            "host shape differs from the decoded shape",
+            "host shape differs from the decoded shape at (3, 2, 1)",
             "result: FAILED",
         ]
 

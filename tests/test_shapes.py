@@ -110,6 +110,22 @@ class TestShape:
         with pytest.raises(ValueError):
             ShapePartition((1,), 3)  # wrong number of parts
 
+    # Every part and n must be an int, as every entry of a Permutation is.
+    @pytest.mark.parametrize(
+        "parts, n, message",
+        [
+            ((0.5,), 2, "non-integer part 0.5"),
+            ((True,), 2, "non-integer part True"),
+            (("1",), 2, "non-integer part '1'"),
+            ((1,), 2.0, "non-integer n 2.0"),
+            ((), True, "non-integer n True"),
+        ],
+        ids=["float-part", "bool-part", "str-part", "float-n", "bool-n"],
+    )
+    def test_non_int_rejected(self, parts, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ShapePartition(parts, n)
+
     def test_text_roundtrip(self):
         s = ShapePartition.from_text("7,5,5,2,1,1,0")
         assert s.n == 8 and s.to_text() == "7,5,5,2,1,1,0"

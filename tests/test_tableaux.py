@@ -370,6 +370,21 @@ class TestStructuralValidation:
         with pytest.raises(ValueError, match=re.escape(f"dot {dot}")):
             FilledTableau(t.shape, t.row_labels, t.dots | {dot})
 
+    # A bool or a float equal to a label or coordinate is no int; packed, the
+    # dot (True, 2) would be the dot (1, 2).
+    @pytest.mark.parametrize(
+        "labels, dots, message",
+        [
+            ((2,), [(True, 2)], "non-integer dot (True, 2)"),
+            ((2,), [(1, 2.0)], "non-integer dot (1, 2.0)"),
+            ((2.0,), [(1, 2)], "row labels (2.0,) do not match the shape"),
+        ],
+        ids=["bool-column", "float-label", "float-row-label"],
+    )
+    def test_non_int_rejected(self, labels, dots, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FilledTableau(ShapePartition((1,), 2), labels, dots)
+
     def test_decoding_is_structurally_total(self):
         # Column i reaches at most the rows labeled j > i, so its dot count
         # never exceeds the values still available; every structurally valid

@@ -326,34 +326,6 @@ def test_a_walk_of_the_wrong_length_fails(
     )
 
 
-# The same for the stream of shapes the tableau suite's fillings ride on: an
-# early shape falls in block 0, which the other worker's first block skips.
-SHAPES = list(chain.from_iterable(map(oracle.all_shapes, range(8))))
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the patched kernel reaches the workers only through fork",
-)
-@pytest.mark.parametrize(
-    "index", [3, 300, len(SHAPES) - 1], ids=["early", "mid", "last"]
-)
-def test_shape_stream_fault_agrees_across_workers(index, pool_requests, monkeypatch):
-    monkeypatch.setattr(
-        oracle, "all_shapes", _raising_at(oracle.all_shapes, SHAPES[index])
-    )
-    serial = run_suite("tableau", 7, workers=1)
-    assert not pool_requests
-    parallel = run_suite("tableau", 7, workers=2)
-    assert [processes for _, processes in pool_requests] == [2]
-    assert serial.failures == ["planted stream fault"]
-    assert (parallel.passed, parallel.checks, parallel.failures) == (
-        serial.passed,
-        serial.checks,
-        serial.failures,
-    )
-
-
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
@@ -384,49 +356,82 @@ def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
     )
 
 
-# The extreme fillings ride along with the walk, a share of the shapes in each
-# block, and count after the walk: a failed filling gives the same result at
-# both worker counts, the earliest shape's failure first wherever the later
-# one ran, and a failed word of the walk is still reported first.  The
-# minimal filling of shape 6,5,4,3,2,1 decodes to LAST, in the last block.
+# A shape's extreme fillings are checked at the word whose filling is full,
+# so the first failure is the first in stream order, at 1 and 2 workers
+# alike.  The minimal filling of 2,1 decodes to (3, 2, 1), checked at that
+# word, and that of 6,5,4,3,2,1 to LAST, checked at LAST before its pattern
+# counts.  A word fault at FIRST, in S_7's first block, precedes LAST, in
+# the other worker's last block; one at LAST follows (3, 2, 1).
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
 @pytest.mark.parametrize(
-    "word_fault, planted, first_filling",
+    "word_fault, planted, first",
     [
-        (False, ((3, 2, 1),), "2,1"),
-        (True, ((3, 2, 1),), "2,1"),
-        (False, (LAST,), "6,5,4,3,2,1"),
-        (False, (LAST, (3, 2, 1)), "2,1"),
+        (None, ((3, 2, 1),), "minimal filling of 2,1 decodes"),
+        (FIRST, (LAST,), f"tableau 1-3-2 count wrong at {FIRST}"),
+        (LAST, ((3, 2, 1),), "minimal filling of 2,1 decodes"),
+        (None, (LAST,), "minimal filling of 6,5,4,3,2,1 decodes"),
+        (LAST, (LAST,), "minimal filling of 6,5,4,3,2,1 decodes"),
+        (None, (LAST, (3, 2, 1)), "minimal filling of 2,1 decodes"),
     ],
-    ids=["filling", "word-first", "filling-late", "filling-both"],
+    ids=[
+        "filling", "word-first", "word-after", "filling-late",
+        "filling-before-counts", "filling-both",
+    ],
 )
 def test_filling_fault_agrees_across_workers(
-    word_fault, planted, first_filling, pool_requests, monkeypatch
+    word_fault, planted, first, pool_requests, monkeypatch
 ):
     real_contains = verify.contains_231
     monkeypatch.setattr(
         verify, "contains_231", lambda word: word in planted or real_contains(word)
     )
-    if word_fault:
-        real_count = verify._count_132_231
-        monkeypatch.setattr(
-            verify,
-            "_count_132_231",
-            lambda word: (real_count(word)[0] + (word == LAST), real_count(word)[1]),
-        )
+    real_count = verify._count_132_231
+    monkeypatch.setattr(
+        verify,
+        "_count_132_231",
+        lambda word: (real_count(word)[0] + (word == word_fault), real_count(word)[1]),
+    )
     serial = run_suite("tableau", 7, workers=1)
     assert not pool_requests
     parallel = run_suite("tableau", 7, workers=2)
     assert [processes for _, processes in pool_requests] == [2]
-    first = (
-        f"tableau 1-3-2 count wrong at {LAST}"
-        if word_fault
-        else f"minimal filling of {first_filling} decodes"
-    )
     assert serial.failures[0].startswith(first)
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+
+
+# Each shape's full filling is met at one word, the count per n shows it:
+# LAST's tableau, kept against its layout with one more allowed cell, (1, 1)
+# (label 1 has no row), is not full, so its shape's extreme fillings go
+# unchecked, and the walk says so after its claims.  Three checks are lost
+# and the raise counts one.
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+def test_every_shape_meets_its_full_filling(pool_requests, monkeypatch):
+    real_encode = verify._encode_word
+
+    def encode(word, shapes):
+        t = real_encode(word, shapes)
+        if word != LAST:
+            return t
+        wider = t._shape_layout._replace(allowed=t._shape_layout.allowed | 1)
+        return tableaux.FilledTableau._from_mask(wider, t.mask)
+
+    monkeypatch.setattr(verify, "_encode_word", encode)
+    serial = run_suite("tableau", 7, workers=1)
+    assert not pool_requests
+    parallel = run_suite("tableau", 7, workers=2)
+    assert [processes for _, processes in pool_requests] == [2]
+    assert serial.failures == ["the extreme fillings met 428 of the 429 shapes of S_7"]
+    assert serial.checks == 19628 - 3 + 1
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
         serial.checks,
@@ -436,7 +441,8 @@ def test_filling_fault_agrees_across_workers(
 
 def test_one_layout_per_shape(monkeypatch):
     # S_0..S_6 hold 197 shapes and, serial, form one range: the walk builds
-    # each shape's layout once, and the extreme fillings reuse it.
+    # each shape's layout once, at its first word, and the extreme fillings
+    # read it off the tableau of the word whose filling is full.
     calls = []
     real = tableaux._layout
 
@@ -608,9 +614,9 @@ def test_each_path_is_read_once(name, kernels, monkeypatch):
 
 
 def test_labels_are_built_once_per_entry(monkeypatch):
-    # Serial, S_0..S_7 is one block and its words meet every shape before
-    # the extreme fillings do: each of the 626 entries' labels are built
-    # once, by its layout; no word rebuilds them from its borders.
+    # Serial, S_0..S_7 is one block: each of the 626 entries' labels are
+    # built once, by its layout, and neither a word nor its shape's extreme
+    # fillings rebuild them.
     calls = []
     monkeypatch.setattr(
         tableaux, "_row_buckets", _counting(calls, "", tableaux._row_buckets)
