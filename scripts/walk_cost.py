@@ -9,10 +9,9 @@ number of keys the check's shape dict held.  A check that keeps a path's
 or a shape's side once per key costs less per word the more words share a
 key: every 8th word of S_9 meets 1870 of its 4862 paths, about 24 words
 per path, where the whole S_9 has about 75 words per path.  The tableau
-check includes the extreme fillings of each shape at the word whose
-filling is full, so its figure is not comparable with one taken before
-that check joined the word walk (at ``--n 8`` on a 2-CPU host, 16.3 us
-per word with it against 12.6 without).  The words are
+check includes, at each shape's word whose filling is full, the decode of
+the shape's minimal filling and the word's 1-3-2 test; a sample meets the
+full filling of only the shapes whose word it holds.  The words are
 listed before the clock starts, so enumeration is not counted; every check
 must pass, otherwise the script says which and exits 1.
 Example: ``scripts/walk_cost.py --n 8``.

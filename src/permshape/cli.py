@@ -94,6 +94,15 @@ def predicted_distribution(
     return None
 
 
+def _write_csv(header: list[str], rows) -> None:
+    """The header and rows as CSV on stdout, in one write."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    sys.stdout.write(buf.getvalue())
+
+
 def _print_map(args: argparse.Namespace) -> int:
     p = parse_permutation(args.permutation)
     if p.n > MAP_MAX_N:
@@ -102,13 +111,10 @@ def _print_map(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["field", "value"])
-        for key in sorted(report):
-            value = report[key]
-            writer.writerow([key, json.dumps(value, sort_keys=True)])
-        sys.stdout.write(buf.getvalue())
+        _write_csv(
+            ["field", "value"],
+            ([key, json.dumps(report[key], sort_keys=True)] for key in sorted(report)),
+        )
     else:
         for key in (
             "permutation",
@@ -140,23 +146,17 @@ def _dist_rows(args: argparse.Namespace) -> tuple[list[tuple[str, int]], dict]:
                 raise ValueError(f"{flag} does not apply to --stat shape")
         census = oracle.shape_census(args.n, workers=args.workers)
         if args.shape is not None:
-            wanted = ShapePartition.from_text(args.shape, n=args.n)
-            key = wanted.to_text()
-            rows = [(key, census.get(key, 0))]
+            wanted = [ShapePartition.from_text(args.shape, n=args.n)]
         else:
-            rows = sorted(census.items())
+            wanted = [ShapePartition(parts, args.n) for parts in sorted(census)]
+        rows = [(s.to_text(), census.get(s.parts, 0)) for s in wanted]
         if args.check:
-            predictions = {
-                key: count_permutations_with_shape(
-                    ShapePartition.from_text(key, n=args.n)
-                )
-                for key, _ in rows
-            }
+            predicted = [count_permutations_with_shape(s) for s in wanted]
             meta["check"] = {
                 "source": "rectangle binomial product",
-                "match": all(predictions[k] == c for k, c in rows),
+                "match": all(p == c for p, (_, c) in zip(predicted, rows)),
             }
-            meta["predicted"] = {k: str(v) for k, v in predictions.items()}
+            meta["predicted"] = {k: str(p) for p, (k, _) in zip(predicted, rows)}
         return rows, meta
     if args.shape is not None:
         raise ValueError(f"--shape applies only to --stat shape, not to --stat {args.stat}")
@@ -189,12 +189,7 @@ def _print_dist(args: argparse.Namespace) -> int:
         payload["rows"] = [[key, str(count)] for key, count in rows]
         print(json.dumps(payload, sort_keys=True, indent=2))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["value", "count"])
-        for key, count in rows:
-            writer.writerow([key, str(count)])
-        sys.stdout.write(buf.getvalue())
+        _write_csv(["value", "count"], ([key, str(count)] for key, count in rows))
     else:
         width = max(5, max((len(key) for key, _ in rows), default=5))
         print(f"{'value'.ljust(width)}  count")

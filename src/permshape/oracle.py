@@ -317,10 +317,6 @@ def _merge_tallies(partials: list[dict]) -> dict:
     return counts
 
 
-def _shape_key(word: tuple[int, ...]) -> str:
-    return ",".join(map(str, shape_parts(word)))
-
-
 def tally(n: int, key: Callable, workers: int = 1) -> dict:
     """
     Exact counts of ``key(word)`` over S_n.  From n = 8 on, ``workers``
@@ -362,8 +358,11 @@ def distribution(
     return Distribution(n=n, statistic=statistic, filter=avoid, counts=counts)
 
 
-def shape_census(n: int, workers: int = 1) -> dict[str, int]:
-    """Exact count of permutations per shape, keyed by the shape text form."""
+def shape_census(n: int, workers: int = 1) -> dict[tuple[int, ...], int]:
+    """
+    Exact count of permutations per shape, keyed by the shape's parts
+    (:func:`permshape.shapes.shape_parts`).
+    """
     if not 0 <= n <= 9:
         raise ValueError("shape census supports 0 <= n <= 9")
-    return tally(n, _shape_key, workers)
+    return tally(n, shape_parts, workers)

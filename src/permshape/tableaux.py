@@ -12,10 +12,13 @@ alone.
 A filling of a shape for n is stored as one int, ``FilledTableau.mask``:
 the dot in column i, row label j is bit (i - 1) * n + (j - 1).  Columns are
 n-bit fields from the low end, so ascending bit order is (column, label)
-order and a column's dot count is the popcount of its field.  Every
-tableau, whether built by the public constructor, the encoder, the extreme
-fillings or from JSON, has the shape's row labels (the constructor compares
-the caller's with them) and no bit outside the shape's cells.  What a shape
+order and a column's dot count is the popcount of its field.  A tableau
+keeps no column split: each reader splits the mask itself (:func:`_columns`),
+and the private readers, ``_decode_word`` and the fused pattern count, take
+the split, so a caller that needs both splits once.  Every tableau, whether
+built by the public constructor, the encoder, the extreme fillings or from
+JSON, has the shape's row labels (the constructor compares the caller's
+with them) and no bit outside the shape's cells.  What a shape
 fixes of its fillings is its layout: the row labels, the mask of its cells,
 the border numbers both come from and the mask of each row's last cell.
 
@@ -29,13 +32,14 @@ which it alone maps (n, parts) to the shape's layout; ``encode_tableau``
 hands it a fresh one.  A word's left borders are compared with the
 layout's, which the shape alone gives, and its labels are the layout's.  A
 tableau keeps the layout it was checked against, which is how the walk
-reaches a shape's extreme fillings: at the word whose filling is full.
+reaches a shape's extreme fillings: at the word whose filling is full,
+which is the decode of that filling.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, count
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import Permutation, contains_132, left_borders
 from .shapes import (
@@ -183,25 +187,6 @@ def _inversion_mask(word: Sequence[int]) -> int:
     return mask
 
 
-class _computed_once:
-    """
-    :func:`functools.cached_property` without its lock, which on Python
-    3.11 adds about half the cost of splitting a filling of S_7 into its
-    columns: the first read stores the value in the instance's
-    ``__dict__``, where later reads find it first.
-    """
-
-    def __init__(self, compute: Callable) -> None:
-        self.compute = compute
-        self.name = compute.__name__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
-
-
 @dataclass(frozen=True, init=False)
 class FilledTableau:
     """
@@ -209,9 +194,8 @@ class FilledTableau:
     (layout in the module docstring).  The constructor takes the dots as
     (column, row label) pairs and raises ValueError for labels that are not
     the shape's, for a dot outside its row, and for a label or coordinate
-    that is not an int (a bool is none).  The column masks are split
-    off ``mask`` at most once per instance, on first use.  The layout it was
-    checked against, ``_shape_layout``, is no field, so ``==`` skips it.
+    that is not an int (a bool is none).  The layout it was checked
+    against, ``_shape_layout``, is no field, so ``==`` skips it.
     """
 
     shape: ShapePartition
@@ -269,13 +253,9 @@ class FilledTableau:
         """The dots as (column, row label) pairs."""
         return frozenset(_cells(self.mask, self.n))
 
-    @_computed_once
-    def _column_masks(self) -> list[int]:
-        return _columns(self.mask, self.n)
-
     def column_dot_counts(self) -> tuple[int, ...]:
         """Dots per column for columns 1..n (columns beyond k hold none)."""
-        return tuple(field.bit_count() for field in self._column_masks)
+        return tuple(field.bit_count() for field in _columns(self.mask, self.n))
 
 
 def _encode_word(
@@ -308,15 +288,16 @@ def encode_tableau(p: Permutation) -> FilledTableau:
     return _encode_word(p.entries, {})
 
 
-def _decode_word(t: FilledTableau) -> tuple[int, ...]:
+def _decode_word(columns: list[int]) -> tuple[int, ...]:
     """
-    The word whose inversion table is the column dot counts: count c_i
-    means the (c_i + 1)-th smallest unused value goes to position i.  The
-    dots themselves are not compared with the word's inversions.
+    The word whose inversion table is the dot counts of a filling's column
+    masks (:func:`_columns`): count c_i means the (c_i + 1)-th smallest
+    unused value goes to position i.  The dots themselves are not compared
+    with the word's inversions.
     """
-    unused = list(range(1, t.n + 1))
+    unused = list(range(1, len(columns) + 1))
     values: list[int] = []
-    for i, column in enumerate(t._column_masks, start=1):
+    for i, column in enumerate(columns, start=1):
         c = column.bit_count()
         if c >= len(unused):
             raise InvalidFillingError(
@@ -332,7 +313,7 @@ def decode_tableau(t: FilledTableau) -> Permutation:
     The dot set must equal the inversion set of the result, and the shape
     must be the result's, otherwise the filling is rejected as inconsistent.
     """
-    result = Permutation(_decode_word(t))
+    result = Permutation(_decode_word(_columns(t.mask, t.n)))
     if t.mask != _inversion_mask(result.entries):
         raise InconsistentFillingError(
             "inconsistent filling: dots do not match the decoded inversions"
@@ -393,20 +374,20 @@ def bijection_132_to_231(p: Permutation) -> Permutation:
 
 def count_132_from_tableau(t: FilledTableau) -> int:
     """Occurrences of 1-3-2 read off a permutation's tableau."""
-    return _count_132_231_from_tableau(t)[0]
+    return _count_132_231_from_columns(_columns(t.mask, t.n))[0]
 
 
 def count_231_from_tableau(t: FilledTableau) -> int:
     """Occurrences of 2-3-1 read off a permutation's tableau."""
-    return _count_132_231_from_tableau(t)[1]
+    return _count_132_231_from_columns(_columns(t.mask, t.n))[1]
 
 
-def _count_132_231_from_tableau(t: FilledTableau) -> tuple[int, int]:
+def _count_132_231_from_columns(columns: list[int]) -> tuple[int, int]:
     """
-    Occurrences of 1-3-2 and of 2-3-1 read off a permutation's tableau, in
-    one pass over the pairwise column intersections, which both read; the
-    rows where columns i and j both hold a dot are the intersection of the
-    two column masks.
+    Occurrences of 1-3-2 and of 2-3-1 read off the column masks
+    (:func:`_columns`) of a permutation's tableau, in one pass over the
+    pairwise column intersections, which both read; the rows where columns
+    i and j both hold a dot are the intersection of the two column masks.
 
     The 1-3-2s are the pairs of an empty cell with a dotted cell to its
     right within one row.  A dot in column i has i - 1 cells to its left, so
@@ -415,7 +396,6 @@ def _count_132_231_from_tableau(t: FilledTableau) -> tuple[int, int]:
     row with i < j whose companion cell (i, j) is absent or empty; a dotted
     companion marks a decreasing triple instead.
     """
-    columns = t._column_masks
     count_132 = count_231 = 0
     for i, a in enumerate(columns):
         if a:

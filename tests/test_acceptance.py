@@ -107,7 +107,7 @@ def test_criterion_04_counting_formula():
         result = verify.run_suite("count", 8, workers=1)
         assert result.passed, result.failures
         census = shape_census(8)
-        assert census["7,5,5,2,1,1,0"] == 70
+        assert census[(7, 5, 5, 2, 1, 1, 0)] == 70
         assert (
             count_permutations_with_shape(
                 ShapePartition.from_text("7,5,5,2,1,1,0")

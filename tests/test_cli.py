@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -9,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -285,6 +288,17 @@ def test_output_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The shape rows are sorted by parts, and keep the order of their texts at
+# every n that dist accepts, where each part is a single digit.
+@pytest.mark.parametrize("n", range(10))
+def test_shape_rows_sort_as_their_texts(n, capsys):
+    assert main(["dist", "--n", str(n), "--stat", "shape", "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    texts = [text for text, _ in rows]
+    assert header == ["value", "count"]
+    assert texts == sorted(texts) and len(texts) == comb(2 * n, n) // (n + 1)
+
+
 @pytest.mark.parametrize("workers", ["0", "-1"])
 @pytest.mark.parametrize(
     "argv",
@@ -418,21 +432,20 @@ class TestSelfCheckDisagreement:
             "result: FAILED",
         ]
 
-    @pytest.mark.parametrize("filling", ["_min_filling", "_max_filling"])
-    def test_extreme_filling(self, filling, monkeypatch, capsys):
+    def test_minimal_filling(self, monkeypatch, capsys):
         # The full filling of shape (2, 1) less its dot (1, 2) decodes to
         # 2,3,1, whose shape is (2, 0); the fillings of (2, 1) are checked
         # at (3, 2, 1), the word whose filling is full.
-        real, full = getattr(verify, filling), verify._max_filling
+        real = verify._min_filling
 
         def broken(layout):
             if layout.shape.parts != (2, 1):
                 return real(layout)
-            t = full(layout)
-            mask = t.mask & (t.mask - 1)  # less the lowest dot, (1, 2)
+            # The full filling less its lowest dot, (1, 2).
+            mask = layout.allowed & (layout.allowed - 1)
             return FilledTableau._from_mask(layout, mask)
 
-        monkeypatch.setattr(verify, filling, broken)
+        monkeypatch.setattr(verify, "_min_filling", broken)
         lines = self.run_failing(["verify", "tableau", "--max-n", "3"], capsys)
         assert lines[0].startswith("FAIL tableau")
         assert lines[1:] == [

@@ -287,16 +287,16 @@ class TestDistribution:
 class TestCensus:
     def test_n3(self):
         assert shape_census(3) == {
-            "0,0": 1,
-            "1,0": 1,
-            "2,0": 2,
-            "1,1": 1,
-            "2,1": 1,
+            (0, 0): 1,
+            (1, 0): 1,
+            (2, 0): 2,
+            (1, 1): 1,
+            (2, 1): 1,
         }
 
     def test_spot_value_n8(self):
         census = shape_census(8)
-        assert census["7,5,5,2,1,1,0"] == 70
+        assert census[(7, 5, 5, 2, 1, 1, 0)] == 70
 
     def test_shape_count_is_catalan(self):
         for n in range(1, 8):
@@ -306,8 +306,8 @@ class TestCensus:
 
     def test_matches_formula(self):
         for n in range(7):
-            for key, count in shape_census(n).items():
-                s = ShapePartition.from_text(key, n=n)
+            for parts, count in shape_census(n).items():
+                s = ShapePartition(parts, n)
                 assert count_permutations_with_shape(s) == count
 
     def test_workers_merge_equality(self):
@@ -319,7 +319,7 @@ class TestCensus:
 
     def test_serialization(self):
         census = shape_census(3)
-        assert census["2,0"] == 2
+        assert census[(2, 0)] == 2
 
 
 class TestAllShapes:
@@ -331,7 +331,7 @@ class TestAllShapes:
 
     def test_matches_census_keys(self):
         for n in range(7):
-            generated = {s.to_text() for s in all_shapes(n)}
+            generated = {s.parts for s in all_shapes(n)}
             assert generated == set(shape_census(n))
 
 

@@ -343,7 +343,7 @@ def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
         return real_encode(FIRST if word == LAST else word, shapes)
 
     monkeypatch.setattr(verify, "_encode_word", encode)
-    monkeypatch.setattr(verify, "_decode_word", lambda t: encoded[0])
+    monkeypatch.setattr(verify, "_decode_word", lambda columns: encoded[0])
     serial = run_suite("tableau", 7, workers=1)
     assert not pool_requests
     parallel = run_suite("tableau", 7, workers=2)
@@ -457,6 +457,34 @@ def test_one_layout_per_shape(monkeypatch):
     assert sorted((s.n, s.parts) for s in calls) == sorted(
         (s.n, s.parts) for s in shapes
     )
+
+
+def test_the_full_filling_is_not_built_again(monkeypatch):
+    # Serial, S_0..S_6 hold 197 shapes: the walk decodes each one's minimal
+    # filling, and its full filling is the tableau of the word it meets.
+    decoded = []
+    real = verify.decode_tableau
+
+    def counting(t):
+        decoded.append(t)
+        return real(t)
+
+    def refuse(layout):
+        raise AssertionError("a full filling was built")
+
+    monkeypatch.setattr(verify, "decode_tableau", counting)
+    monkeypatch.setattr(tableaux, "_max_filling", refuse)
+    assert run_suite("tableau", 6).passed
+    assert len(decoded) == 197
+    assert not hasattr(verify, "_max_filling")
+
+
+def test_the_census_is_not_read_back_from_text(monkeypatch):
+    def refuse(cls, text, n=None):
+        raise AssertionError(f"a shape was parsed from {text!r}")
+
+    monkeypatch.setattr(shapes.ShapePartition, "from_text", classmethod(refuse))
+    assert run_suite("count", 7).passed
 
 
 def test_a_walk_to_s8_opens_one_pool(pool_requests):
