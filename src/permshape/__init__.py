@@ -62,7 +62,6 @@ _EXPORTS = {
         "ParityTable",
         "QuadPolynomial",
         "SeriesReport",
-        "TruncatedSeries",
         "UniPolynomial",
         "lbsum_polynomial",
         "moments",

@@ -1,8 +1,9 @@
 """
-Exact generating polynomials and truncated series for the area statistic.
+Exact generating polynomials for the area statistic.
 
-Everything here is exact: polynomial coefficients are Python integers,
-series coefficients are fractions.  The central objects are
+Everything here is exact: polynomial coefficients are Python integers, and
+fractions appear only in the moments and the tanh values.  The central
+objects are
 
 * ``F_n``, the distribution of the summed left border numbers over S_n,
   built from the splitting recursion
@@ -12,18 +13,17 @@ series coefficients are fractions.  The central objects are
   number of nonzero parts) with variables (x, y, p, q);
 * the q-Catalan polynomials counting 1-3-2-avoiders by inversions;
 * exact factorial moments of the area; and
-* the exponential-type series g(x, y, p, q, z) assembled from the G_n,
-  together with checks of its differential functional equation and of the
+* checks of the differential functional equation of the exponential-type
+  series g(x, y, p, q, z) assembled from the G_n, and of the
   specialization g(-1, 1, 1, 1, z) = 1 + tanh(z).
 
 Polynomials are held in one sparse core, :class:`UniPolynomial`: int
-exponent -> exact ``int`` or ``Fraction`` coefficient.
+exponent -> ``int`` coefficient.
 :class:`QuadPolynomial` is a view on it that packs (x, y, p, q) into the key
 ``x << 48 | y << 32 | p << 16 | q``: y, p and q stay below 2**15 in 16-bit
 fields whose top bit catches a carry (an overflow raises ValueError), and x
 is unbounded.  Int order on keys is tuple order, and setting variables to
-one masks their fields away.  :class:`TruncatedSeries` is a list of such
-views with fraction coefficients, one per power of z.
+one masks their fields away.
 
 Two computations leave the sparse products for denser forms.  F_n and both
 q-Catalan conventions come from one univariate splitting recursion,
@@ -32,7 +32,7 @@ byte-aligned slot per exponent (Kronecker substitution): F_60 in about 1 s
 cold, against 9 s for the sparse products.  G_n stays sparse: its dense
 (x, y, p, q) box at n = 12 has 115,776 slots for 7,599 terms.  The series
 identities run on the integer coefficients k! [z^k] g, where a product of
-series is a binomial convolution, so only the tanh values are fractions.
+series is a binomial convolution; the library holds no series object.
 """
 from __future__ import annotations
 
@@ -41,12 +41,11 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, lcm
 from operator import or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "UniPolynomial",
     "QuadPolynomial",
-    "TruncatedSeries",
     "ParityTable",
     "MomentReport",
     "SeriesReport",
@@ -58,24 +57,21 @@ __all__ = [
     "q_catalan",
     "q_catalan_alt",
     "moments",
-    "series_g",
     "verify_series_identities",
 ]
 
-Coeff = int | Fraction
-
 
 class UniPolynomial:
-    """A sparse polynomial in x with exact int or Fraction coefficients."""
+    """A sparse polynomial in x with int coefficients."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Coeff] | None = None) -> None:
+    def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
         data = {e: c for e, c in (coeffs or {}).items() if c}
         object.__setattr__(self, "_coeffs", data)
 
     @classmethod
-    def _of(cls, data: dict[int, Coeff]) -> "UniPolynomial":
+    def _of(cls, data: dict[int, int]) -> "UniPolynomial":
         """A polynomial on ``data`` itself, which holds no zero coefficient."""
         poly = cls.__new__(cls)
         object.__setattr__(poly, "_coeffs", data)
@@ -90,13 +86,13 @@ class UniPolynomial:
         return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: Coeff = 1) -> "UniPolynomial":
+    def monomial(cls, exponent: int, coeff: int = 1) -> "UniPolynomial":
         return cls({exponent: coeff})
 
-    def coefficient(self, exponent: int) -> Coeff:
+    def coefficient(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
-    def terms(self) -> list[tuple[int, Coeff]]:
+    def terms(self) -> list[tuple[int, int]]:
         return sorted(self._coeffs.items())
 
     @property
@@ -117,7 +113,7 @@ class UniPolynomial:
     @classmethod
     def sum_of(cls, polys: Iterable["UniPolynomial"]) -> "UniPolynomial":
         """The sum of ``polys``, gathered in one dict."""
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for poly in polys:
             for e, c in poly._coeffs.items():
                 out[e] = out.get(e, 0) + c
@@ -133,14 +129,14 @@ class UniPolynomial:
         return self + -other
 
     def __mul__(self, other: "UniPolynomial") -> "UniPolynomial":
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return UniPolynomial._of(_nonzero(out))
 
-    def scaled(self, factor: Coeff) -> "UniPolynomial":
+    def scaled(self, factor: int) -> "UniPolynomial":
         if factor == 1:
             return self
         if not factor:
@@ -154,7 +150,7 @@ class UniPolynomial:
     def merged(self, keep: int, shift: int = 0) -> "UniPolynomial":
         """Send each key e to (e & keep) >> shift, adding the coefficients
         that meet: on packed keys, set the variables ``keep`` clears to 1."""
-        out: dict[int, Coeff] = {}
+        out: dict[int, int] = {}
         for e, c in self._coeffs.items():
             e = (e & keep) >> shift
             out[e] = out.get(e, 0) + c
@@ -166,11 +162,7 @@ class UniPolynomial:
         )
 
     def evaluate(self, point):
-        return self._weighted_sum(lambda e: point**e)
-
-    def _weighted_sum(self, monomial_value: Callable[[int], object]):
-        """The sum of c * monomial_value(e) over the terms c x^e."""
-        return sum(c * monomial_value(e) for e, c in self._coeffs.items())
+        return sum(c * point**e for e, c in self._coeffs.items())
 
     def reversed_on_degree(self, degree: int) -> "UniPolynomial":
         """x**degree * P(1/x), valid when degree bounds the actual degree."""
@@ -178,7 +170,7 @@ class UniPolynomial:
             raise ValueError("reversal pivot below the degree")
         return UniPolynomial._of({degree - e: c for e, c in self._coeffs.items()})
 
-    def to_counts(self) -> dict[int, Coeff]:
+    def to_counts(self) -> dict[int, int]:
         return dict(self._coeffs)
 
     def __repr__(self) -> str:
@@ -195,7 +187,7 @@ class UniPolynomial:
         return " + ".join(bits)
 
 
-def _nonzero(data: dict[int, Coeff]) -> dict[int, Coeff]:
+def _nonzero(data: dict[int, int]) -> dict[int, int]:
     """``data`` with its zero coefficients deleted, in place."""
     for e in [e for e, c in data.items() if not c]:
         del data[e]
@@ -238,13 +230,13 @@ def _no_carry(poly: UniPolynomial) -> UniPolynomial:
 
 class QuadPolynomial:
     """
-    A sparse polynomial in (x, y, p, q) with exact coefficients: a view on a
+    A sparse polynomial in (x, y, p, q) with int coefficients: a view on a
     :class:`UniPolynomial` whose keys pack the four exponents.
     """
 
     __slots__ = ("_poly",)
 
-    def __init__(self, coeffs: Mapping[QuadKey, Coeff] | None = None) -> None:
+    def __init__(self, coeffs: Mapping[QuadKey, int] | None = None) -> None:
         self._poly = UniPolynomial({_pack(k): c for k, c in (coeffs or {}).items()})
 
     @classmethod
@@ -262,13 +254,13 @@ class QuadPolynomial:
         return cls({(0, 0, 0, 0): 1})
 
     @classmethod
-    def monomial(cls, key: QuadKey, coeff: Coeff = 1) -> "QuadPolynomial":
+    def monomial(cls, key: QuadKey, coeff: int = 1) -> "QuadPolynomial":
         return cls({key: coeff})
 
-    def coefficient(self, key: QuadKey) -> Coeff:
+    def coefficient(self, key: QuadKey) -> int:
         return self._poly.coefficient(_pack(key))
 
-    def terms(self) -> list[tuple[QuadKey, Coeff]]:
+    def terms(self) -> list[tuple[QuadKey, int]]:
         return [(_unpack(e), c) for e, c in self._poly.terms()]
 
     def __len__(self) -> int:
@@ -295,7 +287,7 @@ class QuadPolynomial:
     def __mul__(self, other: "QuadPolynomial") -> "QuadPolynomial":
         return QuadPolynomial._of(_no_carry(self._poly * other._poly))
 
-    def times_monomial(self, key: QuadKey, coeff: Coeff = 1) -> "QuadPolynomial":
+    def times_monomial(self, key: QuadKey, coeff: int = 1) -> "QuadPolynomial":
         shifted = _no_carry(self._poly.shifted(_pack(key)))
         return QuadPolynomial._of(shifted.scaled(coeff))
 
@@ -308,13 +300,6 @@ class QuadPolynomial:
     def marginal(self, variable: str) -> UniPolynomial:
         """Set the other three variables to 1 and keep ``variable``."""
         return self._poly.merged(*_FIELDS[variable])
-
-    def evaluate(self, x, y, p, q):
-        def monomial_value(e: int):
-            ex, ey, ep, eq = _unpack(e)
-            return x**ex * y**ey * p**ep * q**eq
-
-        return self._poly._weighted_sum(monomial_value)
 
     def max_exponents(self) -> QuadKey:
         x, y, p, q = (max(self.marginal(v).degree, 0) for v in _FIELDS)
@@ -686,99 +671,13 @@ def moments(n: int) -> MomentReport:
 SERIES_MAX_ORDER = 10  # the highest order verify_series_identities accepts
 
 
-class TruncatedSeries:
-    """
-    A series in z, exact through z**order; the coefficient of z**k is a
-    :class:`QuadPolynomial` in (x, y, p, q) with fraction coefficients.
-    Substituting z -> m*z for a monomial m multiplies the k-th coefficient
-    by m**k.
-    """
-
-    __slots__ = ("order", "_coeffs")
-
-    def __init__(self, coeffs: Sequence[Mapping | QuadPolynomial], order: int) -> None:
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient list does not match the order")
-        self.order = order
-        self._coeffs = [
-            c if isinstance(c, QuadPolynomial) else QuadPolynomial(c) for c in coeffs
-        ]
-
-    @classmethod
-    def constant(cls, order: int, value: Fraction | int) -> "TruncatedSeries":
-        head = QuadPolynomial.monomial((0, 0, 0, 0), Fraction(value))
-        return cls([head] + [QuadPolynomial.zero()] * order, order)
-
-    def coefficient(self, k: int) -> dict[QuadKey, Fraction]:
-        return dict(self._coeffs[k].terms())
-
-    def truncated(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self._coeffs[: order + 1], order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        pairs = zip(self._coeffs, other._coeffs)
-        return TruncatedSeries([a + b for a, b in pairs], min(self.order, other.order))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        pairs = zip(self._coeffs, other._coeffs)
-        return TruncatedSeries([a - b for a, b in pairs], min(self.order, other.order))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        a, b = self._coeffs, other._coeffs
-        out = [
-            sum((a[i] * b[k - i] for i in range(k + 1)), QuadPolynomial.zero())
-            for k in range(order + 1)
-        ]
-        return TruncatedSeries(out, order)
-
-    def _map(self, f: Callable[[int, QuadPolynomial], QuadPolynomial]) -> "TruncatedSeries":
-        """The series whose z^k coefficient is f(k, [z^k] self)."""
-        return TruncatedSeries([f(k, c) for k, c in enumerate(self._coeffs)], self.order)
-
-    def times_monomial(self, key: QuadKey, scalar: Fraction | int = 1) -> "TruncatedSeries":
-        return self._map(lambda _, c: c.times_monomial(key, Fraction(scalar)))
-
-    def subst_z_scaled(self, key: QuadKey) -> "TruncatedSeries":
-        """Substitute z -> (x^a y^b p^c q^d) z for the monomial exponents."""
-        return self._map(lambda k, c: c.times_monomial(tuple(k * d for d in key)))
-
-    def with_p_one(self) -> "TruncatedSeries":
-        return self._map(lambda _, c: c.with_p_one())
-
-    def with_q_one(self) -> "TruncatedSeries":
-        return self._map(lambda _, c: c.with_q_one())
-
-    def derivative_z(self) -> "TruncatedSeries":
-        scaled = self._map(lambda k, c: c.times_monomial((0, 0, 0, 0), k))
-        return TruncatedSeries(scaled._coeffs[1:], self.order - 1)
-
-    def evaluate_coefficients(self, x, y, p, q) -> list[Fraction]:
-        return [c.evaluate(x, y, p, q) for c in self._coeffs]
-
-
 def _reversed_quad(m: int) -> QuadPolynomial:
-    """m! [z^m] g = x^binom(m,2) G_m(1/x, y, p, q), an integer polynomial."""
+    """m! [z^m] g = x^binom(m,2) G_m(1/x, y, p, q), a polynomial because the
+    area never exceeds binom(m, 2)."""
     pivot = comb(m, 2)
     return QuadPolynomial(
         {(pivot - ex, ey, ep, eq): c for (ex, ey, ep, eq), c in quad_polynomial(m).terms()}
     )
-
-
-def series_g(order: int) -> TruncatedSeries:
-    """
-    The series g(x, y, p, q, z) whose z^n coefficient is
-    x^binom(n,2) G_n(1/x, y, p, q) / n!; the x-reversal keeps every
-    coefficient a genuine polynomial because the area never exceeds
-    binom(n, 2).
-    """
-    coeffs: list[dict[QuadKey, Fraction]] = []
-    for m in range(order + 1):
-        inv_fact = Fraction(1, factorial(m))
-        coeffs.append({key: c * inv_fact for key, c in _reversed_quad(m).terms()})
-    return TruncatedSeries(coeffs, order)
 
 
 @dataclass(frozen=True)
@@ -793,16 +692,8 @@ class SeriesReport:
     tanh_first_mismatch: int | None
 
     @property
-    def equation_ok(self) -> bool:
-        return all(self.equation_status)
-
-    @property
-    def tanh_ok(self) -> bool:
-        return all(self.tanh_status)
-
-    @property
     def ok(self) -> bool:
-        return self.equation_ok and self.tanh_ok
+        return all(self.equation_status) and all(self.tanh_status)
 
 
 def verify_series_identities(order: int) -> SeriesReport:

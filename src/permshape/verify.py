@@ -389,10 +389,11 @@ def suite_count(result: SuiteResult, workers: int) -> None:
         )
         for parts, count in sorted(census.items()):
             s = ShapePartition(parts, n)
-            key = s.to_text()
             result.require(
                 count_permutations_with_shape(s) == count,
-                f"binomial product != census count for shape {key!r} (n={n})",
+                "binomial product != census count for shape '{}' (n={})",
+                s,
+                n,
             )
             decomposition = rectangle_decomposition(s)
             cells = decomposition.cell_assignment()
@@ -410,7 +411,8 @@ def suite_count(result: SuiteResult, workers: int) -> None:
                 len(cells) == s.area
                 and inside
                 and len(decomposition.rectangles) == corners,
-                f"rectangles do not tile shape {key!r} one per corner",
+                "rectangles do not tile shape '{}' one per corner",
+                s,
             )
 
 

@@ -8,7 +8,10 @@ independent route.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
+from operator import add
 
 
 def naive_left_borders(word):
@@ -238,35 +241,88 @@ def sparse_split_recursion(n, weight):
     return levels
 
 
+def series_coefficients(order):
+    """
+    [z^m] g for m = 0..order as dicts (x, y, p, q) -> Fraction: the terms of
+    x^binom(m,2) G_m(1/x, y, p, q) / m!, read off ``quad_polynomial(m).terms()``.
+    """
+    from permshape.genfun import quad_polynomial
+
+    return [
+        {
+            (math.comb(m, 2) - x, y, p, q): Fraction(c, math.factorial(m))
+            for (x, y, p, q), c in quad_polynomial(m).terms()
+        }
+        for m in range(order + 1)
+    ]
+
+
+# Polynomials in (x, y, p, q) as plain dicts, exponent tuple -> coefficient.
+def _gathered(pairs):
+    out = Counter()
+    for key, c in pairs:
+        out[key] += c
+    return {key: c for key, c in out.items() if c}
+
+
+def _dict_sum(*polys):
+    return _gathered(item for poly in polys for item in poly.items())
+
+
+def _dict_product(a, b):
+    return _gathered(
+        (tuple(map(add, ka, kb)), ca * cb) for ka, ca in a.items() for kb, cb in b.items()
+    )
+
+
+def _dict_at_one(poly, var):
+    """Set variable number ``var`` of (x, y, p, q) to 1."""
+    return _gathered((key[:var] + (0,) + key[var + 1 :], c) for key, c in poly.items())
+
+
+def _dict_times(poly, monomial, scalar=1):
+    return {tuple(map(add, key, monomial)): scalar * c for key, c in poly.items()}
+
+
+def dict_value(poly, point):
+    """The value of ``poly`` at the (x, y, p, q) ``point``."""
+    return sum(c * math.prod(map(pow, point, key)) for key, c in poly.items())
+
+
 def fraction_series_report(order):
     """
     The report of ``genfun.verify_series_identities`` computed on g itself,
-    with fraction coefficients: truncated series products, derivative and
-    substitutions, and g(-1, 1, 1, 1, z) against 1 + tanh(z).
+    with fraction coefficients in plain dicts, not the library's polynomials:
+    the z^k coefficients of both sides of the functional equation by
+    truncated products, and g(-1, 1, 1, 1, z) against 1 + tanh(z).
     """
-    from fractions import Fraction
+    from permshape.genfun import SeriesReport, _tanh_series
 
-    from permshape.genfun import SeriesReport, TruncatedSeries, _tanh_series, series_g
-
-    g = series_g(order)
-    lhs = g.derivative_z()
-    shifted = g.subst_z_scaled((1, 0, 0, 0))
-    left_factor = g.with_p_one().subst_z_scaled((1, 0, 1, 0))
-    right_factor = TruncatedSeries.constant(order, 1) - g.with_q_one().subst_z_scaled(
-        (0, 0, 0, 1)
-    )
-    rhs = shifted - (left_factor * right_factor).times_monomial((0, 1, 1, 0))
-    residual = lhs - rhs.truncated(order - 1)
-    equation_status = tuple(not residual.coefficient(k) for k in range(order))
+    one = (0, 0, 0, 0)
+    g = series_coefficients(order)
+    # g(x,y,1,q,xpz) and 1 - g(x,y,p,1,qz), coefficient by coefficient.
+    left = [_dict_times(_dict_at_one(g_i, 2), (i, 0, i, 0)) for i, g_i in enumerate(g)]
+    right = [_dict_times(_dict_at_one(g_j, 3), (0, 0, 0, j), -1) for j, g_j in enumerate(g)]
+    right[0] = _dict_sum(right[0], {one: 1})
+    residuals = []
+    for k in range(order):
+        product = _dict_sum(*(_dict_product(left[i], right[k - i]) for i in range(k + 1)))
+        rhs = _dict_sum(
+            _dict_times(g[k], (k, 0, 0, 0)), _dict_times(product, (0, 1, 1, 0), -1)
+        )
+        lhs = _dict_times(g[k + 1], one, k + 1)  # [z^k] dg/dz
+        residuals.append(_dict_sum(lhs, _dict_times(rhs, one, -1)))
+    equation_status = tuple(not r for r in residuals)
     first_fail = next((k for k, ok in enumerate(equation_status) if not ok), None)
     failing = None
     if first_fail is not None:
-        c = sorted(residual.coefficient(first_fail).items())
+        c = sorted(residuals[first_fail].items())
         failing = {",".join(map(str, key)): str(v) for key, v in c}
-    values = g.evaluate_coefficients(Fraction(-1), Fraction(1), Fraction(1), Fraction(1))
     one_plus_tanh = _tanh_series(order)
     one_plus_tanh[0] += 1
-    tanh_status = tuple(v == t for v, t in zip(values, one_plus_tanh))
+    tanh_status = tuple(
+        dict_value(g_k, (-1, 1, 1, 1)) == t for g_k, t in zip(g, one_plus_tanh)
+    )
     return SeriesReport(
         order=order,
         equation_status=equation_status,

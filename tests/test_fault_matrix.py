@@ -180,12 +180,12 @@ MATRIX = {
         _where(_at(2), _merged_census),
         "census of S_2 has 1 shapes, expected 2",
     ),
-    "binomial product != census count for shape {} (n={})": (
+    "binomial product != census count for shape '{}' (n={})": (
         "count", 3, verify, "count_permutations_with_shape",
         _where(lambda s: s.parts == (1,), _plus_one),
         "binomial product != census count for shape '1' (n=2)",
     ),
-    "rectangles do not tile shape {} one per corner": (
+    "rectangles do not tile shape '{}' one per corner": (
         "count", 3, verify, "rectangle_decomposition",
         _where(lambda s: s.parts == (1,), lambda d: replace(d, rectangles=())),
         "rectangles do not tile shape '1' one per corner",

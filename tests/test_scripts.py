@@ -21,6 +21,7 @@ SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
         ("walk_cost.py", ["--n", "5"]),
         ("suite_times.py", ["--runs", "1", "--max-n", "4"]),
         ("import_cost.py", ["--runs", "1"]),
+        ("reach.py", ["--n", "3", "--max-n", "3", "--order", "2"]),
     ],
 )
 def test_script_runs(script, args):
