@@ -2,8 +2,8 @@
 """List the library functions that a fixed set of CLI calls never reaches.
 
 Runs ten ``permshape`` command lines in this process under the standard
-library's ``trace`` module, stdout discarded: ``map`` of one word in the
-three formats, five ``dist`` forms at ``--n``, ``verify all`` at
+library's ``trace`` module, stdout discarded: ``map`` of the word 53148276
+in the three formats, five ``dist`` forms at ``--n``, ``verify all`` at
 ``--max-n`` and ``verify series`` at ``--order``.  Then it prints every
 function and method of ``src/permshape`` (nested ones included) none of
 whose lines ran, with its line span, and their total, each line counted
@@ -25,14 +25,15 @@ import permshape
 from permshape import cli
 
 PACKAGE = pathlib.Path(permshape.__file__).resolve().parent
+WORD = "53148276"
 
 
-def calls(word: str, n: int, max_n: int, order: int) -> list[list[str]]:
+def calls(n: int, max_n: int, order: int) -> list[list[str]]:
     dist = ["dist", "--n", str(n), "--stat"]
     return [
-        ["map", word],
-        ["map", word, "--format", "json"],
-        ["map", word, "--format", "csv"],
+        ["map", WORD],
+        ["map", WORD, "--format", "json"],
+        ["map", WORD, "--format", "csv"],
         [*dist, "lbsum", "--check"],
         [*dist, "lbsum", "--parity"],
         [*dist, "lbsum", "--avoid", "132", "--check"],
@@ -66,7 +67,6 @@ def functions(path: pathlib.Path):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--word", default="53148276", help="the word map is called on")
     parser.add_argument("--n", type=int, default=6, help="the n of each dist call")
     parser.add_argument("--max-n", type=int, default=6, help="verify all's depth")
     parser.add_argument("--order", type=int, default=8, help="verify series' order")
@@ -75,7 +75,7 @@ def main() -> int:
     for path in modules:  # defined before tracing, so no def line counts
         importlib.import_module(f"permshape.{path.stem}")
     tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
-    for argv in calls(args.word, args.n, args.max_n, args.order):
+    for argv in calls(args.n, args.max_n, args.order):
         with contextlib.redirect_stdout(io.StringIO()):
             code = tracer.runfunc(cli.main, argv)
         if code != 0:
