@@ -6,7 +6,11 @@ Each run is a fresh interpreter that runs the ten suites of
 poset at ``--max-n 5``, ``--workers 2``, JSON output), and times each call;
 ``--max-n`` sets a smaller depth, poset's staying at most 5.
 The script prints, per suite, the median seconds over the runs and how many
-runs it was the slowest suite of, with the host's CPU count.  Every call
+runs it was the slowest suite of, with the host's CPU count.  Then, per run,
+the three numbers the benchmark's verify workload reads off one repetition:
+the median of the ten suite seconds (``latency_p50_us``), the slowest suite
+(``latency_p99_us``) and their sum (about ``wall_s``, which also counts the
+time between calls), and last the median of each over the runs.  Every call
 must pass, otherwise the script says which and exits 1.
 Example: ``scripts/suite_times.py --runs 10``.
 """
@@ -75,6 +79,15 @@ def main() -> None:
     for name in SUITE_NAMES:
         median = statistics.median(run[name] for run in runs)
         print(f"{name:<11} {median:9.4f} {slowest.count(name):8d}")
+    rows = [
+        (statistics.median(run.values()), max(run.values()), sum(run.values()))
+        for run in runs
+    ]
+    print(f"{'run':<11} {'p50 s':>9} {'p99 s':>8} {'sum s':>8}")
+    for i, (p50, p99, total) in enumerate(rows, start=1):
+        print(f"{i:<11} {p50:9.4f} {p99:8.4f} {total:8.4f}")
+    p50, p99, total = (statistics.median(column) for column in zip(*rows))
+    print(f"{'median':<11} {p50:9.4f} {p99:8.4f} {total:8.4f}")
 
 
 if __name__ == "__main__":

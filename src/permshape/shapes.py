@@ -332,11 +332,15 @@ def count_permutations_with_shape(s: ShapePartition) -> int:
     >>> count_permutations_with_shape(ShapePartition.from_text("7,5,5,2,1,1,0"))
     70
     """
-    decomposition = rectangle_decomposition(s)
-    return prod(
-        comb(rect.width + rect.height - 1, rect.width - 1)
-        for rect in decomposition.rectangles
-    )
+    return _rectangle_count(_rectangles(s.parts))
+
+
+def _rectangle_count(rects: list[tuple[int, int, int, int]]) -> int:
+    """
+    The product of binomial(w + h - 1, w - 1) over tiles (column, width,
+    height, corner_row) as :func:`_rectangles` gives them.
+    """
+    return prod(comb(width + height - 1, width - 1) for _, width, height, _ in rects)
 
 
 def valleys(word: str) -> tuple[int, ...]:

@@ -25,15 +25,18 @@ the border numbers both come from and the mask of each row's last cell.
 Validation happens at the edge.  The public constructor, ``encode_tableau``
 (through its :class:`Permutation` argument) and ``decode_tableau`` check
 everything; each encoder and decoder is that check followed by one private
-route, ``_encode_word`` or ``_decode_word``.  The exhaustive walks of
-:mod:`permshape.verify` feed those routes words that are permutations by
-construction, and hand ``_encode_word`` one dict per range of a walk, in
-which it alone maps (n, parts) to the shape's layout; ``encode_tableau``
-hands it a fresh one.  A word's left borders are compared with the
-layout's, which the shape alone gives, and its labels are the layout's.  A
-tableau keeps the layout it was checked against, which is how the walk
-reaches a shape's extreme fillings: at the word whose filling is full,
-which is the decode of that filling.
+route, ``_encode_word`` or ``_checked_decode`` (``_decode_word`` and the
+decoded word's consistency with the dots and the shape), and
+``bijection_132_to_231`` is its 1-3-2 test followed by ``_bijection_image``,
+which decodes a shape's minimal filling with no tableau built.  The
+exhaustive walks of :mod:`permshape.verify` feed those routes words that are
+permutations, or 1-3-2-avoiders, by construction, and hand ``_encode_word``
+one dict per range of a walk, in which it alone maps (n, parts) to the
+shape's layout; ``encode_tableau`` hands it a fresh one.  A word's left
+borders are compared with the layout's, which the shape alone gives, and
+its labels are the layout's.  A tableau keeps the layout it was checked
+against, which is how the walk reaches a shape's extreme fillings: at the
+word whose filling is full, which is the decode of that filling.
 """
 from __future__ import annotations
 
@@ -42,13 +45,7 @@ from itertools import chain, count
 from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import Permutation, contains_132, left_borders
-from .shapes import (
-    ShapePartition,
-    _rectangles,
-    borders_from_shape,
-    shape,
-    shape_parts,
-)
+from .shapes import ShapePartition, _rectangles, borders_from_shape
 
 __all__ = [
     "InvalidFillingError",
@@ -313,16 +310,28 @@ def decode_tableau(t: FilledTableau) -> Permutation:
     The dot set must equal the inversion set of the result, and the shape
     must be the result's, otherwise the filling is rejected as inconsistent.
     """
-    result = Permutation(_decode_word(_columns(t.mask, t.n)))
-    if t.mask != _inversion_mask(result.entries):
+    return Permutation(_checked_decode(t._shape_layout, t.mask)[0])
+
+
+def _checked_decode(
+    layout: _Layout, mask: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """
+    The word that the filling ``mask`` of the layout's shape decodes to
+    (:func:`_decode_word`), checked as :func:`decode_tableau` checks it, and
+    the word's left borders, which give its shape.
+    """
+    word = _decode_word(_columns(mask, layout.shape.n))
+    if mask != _inversion_mask(word):
         raise InconsistentFillingError(
             "inconsistent filling: dots do not match the decoded inversions"
         )
-    if shape_parts(result.entries) != t.shape.parts:
+    borders = left_borders(word)
+    if tuple(sorted(borders[1:], reverse=True)) != layout.shape.parts:
         raise InconsistentFillingError(
             "inconsistent filling: host shape differs from the decoded shape"
         )
-    return result
+    return word, borders
 
 
 def is_valid_filling(t: FilledTableau) -> bool:
@@ -334,14 +343,19 @@ def is_valid_filling(t: FilledTableau) -> bool:
     return True
 
 
-def _min_filling(layout: _Layout) -> FilledTableau:
+def _min_mask(layout: _Layout) -> int:
+    """The mask of :func:`min_filling`: each tile's rightmost column dotted."""
     n = layout.shape.n
     top_down = layout.labels[::-1]  # geometric rows 1.. from the top
     mask = 0
     for column, _, height, corner_row in _rectangles(layout.shape.parts):
         for row in range(corner_row - height + 1, corner_row + 1):
             mask |= 1 << ((column - 1) * n + top_down[row - 1] - 1)
-    return FilledTableau._from_mask(layout, mask)
+    return mask
+
+
+def _min_filling(layout: _Layout) -> FilledTableau:
+    return FilledTableau._from_mask(layout, _min_mask(layout))
 
 
 def _max_filling(layout: _Layout) -> FilledTableau:
@@ -369,7 +383,21 @@ def bijection_132_to_231(p: Permutation) -> Permutation:
     """
     if contains_132(p.entries):
         raise ValueError(f"{p} contains 1-3-2; the bijection is not defined on it")
-    return decode_tableau(min_filling(shape(p)))
+    return Permutation(_bijection_image(left_borders(p.entries))[0])
+
+
+def _bijection_image(
+    borders: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """
+    The image under :func:`bijection_132_to_231` of the word whose left
+    borders are ``borders``, not checked to avoid 1-3-2, and the image's
+    left borders: the minimal filling of the word's shape, decoded and
+    checked as :func:`decode_tableau` does, with no tableau built.
+    """
+    parts = tuple(sorted(borders[1:], reverse=True))
+    layout = _layout(ShapePartition(parts, len(borders)))
+    return _checked_decode(layout, _min_mask(layout))
 
 
 def count_132_from_tableau(t: FilledTableau) -> int:

@@ -31,7 +31,12 @@ word whose filling is full, and reads that word as the full filling's
 decode.  The tableau check splits each word's filling into its columns
 once, for the decode and the pattern counts.  A block also counts the keys
 its checks give it, and claims about a whole S_n are checked after the
-walk on those counts, merged.
+walk on those counts, merged.  The loops over avoiders, shapes and pairs
+stand on the same footing: the avoiders of
+:func:`permshape.oracle.avoiders_132` are 1-3-2-free by construction and
+take the bijection's private route, each object's side of a claim is
+computed once, and every message built per word, pair, avoider or shape
+is a template that :meth:`SuiteResult.require` fills in only on failure.
 """
 from __future__ import annotations
 
@@ -76,29 +81,28 @@ from .permutations import (
     left_borders,
     lr_maxima_count,
     right_borders,
-    stat_vector,
 )
 from .shapes import (
     ShapePartition,
     _first_return,
+    _rectangle_count,
+    _rectangles,
     _valleys,
     borders_from_shape,
-    count_permutations_with_shape,
     dyck_word,
     path_from_shape,
     path_shape_parts,
-    rectangle_decomposition,
     shape,
     shape_from_path,
     shape_parts,
 )
 from .tableaux import (
+    _bijection_image,
     _columns,
     _count_132_231_from_columns,
     _decode_word,
     _encode_word,
     _min_filling,
-    bijection_132_to_231,
     decode_tableau,
 )
 
@@ -222,6 +226,19 @@ def _path_stats(path: str) -> tuple[int, int, int, int, int]:
     return len(distinct), len(nonzero), largest, sum(distinct), sum(parts)
 
 
+# The stats laws, in the order a word's bools are listed, each named as it
+# fails.
+_STATS_LAWS = (
+    "distinct nonzero parts != des",
+    "nonzero parts != n - lrmax",
+    "largest part != last descent",
+    "sum of distinct parts != maj",
+    "area != border sum",
+    "nonzero borders != descent set",
+    "right-border reflection law fails",
+)
+
+
 def _stats_check_word(
     result: SuiteResult, word: tuple[int, ...], keys: dict, shapes: dict
 ) -> None:
@@ -235,17 +252,18 @@ def _stats_check_word(
     a = left_borders(word)
     b = right_borders(word)
     reflected = tuple(n + 1 - b[n - 1 - t] for t in range(n))
-    laws = {
-        "distinct nonzero parts != des": distinct == len(descents),
-        "nonzero parts != n - lrmax": nonzero == n - lr_maxima_count(word),
-        "largest part != last descent": largest == (descents[-1] if descents else 0),
-        "sum of distinct parts != maj": distinct_sum == sum(descents),
-        "area != border sum": area == sum(a),
-        "nonzero borders != descent set": {v for v in a if v} == set(descents),
-        "right-border reflection law fails": reflected == left_borders(word[::-1]),
-    }
-    broken = next((law for law, holds in laws.items() if not holds), None)
-    result.require(broken is None, "{} at {}", broken, word)
+    laws = (
+        distinct == len(descents),
+        nonzero == n - lr_maxima_count(word),
+        largest == (descents[-1] if descents else 0),
+        distinct_sum == sum(descents),
+        area == sum(a),
+        {v for v in a if v} == set(descents),
+        reflected == left_borders(word[::-1]),
+    )
+    holds = all(laws)
+    broken = None if holds else _STATS_LAWS[laws.index(False)]
+    result.require(holds, "{} at {}", broken, word)
     if not 1 <= n <= 8:
         return
     tree = decreasing_tree_word(word)
@@ -276,9 +294,7 @@ def _naive_barred_132(word: tuple[int, ...]) -> int:
     for a in range(n):
         for b in range(a + 1, n):
             for c in range(b + 1, n):
-                if word[a] < word[c] < word[b] and all(
-                    word[d] <= word[b] for d in range(a + 1, c)
-                ):
+                if word[a] < word[c] < word[b] and max(word[a + 1 : c]) <= word[b]:
                     count += 1
     return count
 
@@ -307,7 +323,8 @@ def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
         for word in oracle.avoiders_132(n):
             result.require(
                 sum(left_borders(word)) == inversion_count(word),
-                f"border sum != inversions for 1-3-2-avoider {word}",
+                "border sum != inversions for 1-3-2-avoider {}",
+                word,
             )
 
 
@@ -389,31 +406,52 @@ def suite_count(result: SuiteResult, workers: int) -> None:
         )
         for parts, count in sorted(census.items()):
             s = ShapePartition(parts, n)
+            # One tiling serves the product, as count_permutations_with_shape
+            # takes it, and the tiling check.
+            tiles = _rectangles(parts)
             result.require(
-                count_permutations_with_shape(s) == count,
+                _rectangle_count(tiles) == count,
                 "binomial product != census count for shape '{}' (n={})",
                 s,
                 n,
             )
-            decomposition = rectangle_decomposition(s)
-            cells = decomposition.cell_assignment()
-            # As many distinct cells as the diagram has, all inside it, are
-            # the diagram's cells {(r, c) : 1 <= c <= parts[r - 1]}.
-            inside = all(
-                0 < r <= len(parts) and 0 < c <= parts[r - 1] for r, c in cells
-            )
-            corners = sum(
-                1
-                for j, v in enumerate(parts)
-                if v and (j + 1 == len(parts) or parts[j + 1] < v)
-            )
             result.require(
-                len(cells) == s.area
-                and inside
-                and len(decomposition.rectangles) == corners,
+                _tiles_exactly(s, tiles),
                 "rectangles do not tile shape '{}' one per corner",
                 s,
             )
+
+
+def _tiles_exactly(
+    s: ShapePartition, tiles: list[tuple[int, int, int, int]]
+) -> bool:
+    """
+    Whether the tiles (column, width, height, corner_row) of
+    :func:`permshape.shapes._rectangles` cover the cells of the diagram of
+    ``s``, one tile per corner, on bit masks: the cell (row r from the top,
+    column c) is bit (r - 1) * n + c - 1, so a tile inside the staircase is
+    ``height`` runs of ``width`` bits.  A tile reaching out of the staircase
+    fails the tiling; one that meets an earlier tile raises ValueError at the
+    first shared cell, as :meth:`RectangleDecomposition.cell_assignment`
+    does.
+    """
+    n = s.n
+    diagram = covered = 0
+    for r, length in enumerate(s.parts):
+        diagram |= ((1 << length) - 1) << (r * n)
+    for column, width, height, corner_row in tiles:
+        if not (0 < width <= column < n and 0 < height <= corner_row < n):
+            return False
+        run = ((1 << width) - 1) << (column - width)
+        tile = 0
+        for r in range(corner_row - height, corner_row):
+            tile |= run << (r * n)
+        shared = covered & tile
+        if shared:  # ascending bit order is the cells' row-by-row order
+            r, c = divmod((shared & -shared).bit_length() - 1, n)
+            raise ValueError(f"rectangles overlap at {(r + 1, c + 1)}")
+        covered |= tile
+    return covered == diagram and len(tiles) == len(s.distinct_nonzero())
 
 
 # ---------------------------------------------------------------------------
@@ -511,22 +549,45 @@ def suite_tableau(result: SuiteResult, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _OneLine(tuple):
+    """A word that a template prints as a :class:`Permutation` prints, ``2,1``."""
+
+    def __format__(self, spec: str) -> str:
+        return ",".join(map(str, self))
+
+
+def _bijection_stats(
+    word: tuple[int, ...], borders: tuple[int, ...]
+) -> tuple[int, int, int, int, int]:
+    """des, maj, lrmax, maxdes and lbsum of a word with left borders ``borders``."""
+    descents = descent_positions(word)
+    last = descents[-1] if descents else 0
+    return len(descents), sum(descents), lr_maxima_count(word), last, sum(borders)
+
+
 def suite_bijection(result: SuiteResult, workers: int) -> None:
     for n in range(0, min(result.max_n, 10) + 1):
         image: set[tuple[int, ...]] = set()
+        # The avoiders are 1-3-2-free by construction, so each takes the
+        # bijection's private route; each word's borders serve its shape and
+        # its statistics.
         for word in oracle.avoiders_132(n):
-            target = bijection_132_to_231(Permutation(word))
+            borders = left_borders(word)
+            target, target_borders = _bijection_image(borders)
             result.require(
-                not contains_231(target.entries),
-                f"image {target} of {word} contains 2-3-1",
+                not contains_231(target),
+                "image {} of {} contains 2-3-1",
+                _OneLine(target),
+                word,
             )
-            sv, tv = stat_vector(word), stat_vector(target.entries)
             result.require(
-                (sv.des, sv.maj, sv.lrmax, sv.maxdes, sv.lbsum)
-                == (tv.des, tv.maj, tv.lrmax, tv.maxdes, tv.lbsum),
-                f"statistics not preserved on {word} -> {target}",
+                _bijection_stats(word, borders)
+                == _bijection_stats(target, target_borders),
+                "statistics not preserved on {} -> {}",
+                word,
+                _OneLine(target),
             )
-            image.add(target.entries)
+            image.add(target)
         result.require(
             len(image) == _catalan(n),
             f"image size {len(image)} != Catalan({n}) = {_catalan(n)}",
@@ -544,16 +605,25 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
     for n in range(1, min(max_n, 5) + 1):
         words = list(oracle.enumerate_sn(n))
         up = bruhat_up_sets(words)
+        every = (1 << len(words)) - 1
         for a, w in enumerate(words):
-            result.require(up[a] >> a & 1, f"reflexivity fails at {w}")
-            for b, v in enumerate(words):
-                if not up[a] >> b & 1:
-                    continue
+            above = up[a]
+            result.require(above >> a & 1, "reflexivity fails at {}", w)
+            rest = above & every  # the b with w <= words[b], ascending
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                b = low.bit_length() - 1
                 if b != a:
                     result.require(
-                        not up[b] >> a & 1, f"antisymmetry fails at {w}, {v}"
+                        not up[b] >> a & 1,
+                        "antisymmetry fails at {}, {}",
+                        w,
+                        words[b],
                     )
-                result.require(not up[b] & ~up[a], f"transitivity fails at {w}, {v}")
+                result.require(
+                    not up[b] & ~above, "transitivity fails at {}, {}", w, words[b]
+                )
     # Dominance equals the transitive closure of covers: reach sets OR-ed
     # down the covers in decreasing inversion order.
     for n in range(1, min(max_n, 6) + 1):
@@ -573,7 +643,9 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
             b = (diff & -diff).bit_length() - 1
             result.checks += b  # the pairs before the first disagreement
             w, v = words[a], words[b]
-            result.require(False, f"dominance and cover closure disagree on {w} <= {v}")
+            result.require(
+                False, "dominance and cover closure disagree on {} <= {}", w, v
+            )
     # Containment <=> strict order on 1-3-2-avoiders.
     for n in range(2, min(max_n, 7) + 1):
         report = verify_poset_equivalence(n)
@@ -595,7 +667,9 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
                 diffs = [i for i in range(n - 1) if sp[i] != sq[i]]
                 result.require(
                     len(diffs) == 1 and sq[diffs[0]] == sp[diffs[0]] + 1,
-                    f"cover {word} -> {cover} does not add one cell",
+                    "cover {} -> {} does not add one cell",
+                    word,
+                    cover,
                 )
     # The two fixed reference pairs behave as documented.
     if max_n >= 4:
@@ -637,7 +711,8 @@ def suite_parity(result: SuiteResult, workers: int) -> None:
     for k, t in enumerate(tangent_numbers(7), start=1):
         result.require(
             t == table.delta[2 * k - 1],
-            f"tangent number {k} does not match the imbalance",
+            "tangent number {} does not match the imbalance",
+            k,
         )
     for n in range(0, 21):
         result.require(
@@ -754,10 +829,12 @@ def suite_series(result: SuiteResult, workers: int) -> None:
     for k, ok in enumerate(report.equation_status):
         result.require(
             ok,
-            f"functional equation residual at z^{k}: {report.failing_residual}",
+            "functional equation residual at z^{}: {}",
+            k,
+            report.failing_residual,
         )
     for k, ok in enumerate(report.tanh_status):
-        result.require(ok, f"tanh specialization mismatch at z^{k}")
+        result.require(ok, "tanh specialization mismatch at z^{}", k)
 
 
 # ---------------------------------------------------------------------------

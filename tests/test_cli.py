@@ -494,9 +494,9 @@ def _no_border_sequence(real):
 
 
 def _overlapping_tiles(real):
-    def fake(s):
-        d = real(s)
-        return replace(d, rectangles=d.rectangles + d.rectangles[:1])
+    def fake(parts):
+        tiles = real(parts)
+        return tiles + tiles[:1]
 
     return fake
 
@@ -530,7 +530,7 @@ LIBRARY_FAULTS = {
     ),
     "rectangle-overlap": (
         "count",
-        "rectangle_decomposition",
+        "_rectangles",
         _overlapping_tiles,
         0,
         "rectangles overlap at (1, 1)",

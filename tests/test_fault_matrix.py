@@ -180,14 +180,16 @@ MATRIX = {
         _where(_at(2), _merged_census),
         "census of S_2 has 1 shapes, expected 2",
     ),
+    # One tiling per shape feeds the product and the tiling check; (1,) is
+    # the first shape with a tile, the one of shape '1' at n = 2.
     "binomial product != census count for shape '{}' (n={})": (
-        "count", 3, verify, "count_permutations_with_shape",
-        _where(lambda s: s.parts == (1,), _plus_one),
+        "count", 3, verify, "_rectangle_count",
+        _where(lambda tiles: tiles == [(1, 1, 1, 1)], _plus_one),
         "binomial product != census count for shape '1' (n=2)",
     ),
     "rectangles do not tile shape '{}' one per corner": (
-        "count", 3, verify, "rectangle_decomposition",
-        _where(lambda s: s.parts == (1,), lambda d: replace(d, rectangles=())),
+        "count", 3, verify, "_rectangles",
+        _where(_at((1,)), lambda tiles: []),
         "rectangles do not tile shape '1' one per corner",
     ),
     # tableau
@@ -233,9 +235,11 @@ MATRIX = {
         _where(_at((2, 1)), lambda found: True),
         "image 2,1 of (2, 1) contains 2-3-1",
     ),
+    # The route takes an avoider's left borders, (0, 1, 0) those of (2, 1, 3),
+    # and gives the image with its own borders.
     "statistics not preserved on {} -> {}": (
-        "bijection", 3, verify, "bijection_132_to_231",
-        _where(lambda p: p.entries == (2, 1, 3), lambda q: Permutation((1, 2, 3))),
+        "bijection", 3, verify, "_bijection_image",
+        _where(_at((0, 1, 0)), lambda image: ((1, 2, 3), (0, 0, 0))),
         "statistics not preserved on (2, 1, 3) -> 1,2,3",
     ),
     "image size {} != Catalan({}) = {}": (

@@ -1,11 +1,17 @@
+import ast
 import multiprocessing
+import pathlib
 import sys
+from collections import Counter
 from dataclasses import replace
 from itertools import chain
 
 import pytest
 
 from permshape import bruhat, oracle, shapes, tableaux, verify
+from permshape.permutations import Permutation, left_borders
+from permshape.shapes import Rectangle, RectangleDecomposition, shape
+from permshape.tableaux import bijection_132_to_231, decode_tableau, min_filling
 from permshape.verify import run_suite
 
 
@@ -558,7 +564,7 @@ def test_a_tile_moved_off_the_diagram_fails_the_tiling(monkeypatch):
     # Moved one row down, the first tile of the staircase still covers as
     # many cells as the shape has, one tile per corner: only the cells
     # themselves show that it hangs below the diagram.
-    real = shapes._rectangles
+    real = verify._rectangles
 
     def moved(parts):
         tiles = real(parts)
@@ -567,7 +573,7 @@ def test_a_tile_moved_off_the_diagram_fails_the_tiling(monkeypatch):
             tiles[0] = (column, width, height, corner_row + 1)
         return tiles
 
-    monkeypatch.setattr(shapes, "_rectangles", moved)
+    monkeypatch.setattr(verify, "_rectangles", moved)
     result = run_suite("count", 7)
     assert result.failures == [
         "rectangles do not tile shape '6,5,4,3,2,1' one per corner"
@@ -727,3 +733,174 @@ def test_an_interrupt_passes_the_boundary(monkeypatch):
 def test_bad_input_raises_before_the_boundary(name, depth, workers, no_pool):
     with pytest.raises(ValueError):
         run_suite(name, depth, workers)
+
+
+# The bijection's private route, fed an avoider's left borders, gives what
+# the public tableau functions give, and the image's own left borders.
+def test_the_bijection_route_matches_the_public_functions():
+    for n in range(9):
+        for word in oracle.avoiders_132(n):
+            p = Permutation(word)
+            image, image_borders = tableaux._bijection_image(left_borders(word))
+            assert image == decode_tableau(min_filling(shape(p))).entries
+            assert image == bijection_132_to_231(p).entries
+            assert image_borders == left_borders(image)
+
+
+def _cell_verdict(s, tiles):
+    """
+    The tiling check on the cells of ``cell_assignment``: whether the tiles
+    cover the diagram one per corner, or the overlap's message.
+    """
+    decomposition = RectangleDecomposition(s, tuple(Rectangle(*t) for t in tiles))
+    try:
+        cells = decomposition.cell_assignment()
+    except ValueError as error:
+        return str(error)
+    parts = s.parts
+    inside = all(0 < r <= len(parts) and 0 < c <= parts[r - 1] for r, c in cells)
+    corners = sum(
+        1
+        for j, v in enumerate(parts)
+        if v and (j + 1 == len(parts) or parts[j + 1] < v)
+    )
+    return len(cells) == s.area and inside and len(tiles) == corners
+
+
+def _mask_verdict(s, tiles):
+    try:
+        return verify._tiles_exactly(s, tiles)
+    except ValueError as error:
+        return str(error)
+
+
+def _shifted(tiles, column=0, width=0, height=0, row=0):
+    """The tiles with the first one's fields moved by the given steps."""
+    c, w, h, r = tiles[0]
+    return [(c + column, w + width, h + height, r + row), *tiles[1:]]
+
+
+def _split(tiles):
+    """The first tile wider than one column, its rightmost column cut off."""
+    for k, (c, w, h, r) in enumerate(tiles):
+        if w > 1:
+            return [*tiles[:k], (c - 1, w - 1, h, r), (c, 1, h, r), *tiles[k + 1 :]]
+    return tiles[:-1]
+
+
+# The tilings of every shape for n <= 8, and each one damaged: a tile lost,
+# a tile repeated, the first moved or grown one step, which may leave the
+# staircase or meet another tile, or a tile split in two.  The bit masks
+# give each the verdict of the cells, an overlap's message included.
+TILE_FAULTS = {
+    "intact": lambda tiles: tiles,
+    "first-lost": lambda tiles: tiles[1:],
+    "last-lost": lambda tiles: tiles[:-1],
+    "first-repeated": lambda tiles: tiles + tiles[:1],
+    "last-repeated": lambda tiles: tiles + tiles[-1:],
+    "down": lambda tiles: _shifted(tiles, row=1),
+    "up": lambda tiles: _shifted(tiles, row=-1),
+    "right": lambda tiles: _shifted(tiles, column=1),
+    "left": lambda tiles: _shifted(tiles, column=-1),
+    "wider": lambda tiles: _shifted(tiles, width=1),
+    "taller": lambda tiles: _shifted(tiles, height=1),
+    "narrower": lambda tiles: _shifted(tiles, width=-1),
+    "split": lambda tiles: _split(tiles),
+}
+
+
+@pytest.mark.parametrize("fault", list(TILE_FAULTS))
+def test_the_mask_tiling_agrees_with_the_cells(fault):
+    damage = TILE_FAULTS[fault]
+    verdicts = Counter()
+    for n in range(9):
+        for s in oracle.all_shapes(n):
+            tiles = shapes._rectangles(s.parts)
+            if not tiles and fault != "intact":
+                continue
+            damaged = damage(tiles)
+            verdict = _cell_verdict(s, damaged)
+            assert _mask_verdict(s, damaged) == verdict, (s, damaged)
+            verdicts[verdict if type(verdict) is bool else "overlap"] += 1
+    if fault == "intact":
+        assert verdicts == {True: sum(map(verify._catalan, range(9)))}
+    else:
+        assert True not in verdicts
+
+
+# A tile repeated overlaps itself: the count suite fails where the cells
+# would, with the same message and checks at 1 and 2 workers.  The product
+# keeps its value, since each repeated tile is one column wide.
+@pytest.mark.parametrize(
+    "repeated, checks, message",
+    [
+        (lambda parts, tiles: tiles[:1], 14, "rectangles overlap at (1, 1)"),
+        (
+            lambda parts, tiles: tiles[-1:] if parts == (4, 3, 2, 1) else [],
+            142,
+            "rectangles overlap at (1, 4)",
+        ),
+    ],
+    ids=["first-shape", "staircase-5"],
+)
+def test_an_overlap_fails_the_count_as_the_cells_did(
+    repeated, checks, message, monkeypatch
+):
+    real = verify._rectangles
+    monkeypatch.setattr(
+        verify, "_rectangles", lambda parts: real(parts) + repeated(parts, real(parts))
+    )
+    for workers in (1, 2):
+        result = run_suite("count", 7, workers=workers)
+        assert (result.passed, result.checks, result.failures) == (
+            False, checks, [message]
+        )
+
+
+def _eager_messages(source):
+    """
+    The lines of the ``require`` calls in ``source`` whose message is an
+    f-string, built on every pass, inside a loop that runs per word, pair,
+    avoider or shape: any loop but ``for n in ...``.
+    """
+    found = []
+
+    def visit(node, per_item):
+        if isinstance(node, ast.For):
+            per_item = per_item or not (
+                isinstance(node.target, ast.Name) and node.target.id == "n"
+            )
+        elif isinstance(node, ast.While):
+            per_item = True
+        if (
+            per_item
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "require"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.JoinedStr)
+        ):
+            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, per_item)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_no_message_is_built_per_item():
+    source = pathlib.Path(verify.__file__).read_text()
+    assert _eager_messages(source) == []
+    # The guard itself sees an eager message in a per-word loop, and only there.
+    sample = "\n".join(
+        [
+            "for n in range(3):",
+            "    result.require(ok, f'at n={n}')",
+            "    for word in words:",
+            "        result.require(ok, f'at {word}')",
+            "        result.require(ok, 'at {}', word)",
+            "while rest:",
+            "    result.require(ok, f'at {rest}')",
+        ]
+    )
+    assert _eager_messages(sample) == [4, 7]
