@@ -3,26 +3,41 @@
 
 Runs the suite (``stats`` unless ``--suite`` names another) at depth n once
 per worker count and prints the wall time, the speedup against the first
-run, and the process pools the run actually opened with their total number
-of worker processes.  Every run must merge to the first run's verdict, check
-count and failures; on a mismatch the script says which and exits 1.
+run, and the worker processes the run actually started: how many fan-outs
+started any, and how many processes those fan-outs ran with the caller
+counted.  Every run must merge to the first run's verdict, check count and
+failures; on a mismatch the script says which and exits 1.
 Example: ``scripts/worker_scaling.py --suite tableau --n 8``.
 """
 import argparse
-import multiprocessing.context
+import multiprocessing.process
 import os
 import sys
 import time
 
 import permshape.verify as verify
 
-_pools: list[int] = []  # worker processes of every pool opened so far
-_real_pool = multiprocessing.context.BaseContext.Pool
+# Processes per fan-out so far, the caller counted.  A fan-out joins its
+# children before it returns, so a start after a join opens the next one.
+_fan_outs: list[int] = []
+_joined = True
+_real_start = multiprocessing.process.BaseProcess.start
+_real_join = multiprocessing.process.BaseProcess.join
 
 
-def _counting_pool(self, processes=None, *args, **kwargs):
-    _pools.append(processes)
-    return _real_pool(self, processes, *args, **kwargs)
+def _counting_start(self):
+    global _joined
+    if _joined:
+        _fan_outs.append(1)
+        _joined = False
+    _fan_outs[-1] += 1
+    return _real_start(self)
+
+
+def _counting_join(self, *args, **kwargs):
+    global _joined
+    _joined = True
+    return _real_join(self, *args, **kwargs)
 
 
 def main() -> None:
@@ -35,13 +50,14 @@ def main() -> None:
         "--workers", type=int, nargs="*", default=[1, 2, 4, 8], help="worker counts"
     )
     args = parser.parse_args()
-    multiprocessing.context.BaseContext.Pool = _counting_pool
+    multiprocessing.process.BaseProcess.start = _counting_start
+    multiprocessing.process.BaseProcess.join = _counting_join
 
     print(f"suite {args.suite}, host reports {os.cpu_count()} CPU(s)")
     baseline = None
     reference = None
     for workers in args.workers:
-        _pools.clear()
+        _fan_outs.clear()
         started = time.perf_counter()
         result = verify.run_suite(args.suite, args.n, workers=workers)
         elapsed = time.perf_counter() - started
@@ -55,7 +71,8 @@ def main() -> None:
                 f"{outcome} != {reference} at workers={args.workers[0]}"
             )
         print(
-            f"workers={workers:<2} pools={len(_pools):<2} processes={sum(_pools):<3} "
+            f"workers={workers:<2} fan-outs={len(_fan_outs):<2} "
+            f"processes={sum(_fan_outs):<3} "
             f"time={elapsed:7.2f}s speedup={baseline / elapsed:5.2f}x "
             f"checks={result.checks}"
         )

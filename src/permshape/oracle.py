@@ -9,14 +9,17 @@ exactly the serial result.  :func:`tally` counts a key over S_n; the walks
 of :mod:`permshape.verify` count the keys of their checks as they check.
 
 :func:`fan_out` is the library's one parallel layer: it rejects ``workers``
-below 1, decides whether the work is big enough for a pool at all, the pool
-size (``workers`` clamped to the CPU count and to the amount of work), the
-start method (``fork``, else ``spawn``) and the split.  A split deals the
-stream out in ``_BLOCKS_PER_WORKER`` contiguous blocks per worker, block t
-to worker t mod w, so that a cost per word that varies along the stream
-evens out between the workers.  Each worker walks its blocks in stream order
-over one iterator (:func:`walk_blocks`) and returns one result per block,
-and :func:`fan_out` hands the caller the results in stream order.
+below 1, decides whether the work is big enough to split at all, how many
+processes walk it (``workers`` clamped to the CPU count and to the amount of
+work, the caller counted), the start method of the others (``fork``, else
+``spawn``) and the split.  A split deals the stream out in
+``_BLOCKS_PER_WORKER`` contiguous blocks per worker, block t to worker t mod
+w, so that a cost per word that varies along the stream evens out between
+the workers.  The caller walks share 0 itself and one child process per
+other share walks that one, each answering over its own one-way pipe.  Each
+worker walks its blocks in stream order over one iterator
+(:func:`walk_blocks`) and returns one result per block, and :func:`fan_out`
+hands the caller the results in stream order.
 """
 from __future__ import annotations
 
@@ -57,14 +60,15 @@ __all__ = [
 
 MAX_ENUM_N = 11
 
-# The least work worth a process pool, one unit per word of S_n.  Below it a
-# pool cannot pay: starting one costs tens of ms, while a tally of S_6 takes
-# 2-5 ms inline (16-38 ms with two workers on a 2-CPU host).
-_POOL_MIN_TOTAL = factorial(7)
+# The least work worth splitting, one unit per word of S_n.  Below it a split
+# cannot pay: a tally of S_6 takes 2-5 ms inline, while starting and joining
+# one forked child costs a few ms.
+_FAN_OUT_MIN_TOTAL = factorial(7)
 
-# A tally does less per word than a check, so it pays for a pool one size
-# later: on a 2-CPU host, the joint tally of S_7 takes 29 ms inline and
-# 25-40 ms with two workers, that of S_8 130-180 ms against 85-115 ms.
+# A tally does less per word than a check, so it pays for a split one size
+# later: on a 2-CPU host, the joint tally of S_7 takes 29 ms inline and 25-40
+# ms with two workers in a process pool, that of S_8 130-180 ms against
+# 85-115 ms.
 _TALLY_MIN_TOTAL = factorial(8)
 
 # Blocks per worker of a split walk.  On a 2-CPU host the two halves of the
@@ -137,7 +141,7 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
 
 
 def effective_workers(
-    workers: int, total: int, *, min_total: int = _POOL_MIN_TOTAL
+    workers: int, total: int, *, min_total: int = _FAN_OUT_MIN_TOTAL
 ) -> int:
     """
     The number of processes :func:`fan_out` uses for ``total`` units of work:
@@ -192,7 +196,7 @@ def fan_out(
     total: int,
     workers: int,
     *,
-    min_total: int = _POOL_MIN_TOTAL,
+    min_total: int = _FAN_OUT_MIN_TOTAL,
 ) -> list:
     """
     Run ``work(blocks)`` once per worker on its blocks of [0, total), a list
@@ -202,10 +206,16 @@ def fan_out(
     ends just before the first block without a result.  One worker gets the
     single block [0, total) and runs inline, as does all work below
     ``min_total`` units (by default 7!, one unit per word: a verify suite's
-    walk over S_0..S_max splits once it reaches 7! words).  Several workers
-    each get ``_BLOCKS_PER_WORKER`` interleaved blocks and run in one process
-    pool, so ``work`` must be picklable (a module-level function, or a
-    :func:`functools.partial` of one).
+    walk over S_0..S_max splits once it reaches 7! words).
+
+    ``workers`` counts processes, the caller among them.  Several workers
+    each get ``_BLOCKS_PER_WORKER`` interleaved blocks: the caller walks
+    share 0 itself while one child process per other share walks that share
+    and sends back ``(True, results)``, or ``(False, exception)`` for what
+    its ``work`` raised, which is raised here.  Under ``spawn`` ``work`` must
+    be picklable (a module-level function, or a :func:`functools.partial`
+    of one).  A child that exits without an answer raises RuntimeError, and
+    whatever ``fan_out`` raises, it first ends and joins its children.
     """
     count = effective_workers(workers, total, min_total=min_total)
     if count == 1:
@@ -214,8 +224,35 @@ def fan_out(
     shares = [blocks[w :: count] for w in range(count)]
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-    with context.Pool(count) as pool:
-        returned = pool.map(work, shares, chunksize=1)
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_walk_share, args=(work, share, sender), daemon=True
+            )
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child's copy is the only one left
+        returned = [work(shares[0])]
+        for child, receiver in children:
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"a worker process exited with code {child.exitcode} "
+                    "before it sent its results"
+                ) from None
+            if not ok:
+                raise value
+            returned.append(value)
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
     results = []
     for t in range(len(blocks)):
         share = returned[t % count]
@@ -225,26 +262,46 @@ def fan_out(
     return results
 
 
+def _walk_share(work, share, sender) -> None:
+    """A child of :func:`fan_out`: run ``work`` on its share, send the answer."""
+    try:
+        reply = (True, work(share))
+    except Exception as error:
+        reply = (False, error)
+    sender.send(reply)
+    sender.close()
+
+
 def avoiders_132(n: int) -> Iterator[tuple[int, ...]]:
     """
     All 1-3-2-avoiding permutations of {1..n}, built directly: around the
     maximum, every value on the left must exceed every value on the right.
+    Each smaller size's avoiders are built once, as a list, and the
+    avoiders of {1..n} are made from them as they are read.
     """
     _check_enum_n(n)
+    if n == 0:
+        return iter([()])
+    smaller = [[()]]  # smaller[m]: the avoiders of {1..m}, in order
+    for m in range(1, n):
+        smaller.append(list(_avoiders_132_from(smaller, m)))
+    return _avoiders_132_from(smaller, n)
 
-    def build(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not values:
-            yield ()
-            return
-        m = len(values)
-        for k in range(1, m + 1):
-            left_values = values[m - k : m - 1]
-            right_values = values[: m - k]
-            for left in build(left_values):
-                for right in build(right_values):
-                    yield left + (values[-1],) + right
 
-    return build(tuple(range(1, n + 1)))
+def _avoiders_132_from(smaller: list, m: int) -> Iterator[tuple[int, ...]]:
+    """
+    The avoiders of {1..m} from ``smaller``, those of each size below m: the
+    maximum at position k, an avoider of {m-k+1..m-1} on its left (one of
+    size k - 1, shifted by m - k) and one of {1..m-k} on its right, ordered
+    by k, then the left side, then the right.
+    """
+    for k in range(1, m + 1):
+        shift = m - k
+        rights = smaller[shift]
+        for left in smaller[k - 1]:
+            head = tuple(v + shift for v in left) + (m,)
+            for right in rights:
+                yield head + right
 
 
 def avoiders_231(n: int) -> Iterator[tuple[int, ...]]:

@@ -180,14 +180,15 @@ def left_borders(word: Sequence[int]) -> tuple[int, ...]:
     >>> left_borders((5, 3, 1, 4, 8, 2, 7, 6))
     (0, 1, 2, 1, 0, 5, 5, 7)
     """
-    res: list[int] = []
-    stack: list[int] = []  # positions (1-based) with decreasing values
-    for i, v in enumerate(word, start=1):
-        while stack and word[stack[-1] - 1] < v:
-            stack.pop()
-        res.append(stack[-1] if stack else 0)
-        stack.append(i)
-    return tuple(res)
+    a = [0]  # a[j] is a_j, the left border of position j (1-based)
+    for i, v in enumerate(word):
+        # Jump from position i along the borders: every position skipped
+        # holds a smaller value than the one it jumped from, so below v.
+        j = i
+        while j and word[j - 1] < v:
+            j = a[j]
+        a.append(j)
+    return tuple(a[1:])
 
 
 def right_borders(word: Sequence[int]) -> tuple[int, ...]:
@@ -199,16 +200,15 @@ def right_borders(word: Sequence[int]) -> tuple[int, ...]:
     (5, 4, 4, 5, 9, 7, 9, 9)
     """
     n = len(word)
-    res = [n + 1] * n
-    stack: list[int] = []  # 0-based positions with decreasing values
+    b = [n + 1] * n
     for i in range(n - 1, -1, -1):
+        # Jump from position i + 2 along the borders, as in left_borders.
         v = word[i]
-        while stack and word[stack[-1]] < v:
-            stack.pop()
-        if stack:
-            res[i] = stack[-1] + 1
-        stack.append(i)
-    return tuple(res)
+        j = i + 1  # 0-based
+        while j < n and word[j] < v:
+            j = b[j] - 1
+        b[i] = j + 1
+    return tuple(b)
 
 
 def descent_positions(word: Sequence[int]) -> tuple[int, ...]:
@@ -378,7 +378,8 @@ def avoids_word(word: Sequence[int], pattern: Sequence[int]) -> bool:
 def max_links(word: Sequence[int]) -> tuple[list[int], list[int], int]:
     """
     Split a word at its maximum, and each side again at its maximum, in one
-    pass: a stack of nearest greater values (Vuillemin's Cartesian tree).
+    pass over the nearest earlier values at least as large, followed as
+    jump pointers (Vuillemin's Cartesian tree).
     Returns the left and right child position of every position, -1 for
     none, and the root position, -1 for the empty word.  Of equal values
     the earlier one is the ancestor, so every split takes the first maximum.
@@ -389,16 +390,22 @@ def max_links(word: Sequence[int]) -> tuple[list[int], list[int], int]:
     n = len(word)
     left = [-1] * n
     right = [-1] * n
-    stack: list[int] = []  # positions with weakly decreasing values
+    up = [-1] * n  # the nearest earlier position with a value at least word[i]
+    root = -1
     for i, v in enumerate(word):
-        last = -1
-        while stack and word[stack[-1]] < v:
-            last = stack.pop()
+        # The chain from i - 1 along ``up`` is the tree's right spine so far;
+        # the positions below v leave it and hang as i's left subtree.
+        j, last = i - 1, -1
+        while j >= 0 and word[j] < v:
+            last = j
+            j = up[j]
         left[i] = last
-        if stack:
-            right[stack[-1]] = i
-        stack.append(i)
-    return left, right, (stack[0] if stack else -1)
+        up[i] = j
+        if j < 0:
+            root = i
+        else:
+            right[j] = i
+    return left, right, root
 
 
 def decreasing_tree_word(word: Sequence[int]) -> DecreasingTree:

@@ -98,12 +98,12 @@ from .shapes import (
 )
 from .tableaux import (
     _bijection_image,
+    _checked_decode,
     _columns,
     _count_132_231_from_columns,
     _decode_word,
     _encode_word,
-    _min_filling,
-    decode_tableau,
+    _min_mask,
 )
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "run_suites", "run_suite"]
@@ -135,6 +135,13 @@ class SuiteResult:
         if not condition:
             self.failures.append(message.format(*args) if args else message)
             raise _Stop
+
+
+class _OneLine(tuple):
+    """A word that a template prints as a :class:`Permutation` prints, ``2,1``."""
+
+    def __format__(self, spec: str) -> str:
+        return ",".join(map(str, self))
 
 
 def _catalan(n: int) -> int:
@@ -186,7 +193,7 @@ def _run_ranged(
     ns: range,
     workers: int,
     check,
-    min_total: int = oracle._POOL_MIN_TOTAL,
+    min_total: int = oracle._FAN_OUT_MIN_TOTAL,
 ) -> dict:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
@@ -267,16 +274,26 @@ def _stats_check_word(
     if not 1 <= n <= 8:
         return
     tree = decreasing_tree_word(word)
-    result.require(
-        tree.inorder_values() == word, "in-order traversal broken at {}", word
-    )
-    # A left child hangs below its right border position, a right child
-    # below its left border position.
-    ok = all(
-        (lc < 0 or b[lc] == k + 1) and (rc < 0 or a[rc] == k + 1)
-        for k, (lc, rc) in enumerate(zip(tree.left, tree.right))
-    )
-    result.require(ok, "tree parent law fails at {}", word)
+    # One in-order walk of the links reads both claims: the labels it meets,
+    # in order, and at each node k it meets, whether a left child hangs below
+    # its right border position k + 1 and a right child below its left
+    # border position k + 1.  Once the labels are the word's, the walk has
+    # met each node once.
+    values, left, right = tree.values, tree.left, tree.right
+    met, stack, node, parents = [], [], tree.root, True
+    while True:
+        while node >= 0:
+            stack.append(node)
+            node = left[node]
+        if not stack:
+            break
+        k = stack.pop()
+        met.append(values[k])
+        child, node = left[k], right[k]
+        if (child >= 0 and b[child] != k + 1) or (node >= 0 and a[node] != k + 1):
+            parents = False
+    result.require(tuple(met) == word, "in-order traversal broken at {}", word)
+    result.require(parents, "tree parent law fails at {}", word)
 
 
 def suite_stats(result: SuiteResult, workers: int) -> None:
@@ -500,24 +517,26 @@ def _check_extreme_fillings(
     The minimal and full fillings of the layout's shape, at ``word``, whose
     tableau is the full filling: the round trip has shown that the full
     filling decodes to ``word``, of the layout's shape.  The minimal filling
-    is decoded here, and a decode that rejects it fails ``result``.
+    is decoded here from its mask, with no tableau built, and checked as
+    :func:`permshape.tableaux.decode_tableau` checks it; a decode that
+    rejects it fails ``result``.
     """
     s = layout.shape
-    low = decode_tableau(_min_filling(layout))
+    low = _checked_decode(layout, _min_mask(layout))[0]
     result.require(
-        not contains_231(low.entries),
+        not contains_231(low),
         "minimal filling of {} decodes to a 2-3-1 container {}",
         s,
-        low,
+        _OneLine(low),
     )
     result.require(
         not contains_132(word),
         "full filling of {} decodes to a 1-3-2 container {}",
         s,
-        ",".join(map(str, word)),
+        _OneLine(word),
     )
     result.require(
-        shape_parts(low.entries) == s.parts,
+        shape_parts(low) == s.parts,
         "extreme fillings of {} do not preserve the shape",
         s,
     )
@@ -547,13 +566,6 @@ def suite_tableau(result: SuiteResult, workers: int) -> None:
 # bijection: the minimal-filling map is a statistics-preserving bijection
 # from 1-3-2-avoiders onto 2-3-1-avoiders.
 # ---------------------------------------------------------------------------
-
-
-class _OneLine(tuple):
-    """A word that a template prints as a :class:`Permutation` prints, ``2,1``."""
-
-    def __format__(self, spec: str) -> str:
-        return ",".join(map(str, self))
 
 
 def _bijection_stats(
@@ -759,7 +771,7 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
     max_n = result.max_n
     ns = range(0, min(max_n, 9) + 1)
     # One walk of S_0..S_9 at most, a check as light as a count, so it waits
-    # for a pool as long as a tally does: the splitting law per word, and the
+    # to fan out as long as a tally does: the splitting law per word, and the
     # joint counts of G_n for n <= 8, whose first coordinate is the area.
     counts = _run_ranged(
         result, ns, workers, _genfun_check_word, min_total=oracle._TALLY_MIN_TOTAL

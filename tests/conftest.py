@@ -1,32 +1,46 @@
-import multiprocessing.context
+import multiprocessing.process
 import os
 
 import pytest
 
 
 @pytest.fixture
-def pool_requests(monkeypatch):
+def fan_outs(monkeypatch):
     """
-    Record (start method, processes) for every pool opened, with the host
-    reporting 2 CPUs so that a 2-worker run fans out on any machine.
+    Record (start method, processes) for every fan-out that starts worker
+    processes, the caller counted among the processes, with the host
+    reporting 2 CPUs so that a 2-worker run fans out on any machine.  A
+    fan-out joins its children before it returns, so one fan-out is a run
+    of process starts with no join between them.
     """
-    requests = []
-    real_pool = multiprocessing.context.BaseContext.Pool
+    records = []
+    joined = [True]  # whether the next start opens a new fan-out
+    real_start = multiprocessing.process.BaseProcess.start
+    real_join = multiprocessing.process.BaseProcess.join
 
-    def recording_pool(self, processes=None, *args, **kwargs):
-        requests.append((self.get_start_method(), processes))
-        return real_pool(self, processes, *args, **kwargs)
+    def recording_start(self):
+        if joined[0]:
+            records.append((self._start_method, 1))
+            joined[0] = False
+        method, processes = records[-1]
+        records[-1] = (method, processes + 1)
+        return real_start(self)
 
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", recording_pool)
+    def recording_join(self, *args, **kwargs):
+        joined[0] = True
+        return real_join(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "join", recording_join)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    return requests
+    return records
 
 
 @pytest.fixture
-def no_pool(monkeypatch):
-    """Fail the test if anything opens a process pool."""
+def no_fan_out(monkeypatch):
+    """Fail the test if anything starts a worker process."""
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a process pool was opened")
+        raise AssertionError("a worker process was started")
 
-    monkeypatch.setattr(multiprocessing.context.BaseContext, "Pool", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)

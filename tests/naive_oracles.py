@@ -38,6 +38,78 @@ def naive_right_borders(word):
     return tuple(out)
 
 
+def stack_left_borders(word):
+    """
+    Left borders by a stack of nearest greater-or-equal positions, popped
+    while their value is below the next one.
+    """
+    res = []
+    stack = []  # positions (1-based) with weakly decreasing values
+    for i, v in enumerate(word, start=1):
+        while stack and word[stack[-1] - 1] < v:
+            stack.pop()
+        res.append(stack[-1] if stack else 0)
+        stack.append(i)
+    return tuple(res)
+
+
+def stack_right_borders(word):
+    """Right borders by the same stack, run from the right end."""
+    n = len(word)
+    res = [n + 1] * n
+    stack = []  # 0-based positions with weakly decreasing values
+    for i in range(n - 1, -1, -1):
+        v = word[i]
+        while stack and word[stack[-1]] < v:
+            stack.pop()
+        if stack:
+            res[i] = stack[-1] + 1
+        stack.append(i)
+    return tuple(res)
+
+
+def stack_max_links(word):
+    """
+    (left, right, root) of the Cartesian tree by the stack of nearest greater
+    values (Vuillemin): the last position popped is the left child, the new
+    position the right child of the stack's top.  Of equal values the earlier
+    one is the ancestor.
+    """
+    n = len(word)
+    left = [-1] * n
+    right = [-1] * n
+    stack = []  # positions with weakly decreasing values
+    for i, v in enumerate(word):
+        last = -1
+        while stack and word[stack[-1]] < v:
+            last = stack.pop()
+        left[i] = last
+        if stack:
+            right[stack[-1]] = i
+        stack.append(i)
+    return left, right, (stack[0] if stack else -1)
+
+
+def recursive_avoiders_132(n):
+    """
+    The 1-3-2-avoiders of {1..n} by recursion on the maximum's position,
+    through nested generators: position k, then the left side, then the
+    right.
+    """
+
+    def build(values):
+        if not values:
+            yield ()
+            return
+        m = len(values)
+        for k in range(1, m + 1):
+            for left in build(values[m - k : m - 1]):
+                for right in build(values[: m - k]):
+                    yield left + (values[-1],) + right
+
+    return build(tuple(range(1, n + 1)))
+
+
 def order_isomorphic(a, b):
     return all(
         (a[i] < a[j]) == (b[i] < b[j])

@@ -20,7 +20,6 @@ from permshape import genfun, verify
 from permshape.cli import MAP_MAX_N, main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
 from permshape.shapes import dyck_word
-from permshape.tableaux import FilledTableau
 
 
 # A child interpreter imports the package under test, installed or not.
@@ -175,7 +174,7 @@ class TestDist:
         ],
         ids=["shape-avoid", "shape-parity", "lbsum-shape"],
     )
-    def test_ignored_option_rejected(self, extra, message, capsys, no_pool):
+    def test_ignored_option_rejected(self, extra, message, capsys, no_fan_out):
         assert main(["dist", "--n", "4", *extra]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -305,14 +304,14 @@ def test_shape_rows_sort_as_their_texts(n, capsys):
     [["dist", "--n", "7", "--stat", "lbsum"], ["verify", "stats", "--max-n", "7"]],
     ids=["dist", "verify"],
 )
-def test_workers_below_one_rejected(argv, workers, capsys, no_pool):
+def test_workers_below_one_rejected(argv, workers, capsys, no_fan_out):
     assert main([*argv, "--workers", workers]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --workers must be at least 1, got {workers}\n"
 
 
-def test_negative_max_n_rejected(capsys, no_pool):
+def test_negative_max_n_rejected(capsys, no_fan_out):
     assert main(["verify", "stats", "--max-n", "-3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -436,16 +435,15 @@ class TestSelfCheckDisagreement:
         # The full filling of shape (2, 1) less its dot (1, 2) decodes to
         # 2,3,1, whose shape is (2, 0); the fillings of (2, 1) are checked
         # at (3, 2, 1), the word whose filling is full.
-        real = verify._min_filling
+        real = verify._min_mask
 
         def broken(layout):
             if layout.shape.parts != (2, 1):
                 return real(layout)
             # The full filling less its lowest dot, (1, 2).
-            mask = layout.allowed & (layout.allowed - 1)
-            return FilledTableau._from_mask(layout, mask)
+            return layout.allowed & (layout.allowed - 1)
 
-        monkeypatch.setattr(verify, "_min_filling", broken)
+        monkeypatch.setattr(verify, "_min_mask", broken)
         lines = self.run_failing(["verify", "tableau", "--max-n", "3"], capsys)
         assert lines[0].startswith("FAIL tableau")
         assert lines[1:] == [
@@ -472,40 +470,50 @@ class TestSelfCheckDisagreement:
         ]
 
 
-# A fault of the library raised inside a suite, in this process or in a pool
-# worker, is that suite's one failed check: FAIL and exit 1 with the same
-# checks and message at any worker count, never a usage error (exit 2) or a
-# traceback.  Three faults hit the last word of S_7, which a 2-worker walk
-# reaches in its second range.
+# A fault of the library raised inside a suite, in this process or in a
+# worker process, is that suite's one failed check: FAIL and exit 1 with the
+# same checks and message at any worker count, never a usage error (exit 2)
+# or a traceback.  Three faults hit the last word of S_7, which a 2-worker
+# walk reaches in its second share, a child's.  Each plant calls ``met()``
+# in the process where its fault fires.
 LAST = (7, 6, 5, 4, 3, 2, 1)
 
 
-def _non_dyck_path(real):
-    return lambda word: "r" + real(word)[1:] if word == LAST else real(word)
+def _non_dyck_path(real, met):
+    def fake(word):
+        if word != LAST:
+            return real(word)
+        met()
+        return "r" + real(word)[1:]
+
+    return fake
 
 
-def _no_border_sequence(real):
+def _no_border_sequence(real, met):
     def fake(s):
         if s.parts == (6, 5, 4, 3, 2, 1):
+            met()
             raise ValueError(f"shape {s} admits no border sequence")
         return real(s)
 
     return fake
 
 
-def _overlapping_tiles(real):
+def _overlapping_tiles(real, met):
     def fake(parts):
+        met()
         tiles = real(parts)
         return tiles + tiles[:1]
 
     return fake
 
 
-def _index_error(real):
+def _index_error(real, met):
     target = dyck_word(LAST)
 
     def fake(path):
         if path == target:
+            met()
             return ()[0]  # IndexError: tuple index out of range
         return real(path)
 
@@ -546,11 +554,20 @@ LIBRARY_FAULTS = {
     reason="the patched kernel reaches the workers only through fork",
 )
 @pytest.mark.parametrize("fault", list(LIBRARY_FAULTS))
-def test_library_fault_is_a_failed_check(fault, pool_requests, monkeypatch, capsys):
-    suite, name, plant, pools, message = LIBRARY_FAULTS[fault]
-    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
-    runs = []
+def test_library_fault_is_a_failed_check(
+    fault, fan_outs, monkeypatch, capsys, tmp_path
+):
+    suite, name, plant, fanned, message = LIBRARY_FAULTS[fault]
+    log = tmp_path / "met"
+
+    def met():
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name), met))
+    runs, meeting = [], []
     for workers in ("1", "2"):
+        log.write_text("")
         assert main(["verify", suite, "--max-n", "7", "--workers", workers]) == 1
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -558,8 +575,14 @@ def test_library_fault_is_a_failed_check(fault, pool_requests, monkeypatch, caps
         assert status.startswith(f"FAIL {suite}")
         assert rest == [f"     first counterexample: {message}", "result: FAILED"]
         runs.append(re.sub(r" [0-9.]+s$", "", status))  # the line less its seconds
+        meeting.append(set(log.read_text().split()))
     assert runs[0] == runs[1]
-    assert [processes for _, processes in pool_requests] == [2] * pools
+    assert [processes for _, processes in fan_outs] == [2] * fanned
+    # The processes where the fault fired: this one alone, unless the run
+    # fanned out, where only a child met it.
+    me = str(os.getpid())
+    assert meeting[0] == {me}
+    assert meeting[1] and (me not in meeting[1] if fanned else meeting[1] == {me})
 
 
 def test_quiet_exit_when_the_reader_leaves_early():

@@ -109,7 +109,7 @@ def _swapped_y_q(g):
 P1342, P2143 = Permutation((1, 3, 4, 2)), Permutation((2, 1, 4, 3))
 
 # template -> (suite, max_n, module, name, plant, the one failure it causes).
-# The ranged suites run at max_n 7, where a 2-worker walk opens a pool.
+# The ranged suites run at max_n 7, where a 2-worker walk fans out.
 MATRIX = {
     # stats
     "{} at {}": (
@@ -410,13 +410,13 @@ def test_every_check_has_a_fault():
 
 
 @pytest.mark.parametrize("template", list(MATRIX))
-def test_the_planted_fault_is_the_first_failure(template, pool_requests, monkeypatch):
+def test_the_planted_fault_is_the_first_failure(template, fan_outs, monkeypatch):
     suite, max_n, module, name, plant, message = MATRIX[template]
     pattern = ".*".join(map(re.escape, template.split("{}")))
     assert re.fullmatch(pattern, message, re.DOTALL)
     monkeypatch.setattr(module, name, plant(getattr(module, name)))
     serial = run_suite(suite, max_n, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     assert (serial.passed, serial.failures) == (False, [message])
     if not FORK:
         return  # a patched name reaches the workers only through fork

@@ -1,5 +1,8 @@
 import multiprocessing
 import os
+import signal
+import time
+from contextlib import contextmanager
 from math import comb, factorial
 
 import pytest
@@ -29,6 +32,7 @@ from naive_oracles import (
     naive_avoiders,
     naive_permutations,
     naive_statistic_distribution,
+    recursive_avoiders_132,
 )
 
 
@@ -54,6 +58,44 @@ def _until(stop, blocks):
         if lo <= stop < hi:
             break
     return out
+
+
+def _exits_past_share_0(blocks):
+    """Exit without an answer in every share but the caller's, share 0."""
+    if blocks[0][0]:
+        os._exit(3)
+    return _ranges(blocks)
+
+
+def _fails_in_share_0(blocks):
+    """Raise in the caller's share while the children sleep."""
+    if not blocks[0][0]:
+        raise ValueError("share 0 fails")
+    time.sleep(60)
+    return _ranges(blocks)
+
+
+def _fails_past_share_0(blocks):
+    """Raise in every share but the caller's, naming where it starts."""
+    if blocks[0][0]:
+        raise LookupError(f"share from {blocks[0][0]} fails")
+    return _ranges(blocks)
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in this process if the block takes longer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestEnumeration:
@@ -103,29 +145,30 @@ class TestEnumeration:
 
 
 class TestFanOut:
-    def test_rejects_workers_below_one(self, no_pool):
+    def test_rejects_workers_below_one(self, no_fan_out):
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
                 fan_out(_ranges, 10, workers)
 
-    def test_single_range_runs_inline(self, no_pool, monkeypatch):
+    def test_single_range_runs_inline(self, no_fan_out, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert fan_out(_ranges, 10, 4) == [range(0, 10)]
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert fan_out(_ranges, 1, 4) == [range(0, 1)]
+        assert fan_out(_ranges, factorial(7) - 1, 4) == [range(0, factorial(7) - 1)]
 
-    def test_one_cpu_opens_no_pool(self, no_pool, monkeypatch):
+    def test_one_cpu_opens_no_pool(self, no_fan_out, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         serial = distribution(7, "lbsum")
         assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
 
-    def test_clamped_to_cpu_count(self, pool_requests):
+    def test_clamped_to_cpu_count(self, fan_outs):
         serial = distribution(8, "lbsum")
         assert distribution(8, "lbsum", workers=10**6).counts == serial.counts
-        assert [processes for _, processes in pool_requests] == [2]
+        assert [processes for _, processes in fan_outs] == [2]
 
     # Every public entry point that takes ``workers``, at sizes too small
-    # for a pool and on routes that never open one.
+    # to fan out and on routes that never do.
     @pytest.mark.parametrize(
         "call",
         [
@@ -145,15 +188,16 @@ class TestFanOut:
             "run_suite-series",
         ],
     )
-    def test_workers_below_one_rejected_at_every_size(self, call, no_pool):
+    def test_workers_below_one_rejected_at_every_size(self, call, no_fan_out):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             call()
 
-    def test_walks_below_seven_factorial_run_inline(self, pool_requests):
+    def test_walks_below_seven_factorial_run_inline(self, fan_outs):
         assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
         assert shape_census(6, workers=2) == shape_census(6)
         assert fan_out(_ranges, 63, 2, min_total=64) == [range(0, 63)]
-        assert not pool_requests
+        assert run_suite("stats", 6, workers=2).checks == 2620
+        assert not fan_outs
 
     def test_a_block_moves_the_stream_only_once_read(self):
         # Left partly read or unread, a slice still ends where its block
@@ -196,19 +240,19 @@ class TestFanOut:
         with pytest.raises(RuntimeError, match="ends short of its 120 words"):
             shape_census(5)
 
-    def test_blocks_are_dealt_round_robin(self, pool_requests):
-        # 2 workers x 8 blocks: block t goes to share t mod 2, one pool task
-        # each, and the results come back in stream order, covering
-        # [0, total) once.
+    def test_blocks_are_dealt_round_robin(self, fan_outs):
+        # 2 workers x 8 blocks: block t goes to share t mod 2, share 0 to
+        # the caller and share 1 to one child process, and the results come
+        # back in stream order, covering [0, total) once.
         results = fan_out(_owned, 100, 2, min_total=0)
         assert [(lo, hi) for _, lo, hi in results] == split_ranges(100, 16)
         pids = [pid for pid, _, _ in results]
-        assert os.getpid() not in pids
+        assert pids[0] == os.getpid() != pids[1]
         assert pids == [pids[0], pids[1]] * 8
-        assert [processes for _, processes in pool_requests] == [2]
+        assert [processes for _, processes in fan_outs] == [2]
 
     @pytest.mark.parametrize("stop", [0, 6, 7, 93, 99])
-    def test_results_end_at_the_first_block_a_worker_left(self, stop, pool_requests):
+    def test_results_end_at_the_first_block_a_worker_left(self, stop, fan_outs):
         # The worker that meets ``stop`` in block t returns nothing after it,
         # so the results run in order up to block t + 1, the other worker's
         # next, and end before block t + 2, the first without a result.
@@ -217,20 +261,47 @@ class TestFanOut:
         results = fan_out(partial(_until, stop), 100, 2, min_total=0)
         assert results == [range(lo, hi) for lo, hi in blocks[: t + 2]]
 
-    def test_tallies_of_s7_run_inline(self, pool_requests):
+    def test_tallies_of_s7_run_inline(self, fan_outs):
         # A count does less per word than a check, so it waits for S_8.
         assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")
         assert shape_census(7, workers=2) == shape_census(7)
         assert tally(7, len, workers=2) == {7: factorial(7)}
-        assert not pool_requests
+        assert not fan_outs
 
-    def test_spawn_when_fork_is_missing(self, pool_requests, monkeypatch):
+    def test_spawn_when_fork_is_missing(self, fan_outs, monkeypatch):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
         )
         assert distribution(8, "lbsum", workers=2) == distribution(8, "lbsum")
         assert shape_census(8, workers=2) == shape_census(8)
-        assert pool_requests == [("spawn", 2), ("spawn", 2)]
+        assert fan_outs == [("spawn", 2), ("spawn", 2)]
+
+    def test_spawned_blocks_match_the_serial_walk(self, fan_outs, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        work = partial(oracle._tally_blocks, 6, oracle.STATISTICS["inv"])
+        serial = work(split_ranges(720, 2 * oracle._BLOCKS_PER_WORKER))
+        assert fan_out(work, 720, 2, min_total=0) == serial
+        assert fan_outs == [("spawn", 2)]
+
+    def test_a_child_that_exits_unanswered_raises(self, fan_outs):
+        # A pool's map would wait for the lost task forever.
+        with _deadline(60):
+            with pytest.raises(RuntimeError, match="exited with code 3 before"):
+                fan_out(_exits_past_share_0, 100, 2, min_total=0)
+        assert not multiprocessing.active_children()
+
+    def test_a_fault_in_the_callers_share_ends_the_children(self, fan_outs):
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="share 0 fails"):
+            fan_out(_fails_in_share_0, 100, 2, min_total=0)
+        assert not multiprocessing.active_children()
+        assert time.monotonic() - started < 30  # the child's sleep was cut short
+        assert [processes for _, processes in fan_outs] == [2]
+
+    def test_a_childs_exception_is_raised_as_it_was(self, fan_outs):
+        with pytest.raises(LookupError, match="^share from 7 fails$"):
+            fan_out(_fails_past_share_0, 100, 2, min_total=0)
+        assert not multiprocessing.active_children()
 
 
 class TestAvoiders:
@@ -243,6 +314,10 @@ class TestAvoiders:
         for n in range(9):
             assert sum(1 for _ in avoiders_132(n)) == catalan(n)
             assert sum(1 for _ in avoiders_231(n)) == catalan(n)
+
+    def test_same_order_as_the_recursive_generator(self):
+        for n in range(11):
+            assert list(avoiders_132(n)) == list(recursive_avoiders_132(n))
 
 
 class TestDistribution:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from permshape.permutations import (
     identity,
     inversion_count,
     left_borders,
+    max_links,
     parse_permutation,
     right_borders,
     standardize,
@@ -29,6 +31,9 @@ from naive_oracles import (
     naive_left_borders,
     naive_pattern_count,
     naive_right_borders,
+    stack_left_borders,
+    stack_max_links,
+    stack_right_borders,
 )
 
 RUNNING = (5, 3, 1, 4, 8, 2, 7, 6)
@@ -256,6 +261,49 @@ class TestBarred132:
 
 def _flat(tree):
     return (tree.values, tree.left, tree.right, tree.root)
+
+
+def _words_for_the_stack_oracles():
+    """
+    Every permutation with n <= 8, seeded random permutations up to n = 200,
+    and words with repeated, zero or negative values.
+    """
+    for n in range(9):
+        yield from itertools.permutations(range(1, n + 1))
+    rng = random.Random(2029)
+    for n in list(range(9, 40)) + [64, 100, 150, 200]:
+        for _ in range(20):
+            yield tuple(rng.sample(range(1, n + 1), n))
+    for n in range(1, 60):
+        for low, high in ((1, 3), (-4, 4), (-50, -45), (0, 0)):
+            yield tuple(rng.randint(low, high) for _ in range(n))
+    yield from [(2, 2), (3, 1, 3, 1, 3), (5, 5, 4, 5, 4), (-1, -2, -1), (0, -3, 0)]
+    yield tuple(range(200, 0, -1))
+    yield tuple(range(1, 201))
+
+
+class TestJumpPointerKernels:
+    """The jump-pointer kernels agree with the stack pass on any int word."""
+
+    def test_left_borders(self):
+        for word in _words_for_the_stack_oracles():
+            assert left_borders(word) == stack_left_borders(word), word
+
+    def test_right_borders(self):
+        for word in _words_for_the_stack_oracles():
+            assert right_borders(word) == stack_right_borders(word), word
+
+    def test_max_links(self):
+        for word in _words_for_the_stack_oracles():
+            assert max_links(word) == stack_max_links(word), word
+
+    def test_an_earlier_equal_value_is_the_ancestor(self):
+        # The first 3 is the root, the second hangs on its right, the third
+        # on the second's right, and each 1 is the left child of the 3 after it.
+        assert max_links((3, 1, 3, 1, 3)) == ([-1, -1, 1, -1, 3], [2, -1, 4, -1, -1], 0)
+        assert max_links((2, 2)) == ([-1, -1], [1, -1], 0)
+        assert left_borders((2, 2)) == (0, 1)
+        assert right_borders((2, 2)) == (2, 3)
 
 
 class TestDecreasingTree:

@@ -166,14 +166,14 @@ def test_spawned_workers_import_what_they_need():
     # run's.
     methods, serial, parallel = _fresh(
         """
-        import json, multiprocessing, multiprocessing.context, os
+        import json, multiprocessing, multiprocessing.process, os
         from permshape.verify import run_suite
 
-        methods, real = [], multiprocessing.context.BaseContext.Pool
-        def recording(self, *args, **kwargs):
-            methods.append(self.get_start_method())
-            return real(self, *args, **kwargs)
-        multiprocessing.context.BaseContext.Pool = recording
+        methods, real = [], multiprocessing.process.BaseProcess.start
+        def recording(self):
+            methods.append(self._start_method)
+            return real(self)
+        multiprocessing.process.BaseProcess.start = recording
         multiprocessing.get_all_start_methods = lambda: ["spawn"]
         os.cpu_count = lambda: 2
         serial, parallel = run_suite("stats", 7, 1), run_suite("stats", 7, 2)

@@ -15,12 +15,12 @@ from permshape.tableaux import bijection_132_to_231, decode_tableau, min_filling
 from permshape.verify import run_suite
 
 
-# Pools a 2-worker run opens: one per check walk of S_7, and none for the
+# Fan-outs of a 2-worker run: one per check walk of S_7, and none for the
 # suites whose walks of S_7 are counts or as light as one (count, parity and
-# genfun's one walk, which counts G_n and checks the splitting law, pool from
-# S_8 on) or that never fan out (poset compares whole up-set bitsets in one
-# process).
-POOLS = {
+# genfun's one walk, which counts G_n and checks the splitting law, fan out
+# from S_8 on) or that never fan out (poset compares whole up-set bitsets in
+# one process).
+FAN_OUTS = {
     "count": 0, "parity": 0, "genfun": 0, "bijection": 0, "series": 0, "poset": 0
 }
 
@@ -42,11 +42,11 @@ POOLS = {
         ("poset", 6),
     ],
 )
-def test_parallel_suite_matches_serial(name, max_n, pool_requests):
+def test_parallel_suite_matches_serial(name, max_n, fan_outs):
     serial = run_suite(name, max_n, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite(name, max_n, workers=2)
-    assert [processes for _, processes in pool_requests] == [2] * POOLS.get(name, 1)
+    assert [processes for _, processes in fan_outs] == [2] * FAN_OUTS.get(name, 1)
     assert serial.passed
     assert (parallel.passed, parallel.checks) == (serial.passed, serial.checks)
 
@@ -55,7 +55,7 @@ def test_parallel_suite_matches_serial(name, max_n, pool_requests):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
-def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
+def test_failure_inside_a_worker_range_is_reported(fan_outs, monkeypatch):
     # The last word of S_7 lies in the second worker's last block; the
     # patched kernel reaches the forked workers with the module.
     last = (7, 6, 5, 4, 3, 2, 1)
@@ -64,9 +64,9 @@ def test_failure_inside_a_worker_range_is_reported(pool_requests, monkeypatch):
     )
     message = f"path shape != border shape at {last}"
     serial = run_suite("shapes", 7, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite("shapes", 7, workers=2)
-    assert pool_requests == [("fork", 2)]
+    assert fan_outs == [("fork", 2)]
     for result in (serial, parallel):
         assert not result.passed
         assert result.failures == [message]
@@ -137,8 +137,8 @@ PLANTS = {
 }
 
 # genfun's one walk checks as little per word as a count, so it fans out
-# from S_8 on: run to 8, it opens one pool.
-DEPTHS = {"genfun": (8, 1)}  # suite -> (max_n, pools of a 2-worker run)
+# from S_8 on: run to 8, it fans out once.
+DEPTHS = {"genfun": (8, 1)}  # suite -> (max_n, fan-outs of a 2-worker run)
 
 
 @pytest.mark.skipif(
@@ -146,14 +146,14 @@ DEPTHS = {"genfun": (8, 1)}  # suite -> (max_n, pools of a 2-worker run)
     reason="the patched kernel reaches the workers only through fork",
 )
 @pytest.mark.parametrize("name", list(PLANTS))
-def test_failing_runs_agree_across_workers(name, pool_requests, monkeypatch):
+def test_failing_runs_agree_across_workers(name, fan_outs, monkeypatch):
     attribute, plant = PLANTS[name]
-    max_n, pools = DEPTHS.get(name, (7, 1))
+    max_n, fanned = DEPTHS.get(name, (7, 1))
     monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
     serial = run_suite(name, max_n, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite(name, max_n, workers=2)
-    assert pool_requests == [("fork", 2)] * pools
+    assert fan_outs == [("fork", 2)] * fanned
     assert not serial.passed and len(serial.failures) == 1
     assert f"at {FIRST}" in serial.failures[0]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
@@ -181,14 +181,14 @@ PLANTS_IN_S6 = {
     reason="the patched kernel reaches the workers only through fork",
 )
 @pytest.mark.parametrize("name", list(PLANTS_IN_S6))
-def test_fault_in_s6_agrees_across_workers(name, pool_requests, monkeypatch):
+def test_fault_in_s6_agrees_across_workers(name, fan_outs, monkeypatch):
     attribute, plant = PLANTS_IN_S6[name]
-    max_n, pools = DEPTHS.get(name, (7, 1))
+    max_n, fanned = DEPTHS.get(name, (7, 1))
     monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
     serial = run_suite(name, max_n, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite(name, max_n, workers=2)
-    assert [processes for _, processes in pool_requests] == [2] * pools
+    assert [processes for _, processes in fan_outs] == [2] * fanned
     assert not serial.passed and f"at {SIX}" in serial.failures[0]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -226,7 +226,7 @@ BLOCKS = oracle.split_ranges(len(STREAM), 2 * oracle._BLOCKS_PER_WORKER)
     ],
     ids=lambda planted: "+".join(f"b{t}{'first' if i == 0 else 'last'}" for t, i in planted),
 )
-def test_faults_in_first_and_last_blocks_agree(planted, pool_requests, monkeypatch):
+def test_faults_in_first_and_last_blocks_agree(planted, fan_outs, monkeypatch):
     words = [
         STREAM[max(BLOCKS[t][0], 2) if i == 0 else BLOCKS[t][1] - 1] for t, i in planted
     ]
@@ -234,9 +234,9 @@ def test_faults_in_first_and_last_blocks_agree(planted, pool_requests, monkeypat
         verify, "left_borders", _shifted_on(tuple(words))(verify.left_borders)
     )
     serial = run_suite("shapes", 7, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite("shapes", 7, workers=2)
-    assert pool_requests == [("fork", 2)]
+    assert fan_outs == [("fork", 2)]
     first = min(words, key=STREAM.index)
     assert serial.failures == [f"path shape != border shape at {first}"]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
@@ -271,14 +271,14 @@ def _raising_at(real, planted):
     [STREAM[2], STREAM[BLOCKS[1][0]], STREAM[BLOCKS[2][0] + 5], STREAM[-1]],
     ids=["b0", "b1first", "b2", "last"],
 )
-def test_word_stream_fault_agrees_across_workers(planted, pool_requests, monkeypatch):
+def test_word_stream_fault_agrees_across_workers(planted, fan_outs, monkeypatch):
     monkeypatch.setattr(
         oracle, "enumerate_sn", _raising_at(oracle.enumerate_sn, planted)
     )
     serial = run_suite("shapes", 7, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite("shapes", 7, workers=2)
-    assert pool_requests == [("fork", 2)]
+    assert fan_outs == [("fork", 2)]
     assert serial.failures == ["planted stream fault"]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -316,14 +316,14 @@ def _repeating(real, repeated):
     ids=["lost", "repeated"],
 )
 def test_a_walk_of_the_wrong_length_fails(
-    name, fault, message, pool_requests, monkeypatch
+    name, fault, message, fan_outs, monkeypatch
 ):
     monkeypatch.setattr(
         oracle, "enumerate_sn", fault(oracle.enumerate_sn, STREAM[4000])
     )
     serial = run_suite(name, 7, workers=1)
     parallel = run_suite(name, 7, workers=2)
-    assert pool_requests == [("fork", 2)]
+    assert fan_outs == [("fork", 2)]
     assert serial.failures == [message]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -336,7 +336,7 @@ def test_a_walk_of_the_wrong_length_fails(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
-def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
+def test_injectivity_fault_agrees_across_workers(fan_outs, monkeypatch):
     # LAST encodes to the tableau of FIRST, which decodes to the word just
     # encoded.  Neither word holds a 1-3-2 or a 2-3-1, so every per-word
     # check passes and only injectivity on S_7 fails, on keys collected by
@@ -351,9 +351,9 @@ def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
     monkeypatch.setattr(verify, "_encode_word", encode)
     monkeypatch.setattr(verify, "_decode_word", lambda columns: encoded[0])
     serial = run_suite("tableau", 7, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite("tableau", 7, workers=2)
-    assert [processes for _, processes in pool_requests] == [2]
+    assert [processes for _, processes in fan_outs] == [2]
     assert serial.failures == ["encode is not injective on S_7"]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -388,7 +388,7 @@ def test_injectivity_fault_agrees_across_workers(pool_requests, monkeypatch):
     ],
 )
 def test_filling_fault_agrees_across_workers(
-    word_fault, planted, first, pool_requests, monkeypatch
+    word_fault, planted, first, fan_outs, monkeypatch
 ):
     real_contains = verify.contains_231
     monkeypatch.setattr(
@@ -401,9 +401,9 @@ def test_filling_fault_agrees_across_workers(
         lambda word: (real_count(word)[0] + (word == word_fault), real_count(word)[1]),
     )
     serial = run_suite("tableau", 7, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite("tableau", 7, workers=2)
-    assert [processes for _, processes in pool_requests] == [2]
+    assert [processes for _, processes in fan_outs] == [2]
     assert serial.failures[0].startswith(first)
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -421,7 +421,7 @@ def test_filling_fault_agrees_across_workers(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
-def test_every_shape_meets_its_full_filling(pool_requests, monkeypatch):
+def test_every_shape_meets_its_full_filling(fan_outs, monkeypatch):
     real_encode = verify._encode_word
 
     def encode(word, shapes):
@@ -433,9 +433,9 @@ def test_every_shape_meets_its_full_filling(pool_requests, monkeypatch):
 
     monkeypatch.setattr(verify, "_encode_word", encode)
     serial = run_suite("tableau", 7, workers=1)
-    assert not pool_requests
+    assert not fan_outs
     parallel = run_suite("tableau", 7, workers=2)
-    assert [processes for _, processes in pool_requests] == [2]
+    assert [processes for _, processes in fan_outs] == [2]
     assert serial.failures == ["the extreme fillings met 428 of the 429 shapes of S_7"]
     assert serial.checks == 19628 - 3 + 1
     assert (parallel.passed, parallel.checks, parallel.failures) == (
@@ -467,22 +467,25 @@ def test_one_layout_per_shape(monkeypatch):
 
 def test_the_full_filling_is_not_built_again(monkeypatch):
     # Serial, S_0..S_6 hold 197 shapes: the walk decodes each one's minimal
-    # filling, and its full filling is the tableau of the word it meets.
+    # filling from its mask, and its full filling is the tableau of the word
+    # it meets; neither filling is built as a tableau.
     decoded = []
-    real = verify.decode_tableau
+    real = verify._checked_decode
 
-    def counting(t):
-        decoded.append(t)
-        return real(t)
+    def counting(layout, mask):
+        decoded.append(mask)
+        return real(layout, mask)
 
-    def refuse(layout):
-        raise AssertionError("a full filling was built")
+    def refuse(*args):
+        raise AssertionError("a filling was built")
 
-    monkeypatch.setattr(verify, "decode_tableau", counting)
+    monkeypatch.setattr(verify, "_checked_decode", counting)
     monkeypatch.setattr(tableaux, "_max_filling", refuse)
+    monkeypatch.setattr(tableaux, "_min_filling", refuse)
     assert run_suite("tableau", 6).passed
     assert len(decoded) == 197
     assert not hasattr(verify, "_max_filling")
+    assert not hasattr(verify, "decode_tableau")
 
 
 def test_the_census_is_not_read_back_from_text(monkeypatch):
@@ -493,10 +496,10 @@ def test_the_census_is_not_read_back_from_text(monkeypatch):
     assert run_suite("count", 7).passed
 
 
-def test_a_walk_to_s8_opens_one_pool(pool_requests):
+def test_a_walk_to_s8_opens_one_pool(fan_outs):
     result = run_suite("stats", 8, workers=2)
     assert result.passed
-    assert [processes for _, processes in pool_requests] == [2]
+    assert [processes for _, processes in fan_outs] == [2]
 
 
 def test_genfun_walks_each_sn_once(monkeypatch):
@@ -584,7 +587,7 @@ def test_a_tile_moved_off_the_diagram_fails_the_tiling(monkeypatch):
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="the patched kernel reaches the workers only through fork",
 )
-def test_a_tableau_on_the_wrong_layout_fails(pool_requests, monkeypatch):
+def test_a_tableau_on_the_wrong_layout_fails(fan_outs, monkeypatch):
     # Borders one off in the tableau's own route only: at (4, 7, 2, 6, 5, 1,
     # 3), a_7 goes 5 -> 6, which is still the border sequence of a shape, so
     # labels and layout agree with each other and every dot lies inside the
@@ -600,7 +603,7 @@ def test_a_tableau_on_the_wrong_layout_fails(pool_requests, monkeypatch):
     monkeypatch.setattr(tableaux, "left_borders", shifted)
     serial = run_suite("tableau", 7, workers=1)
     parallel = run_suite("tableau", 7, workers=2)
-    assert [processes for _, processes in pool_requests] == [2]
+    assert [processes for _, processes in fan_outs] == [2]
     assert serial.failures == [f"round trip broken at {word}"]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
@@ -659,7 +662,7 @@ def test_labels_are_built_once_per_entry(monkeypatch):
     assert len(calls) == 626
 
 
-def test_poset_opens_no_pool(no_pool):
+def test_poset_opens_no_pool(no_fan_out):
     result = run_suite("poset", 7, workers=2)
     assert (result.passed, result.checks) == (True, 746017)
 
@@ -730,7 +733,7 @@ def test_an_interrupt_passes_the_boundary(monkeypatch):
     "name, depth, workers",
     [("everything", 3, 1), ("series", 11, 1), ("series", 0, 1), ("stats", 3, 0)],
 )
-def test_bad_input_raises_before_the_boundary(name, depth, workers, no_pool):
+def test_bad_input_raises_before_the_boundary(name, depth, workers, no_fan_out):
     with pytest.raises(ValueError):
         run_suite(name, depth, workers)
 
