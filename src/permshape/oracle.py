@@ -9,7 +9,8 @@ exactly the serial result.  :func:`tally` counts a key over S_n; the walks
 of :mod:`permshape.verify` count the keys of their checks as they check.
 
 :func:`fan_out` is the library's one parallel layer: it rejects ``workers``
-below 1, decides whether the work is big enough to split at all, how many
+below 1, decides whether the work is big enough to split at all (from 7!
+words on, n = 7, for a count and a check walk alike), how many
 processes walk it (``workers`` clamped to the CPU count and to the amount of
 work, the caller counted), the start method of the others (``fork``, else
 ``spawn``) and the split.  A split deals the stream out in
@@ -60,16 +61,16 @@ __all__ = [
 
 MAX_ENUM_N = 11
 
-# The least work worth splitting, one unit per word of S_n.  Below it a split
-# cannot pay: a tally of S_6 takes 2-5 ms inline, while starting and joining
-# one forked child costs a few ms.
+# The least work worth splitting, one unit per word of S_n, for every walk,
+# a count or a check.  Starting one forked child, reading its answer off its
+# pipe and joining it costs 3-4 ms.  On a 2-CPU host, inline against two
+# workers (medians of 21 runs, three rounds): a bare tally of the area over
+# S_6 takes 1.4 against 5.2 ms and the stats check walk of S_0..S_6 12
+# against 16 ms, so below S_7 a split cannot pay.  At S_7 the check walks
+# gain (stats 87-90 against 61-78 ms, genfun 29-33 against 18-24 ms), while
+# a bare tally loses no more than that start (the area 6-10 against 9-14 ms,
+# the shape census 9 against 12-13 ms).
 _FAN_OUT_MIN_TOTAL = factorial(7)
-
-# A tally does less per word than a check, so it pays for a split one size
-# later: on a 2-CPU host, the joint tally of S_7 takes 29 ms inline and 25-40
-# ms with two workers in a process pool, that of S_8 130-180 ms against
-# 85-115 ms.
-_TALLY_MIN_TOTAL = factorial(8)
 
 # Blocks per worker of a split walk.  On a 2-CPU host the two halves of the
 # S_0..S_7 stream cost the tableau check 86 and 57 ms; dealt out in 8
@@ -140,18 +141,16 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def effective_workers(
-    workers: int, total: int, *, min_total: int = _FAN_OUT_MIN_TOTAL
-) -> int:
+def effective_workers(workers: int, total: int) -> int:
     """
-    The number of processes :func:`fan_out` uses for ``total`` units of work:
-    1 below ``min_total`` units (in the caller's own units), otherwise
-    ``workers`` clamped to the CPU count and to ``total``, and at least 1.
-    ``workers`` below 1 raises ValueError at every size.
+    The number of processes :func:`fan_out` uses for ``total`` words of
+    work: 1 below 7! words (S_7), otherwise ``workers`` clamped to the CPU
+    count and to ``total``, and at least 1.  ``workers`` below 1 raises
+    ValueError at every size.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if total < min_total:
+    if total < _FAN_OUT_MIN_TOTAL:
         return 1
     return max(1, min(workers, os.cpu_count() or 1, total))
 
@@ -192,11 +191,7 @@ def _slice_after(words, previous, gap, size, last, total):
 
 
 def fan_out(
-    work: Callable[[list[tuple[int, int]]], list],
-    total: int,
-    workers: int,
-    *,
-    min_total: int = _FAN_OUT_MIN_TOTAL,
+    work: Callable[[list[tuple[int, int]]], list], total: int, workers: int
 ) -> list:
     """
     Run ``work(blocks)`` once per worker on its blocks of [0, total), a list
@@ -204,9 +199,9 @@ def fan_out(
     block order.  ``work`` returns one result per block, in order, and may
     stop early: fewer results end that worker's share, and the returned list
     ends just before the first block without a result.  One worker gets the
-    single block [0, total) and runs inline, as does all work below
-    ``min_total`` units (by default 7!, one unit per word: a verify suite's
-    walk over S_0..S_max splits once it reaches 7! words).
+    single block [0, total) and runs inline, as does all work below 7!
+    words: a tally splits from n = 7 on, and a verify suite's walk over
+    S_0..S_max once it reaches 7! words.
 
     ``workers`` counts processes, the caller among them.  Several workers
     each get ``_BLOCKS_PER_WORKER`` interleaved blocks: the caller walks
@@ -217,7 +212,7 @@ def fan_out(
     of one).  A child that exits without an answer raises RuntimeError, and
     whatever ``fan_out`` raises, it first ends and joins its children.
     """
-    count = effective_workers(workers, total, min_total=min_total)
+    count = effective_workers(workers, total)
     if count == 1:
         return work([(0, total)])
     blocks = split_ranges(total, count * _BLOCKS_PER_WORKER)
@@ -376,19 +371,13 @@ def _merge_tallies(partials: list[dict]) -> dict:
 
 def tally(n: int, key: Callable, workers: int = 1) -> dict:
     """
-    Exact counts of ``key(word)`` over S_n.  From n = 8 on, ``workers``
+    Exact counts of ``key(word)`` over S_n.  From n = 7 on, ``workers``
     splits the enumeration into lexicographic blocks counted by separate
     processes (see :func:`fan_out`), so ``key`` must be picklable (a
     module-level function).
     """
-    return _merge_tallies(
-        fan_out(
-            partial(_tally_blocks, n, key),
-            factorial(n),
-            workers,
-            min_total=_TALLY_MIN_TOTAL,
-        )
-    )
+    work = partial(_tally_blocks, n, key)
+    return _merge_tallies(fan_out(work, factorial(n), workers))
 
 
 def distribution(
@@ -397,7 +386,7 @@ def distribution(
     """
     The exact distribution of a statistic over S_n, optionally restricted to
     the 1-3-2- or 2-3-1-avoiding class.  Over full S_n it is a :func:`tally`,
-    so ``workers`` splits it into lexicographic ranges from n = 8 on; the
+    so ``workers`` splits it into lexicographic ranges from n = 7 on; the
     avoider classes are walked in one process.  ``workers`` below 1 raises
     ValueError either way.
     """

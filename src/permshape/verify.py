@@ -188,24 +188,18 @@ def _check_blocks(
     return out
 
 
-def _run_ranged(
-    result: SuiteResult,
-    ns: range,
-    workers: int,
-    check,
-    min_total: int = oracle._FAN_OUT_MIN_TOTAL,
-) -> dict:
+def _run_ranged(result: SuiteResult, ns: range, workers: int, check) -> dict:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
     n in ``ns`` (see the module docstring), and return the counts the checks
     kept in the dict ``keys``, merged over the walk, which claims about a
-    whole S_n need.  A walk below ``min_total`` words runs inline (see
+    whole S_n need.  A walk below 7! words runs inline (see
     :func:`permshape.oracle.fan_out`).
     """
     counts = []
     total = sum(factorial(n) for n in ns)
     work = partial(_check_blocks, ns, check)
-    for part, keys in oracle.fan_out(work, total, workers, min_total=min_total):
+    for part, keys in oracle.fan_out(work, total, workers):
         result.checks += part.checks
         if part.failures:
             result.failures = part.failures
@@ -770,12 +764,9 @@ def _genfun_check_word(
 def suite_genfun(result: SuiteResult, workers: int) -> None:
     max_n = result.max_n
     ns = range(0, min(max_n, 9) + 1)
-    # One walk of S_0..S_9 at most, a check as light as a count, so it waits
-    # to fan out as long as a tally does: the splitting law per word, and the
+    # One walk of S_0..S_9 at most: the splitting law per word, and the
     # joint counts of G_n for n <= 8, whose first coordinate is the area.
-    counts = _run_ranged(
-        result, ns, workers, _genfun_check_word, min_total=oracle._TALLY_MIN_TOTAL
-    )
+    counts = _run_ranged(result, ns, workers, _genfun_check_word)
     joints: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in ns}
     areas: dict[int, dict[int, int]] = {n: {} for n in ns}
     for (n, area, *rest), count in counts.items():

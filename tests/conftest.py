@@ -3,6 +3,8 @@ import os
 
 import pytest
 
+from permshape import oracle
+
 
 @pytest.fixture
 def fan_outs(monkeypatch):
@@ -44,3 +46,9 @@ def no_fan_out(monkeypatch):
         raise AssertionError("a worker process was started")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+@pytest.fixture
+def split_any_size(monkeypatch):
+    """Let :func:`permshape.oracle.fan_out` split work of any size."""
+    monkeypatch.setattr(oracle, "_FAN_OUT_MIN_TOTAL", 0)

@@ -287,6 +287,24 @@ def test_output_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# A dist of S_7 splits its tally once at 2 workers and prints the bytes of
+# the 1-worker run, in every format.
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize(
+    "args",
+    [["--stat", "lbsum", "--parity", "--check"], ["--stat", "shape", "--check"]],
+    ids=["lbsum", "shape"],
+)
+def test_dist_bytes_agree_across_workers(args, fmt, fan_outs, capsys):
+    outs = []
+    for workers in ("1", "2"):
+        argv = ["dist", "--n", "7", *args, "--format", fmt, "--workers", workers]
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert [processes for _, processes in fan_outs] == [2]
+
+
 # The shape rows are sorted by parts, and keep the order of their texts at
 # every n that dist accepts, where each part is a single digit.
 @pytest.mark.parametrize("n", range(10))
@@ -501,8 +519,10 @@ def _no_border_sequence(real, met):
 
 def _overlapping_tiles(real, met):
     def fake(parts):
-        met()
         tiles = real(parts)
+        if len(parts) < 6:  # only the shapes of S_7 have 6 parts
+            return tiles
+        met()
         return tiles + tiles[:1]
 
     return fake
@@ -520,13 +540,19 @@ def _index_error(real, met):
     return fake
 
 
-# A fault raised inside a per-word check names the word being checked.
+# A fault raised inside a per-word check names the word being checked.  Per
+# fault: the suite, the name planted, the plant, the fan-outs of a 2-worker
+# run, whether the fault fires in a child there, and the first counterexample.
+# Count's fault, planted in the shapes of S_7, is in the tiling check, which
+# runs in the caller on the merged census: the census of S_7 fans out, and
+# the fault still fires in the caller.
 LIBRARY_FAULTS = {
     "dyck-word": (
         "shapes",
         "dyck_word",
         _non_dyck_path,
         1,
+        True,
         f"not a Dyck word: 'rrurururururur' at {LAST}",
     ),
     "borders-from-shape": (
@@ -534,17 +560,24 @@ LIBRARY_FAULTS = {
         "borders_from_shape",
         _no_border_sequence,
         1,
+        True,
         f"shape 6,5,4,3,2,1 admits no border sequence at {LAST}",
     ),
     "rectangle-overlap": (
         "count",
         "_rectangles",
         _overlapping_tiles,
-        0,
+        1,
+        False,
         "rectangles overlap at (1, 1)",
     ),
     "valleys-index-error": (
-        "shapes", "_valleys", _index_error, 1, f"tuple index out of range at {LAST}"
+        "shapes",
+        "_valleys",
+        _index_error,
+        1,
+        True,
+        f"tuple index out of range at {LAST}",
     ),
 }
 
@@ -557,7 +590,7 @@ LIBRARY_FAULTS = {
 def test_library_fault_is_a_failed_check(
     fault, fan_outs, monkeypatch, capsys, tmp_path
 ):
-    suite, name, plant, fanned, message = LIBRARY_FAULTS[fault]
+    suite, name, plant, fanned, in_child, message = LIBRARY_FAULTS[fault]
     log = tmp_path / "met"
 
     def met():
@@ -578,11 +611,11 @@ def test_library_fault_is_a_failed_check(
         meeting.append(set(log.read_text().split()))
     assert runs[0] == runs[1]
     assert [processes for _, processes in fan_outs] == [2] * fanned
-    # The processes where the fault fired: this one alone, unless the run
-    # fanned out, where only a child met it.
+    # The processes where the fault fired: this one alone, unless it fires
+    # in a child, where only a child met it.
     me = str(os.getpid())
     assert meeting[0] == {me}
-    assert meeting[1] and (me not in meeting[1] if fanned else meeting[1] == {me})
+    assert meeting[1] and (me not in meeting[1] if in_child else meeting[1] == {me})
 
 
 def test_quiet_exit_when_the_reader_leaves_early():

@@ -163,8 +163,8 @@ class TestFanOut:
         assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
 
     def test_clamped_to_cpu_count(self, fan_outs):
-        serial = distribution(8, "lbsum")
-        assert distribution(8, "lbsum", workers=10**6).counts == serial.counts
+        serial = distribution(7, "lbsum")
+        assert distribution(7, "lbsum", workers=10**6).counts == serial.counts
         assert [processes for _, processes in fan_outs] == [2]
 
     # Every public entry point that takes ``workers``, at sizes too small
@@ -192,11 +192,13 @@ class TestFanOut:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             call()
 
-    def test_walks_below_seven_factorial_run_inline(self, fan_outs):
+    def test_walks_below_seven_factorial_run_inline(self, fan_outs, monkeypatch):
         assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
         assert shape_census(6, workers=2) == shape_census(6)
-        assert fan_out(_ranges, 63, 2, min_total=64) == [range(0, 63)]
         assert run_suite("stats", 6, workers=2).checks == 2620
+        # The cut is read when the fan-out is called.
+        monkeypatch.setattr(oracle, "_FAN_OUT_MIN_TOTAL", 64)
+        assert fan_out(_ranges, 63, 2) == [range(0, 63)]
         assert not fan_outs
 
     def test_a_block_moves_the_stream_only_once_read(self):
@@ -240,17 +242,19 @@ class TestFanOut:
         with pytest.raises(RuntimeError, match="ends short of its 120 words"):
             shape_census(5)
 
+    @pytest.mark.usefixtures("split_any_size")
     def test_blocks_are_dealt_round_robin(self, fan_outs):
         # 2 workers x 8 blocks: block t goes to share t mod 2, share 0 to
         # the caller and share 1 to one child process, and the results come
         # back in stream order, covering [0, total) once.
-        results = fan_out(_owned, 100, 2, min_total=0)
+        results = fan_out(_owned, 100, 2)
         assert [(lo, hi) for _, lo, hi in results] == split_ranges(100, 16)
         pids = [pid for pid, _, _ in results]
         assert pids[0] == os.getpid() != pids[1]
         assert pids == [pids[0], pids[1]] * 8
         assert [processes for _, processes in fan_outs] == [2]
 
+    @pytest.mark.usefixtures("split_any_size")
     @pytest.mark.parametrize("stop", [0, 6, 7, 93, 99])
     def test_results_end_at_the_first_block_a_worker_left(self, stop, fan_outs):
         # The worker that meets ``stop`` in block t returns nothing after it,
@@ -258,49 +262,53 @@ class TestFanOut:
         # next, and end before block t + 2, the first without a result.
         blocks = split_ranges(100, 2 * oracle._BLOCKS_PER_WORKER)
         t = next(t for t, (lo, hi) in enumerate(blocks) if lo <= stop < hi)
-        results = fan_out(partial(_until, stop), 100, 2, min_total=0)
+        results = fan_out(partial(_until, stop), 100, 2)
         assert results == [range(lo, hi) for lo, hi in blocks[: t + 2]]
 
-    def test_tallies_of_s7_run_inline(self, fan_outs):
-        # A count does less per word than a check, so it waits for S_8.
+    def test_tallies_of_s7_fan_out_once(self, fan_outs):
+        # A count splits under the one rule of every walk: from S_7 on.
         assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")
         assert shape_census(7, workers=2) == shape_census(7)
         assert tally(7, len, workers=2) == {7: factorial(7)}
-        assert not fan_outs
+        assert [processes for _, processes in fan_outs] == [2] * 3
 
     def test_spawn_when_fork_is_missing(self, fan_outs, monkeypatch):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
         )
-        assert distribution(8, "lbsum", workers=2) == distribution(8, "lbsum")
-        assert shape_census(8, workers=2) == shape_census(8)
+        assert distribution(7, "lbsum", workers=2) == distribution(7, "lbsum")
+        assert shape_census(7, workers=2) == shape_census(7)
         assert fan_outs == [("spawn", 2), ("spawn", 2)]
 
+    @pytest.mark.usefixtures("split_any_size")
     def test_spawned_blocks_match_the_serial_walk(self, fan_outs, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         work = partial(oracle._tally_blocks, 6, oracle.STATISTICS["inv"])
         serial = work(split_ranges(720, 2 * oracle._BLOCKS_PER_WORKER))
-        assert fan_out(work, 720, 2, min_total=0) == serial
+        assert fan_out(work, 720, 2) == serial
         assert fan_outs == [("spawn", 2)]
 
+    @pytest.mark.usefixtures("split_any_size")
     def test_a_child_that_exits_unanswered_raises(self, fan_outs):
         # A pool's map would wait for the lost task forever.
         with _deadline(60):
             with pytest.raises(RuntimeError, match="exited with code 3 before"):
-                fan_out(_exits_past_share_0, 100, 2, min_total=0)
+                fan_out(_exits_past_share_0, 100, 2)
         assert not multiprocessing.active_children()
 
+    @pytest.mark.usefixtures("split_any_size")
     def test_a_fault_in_the_callers_share_ends_the_children(self, fan_outs):
         started = time.monotonic()
         with pytest.raises(ValueError, match="share 0 fails"):
-            fan_out(_fails_in_share_0, 100, 2, min_total=0)
+            fan_out(_fails_in_share_0, 100, 2)
         assert not multiprocessing.active_children()
         assert time.monotonic() - started < 30  # the child's sleep was cut short
         assert [processes for _, processes in fan_outs] == [2]
 
+    @pytest.mark.usefixtures("split_any_size")
     def test_a_childs_exception_is_raised_as_it_was(self, fan_outs):
         with pytest.raises(LookupError, match="^share from 7 fails$"):
-            fan_out(_fails_past_share_0, 100, 2, min_total=0)
+            fan_out(_fails_past_share_0, 100, 2)
         assert not multiprocessing.active_children()
 
 

@@ -15,7 +15,7 @@ SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("worker_scaling.py", ["--n", "5", "--workers", "1", "2"]),
+        ("worker_scaling.py", ["--n", "7", "--workers", "1", "2"]),
         ("distribution_tables.py", ["--max-n", "4"]),
         ("map_gc.py", ["--requests", "50"]),
         ("walk_cost.py", ["--n", "5"]),
@@ -33,6 +33,10 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script == "worker_scaling.py" and (os.cpu_count() or 1) >= 2:
+        # At n = 7 the 2-worker run splits its walk once, into 2 processes.
+        line = proc.stdout.splitlines()[2]
+        assert line.split()[:3] == ["workers=2", "fan-outs=1", "processes=2"]
 
 
 def test_distribution_tables_exits_1_on_a_wrong_polynomial_under_O():

@@ -1,5 +1,6 @@
 import ast
 import multiprocessing
+import os
 import pathlib
 import sys
 from collections import Counter
@@ -15,14 +16,10 @@ from permshape.tableaux import bijection_132_to_231, decode_tableau, min_filling
 from permshape.verify import run_suite
 
 
-# Fan-outs of a 2-worker run: one per check walk of S_7, and none for the
-# suites whose walks of S_7 are counts or as light as one (count, parity and
-# genfun's one walk, which counts G_n and checks the splitting law, fan out
-# from S_8 on) or that never fan out (poset compares whole up-set bitsets in
-# one process).
-FAN_OUTS = {
-    "count": 0, "parity": 0, "genfun": 0, "bijection": 0, "series": 0, "poset": 0
-}
+# Fan-outs of a 2-worker run: one per walk of S_7, a check walk or a count
+# alike, and none for the suites that never fan out (bijection and series
+# walk no S_n, and poset compares whole up-set bitsets in one process).
+FAN_OUTS = {"bijection": 0, "series": 0, "poset": 0}
 
 
 # Every suite at a depth where those that fan out do: the split run must
@@ -136,10 +133,6 @@ PLANTS = {
     "genfun": ("left_borders", _sides_shifted_on((FIRST, LAST))),
 }
 
-# genfun's one walk checks as little per word as a count, so it fans out
-# from S_8 on: run to 8, it fans out once.
-DEPTHS = {"genfun": (8, 1)}  # suite -> (max_n, fan-outs of a 2-worker run)
-
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -148,12 +141,11 @@ DEPTHS = {"genfun": (8, 1)}  # suite -> (max_n, fan-outs of a 2-worker run)
 @pytest.mark.parametrize("name", list(PLANTS))
 def test_failing_runs_agree_across_workers(name, fan_outs, monkeypatch):
     attribute, plant = PLANTS[name]
-    max_n, fanned = DEPTHS.get(name, (7, 1))
     monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
-    serial = run_suite(name, max_n, workers=1)
+    serial = run_suite(name, 7, workers=1)
     assert not fan_outs
-    parallel = run_suite(name, max_n, workers=2)
-    assert fan_outs == [("fork", 2)] * fanned
+    parallel = run_suite(name, 7, workers=2)
+    assert fan_outs == [("fork", 2)]
     assert not serial.passed and len(serial.failures) == 1
     assert f"at {FIRST}" in serial.failures[0]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
@@ -161,6 +153,71 @@ def test_failing_runs_agree_across_workers(name, fan_outs, monkeypatch):
         serial.checks,
         serial.failures,
     )
+
+
+def _wrong_at_last(real, wrong, log):
+    """
+    ``real``, with its value at LAST made ``wrong``; each call at LAST
+    appends its process id to the file ``log``.
+    """
+
+    def fake(word):
+        if word != LAST:
+            return real(word)
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return wrong(real(word))
+
+    return fake
+
+
+# Per counting suite, the oracle kernel a planted fault goes into, the fault
+# at LAST, and the suite's one failure.  LAST lies in the last block of the
+# tally of S_7, so a 2-worker run meets the fault in its child alone.  The
+# shape of LAST, 6,5,4,3,2,1, counted as the identity's, leaves 428 shapes;
+# its area one border at a time higher, by 7, moves it to the other parity.
+TALLY_PLANTS = {
+    "count": (
+        "shape_parts",
+        lambda parts: (0,) * len(parts),
+        "census of S_7 has 428 shapes, expected 429",
+    ),
+    "parity": (
+        "left_borders",
+        lambda borders: tuple(v + 1 for v in borders),
+        "enumerated parity split disagrees with the recursion at n=7",
+    ),
+}
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched kernel reaches the workers only through fork",
+)
+@pytest.mark.parametrize("name", list(TALLY_PLANTS))
+def test_failing_tallies_agree_across_workers(name, fan_outs, monkeypatch, tmp_path):
+    attribute, wrong, message = TALLY_PLANTS[name]
+    log = tmp_path / "met"
+    monkeypatch.setattr(
+        oracle, attribute, _wrong_at_last(getattr(oracle, attribute), wrong, log)
+    )
+    runs, meeting = [], []
+    for workers in (1, 2):
+        log.write_text("")
+        runs.append(run_suite(name, 7, workers=workers))
+        meeting.append(set(log.read_text().split()))
+    serial, parallel = runs
+    assert [processes for _, processes in fan_outs] == [2]
+    assert serial.failures == [message]
+    assert (parallel.passed, parallel.checks, parallel.failures) == (
+        serial.passed,
+        serial.checks,
+        serial.failures,
+    )
+    # The fault fired in this process at 1 worker, and only in a child at 2.
+    me = str(os.getpid())
+    assert meeting[0] == {me}
+    assert meeting[1] and me not in meeting[1]
 
 
 # A suite's walk over S_0..S_7 is one stream of 5914 words split once, so the
@@ -183,12 +240,11 @@ PLANTS_IN_S6 = {
 @pytest.mark.parametrize("name", list(PLANTS_IN_S6))
 def test_fault_in_s6_agrees_across_workers(name, fan_outs, monkeypatch):
     attribute, plant = PLANTS_IN_S6[name]
-    max_n, fanned = DEPTHS.get(name, (7, 1))
     monkeypatch.setattr(verify, attribute, plant(getattr(verify, attribute)))
-    serial = run_suite(name, max_n, workers=1)
+    serial = run_suite(name, 7, workers=1)
     assert not fan_outs
-    parallel = run_suite(name, max_n, workers=2)
-    assert [processes for _, processes in fan_outs] == [2] * fanned
+    parallel = run_suite(name, 7, workers=2)
+    assert [processes for _, processes in fan_outs] == [2]
     assert not serial.passed and f"at {SIX}" in serial.failures[0]
     assert (parallel.passed, parallel.checks, parallel.failures) == (
         serial.passed,
