@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """List the library functions that a fixed set of CLI calls never reaches.
 
-Runs ten ``permshape`` command lines in this process under the standard
-library's ``trace`` module, stdout discarded: ``map`` of the word 53148276
-in the three formats, five ``dist`` forms at ``--n``, ``verify all`` at
-``--max-n`` and ``verify series`` at ``--order``.  Then it prints every
+Runs fifteen ``permshape`` command lines in this process under the
+standard library's ``trace`` module, stdout discarded: ``map`` of the word
+53148276 in the three formats, nine ``dist`` forms at ``--n`` (``des``,
+``maj`` and ``maxdes`` among them, and one shape by ``--shape``),
+``verify all`` at ``--max-n``, ``verify bijection`` at ``--max-n`` in
+JSON and ``verify series`` at ``--order``.  Then it prints every
 function and method of ``src/permshape`` (nested ones included) none of
 whose lines ran, with its line span, and their total, each line counted
 once.  What is listed is code only a library user or the tests call: a
@@ -39,7 +41,12 @@ def calls(n: int, max_n: int, order: int) -> list[list[str]]:
         [*dist, "lbsum", "--avoid", "132", "--check"],
         [*dist, "shape", "--check"],
         [*dist, "inv", "--format", "csv"],
+        [*dist, "des", "--check"],
+        [*dist, "maj"],  # no polynomial predicts maj, so no --check
+        [*dist, "maxdes", "--check"],
+        [*dist, "shape", "--shape", ",".join(["0"] * (n - 1)), "--check"],
         ["verify", "all", "--max-n", str(max_n)],
+        ["verify", "bijection", "--max-n", str(max_n), "--format", "json"],
         ["verify", "series", "--order", str(order)],
     ]
 

@@ -18,35 +18,22 @@ _EXPORTS = {
         "InvalidPermutationError",
         "Permutation",
         "StatVector",
-        "identity",
         "parse_permutation",
-        "standardize",
     ),
     "shapes": (
-        "Rectangle",
-        "RectangleDecomposition",
         "ShapePartition",
         "borders_from_shape",
         "count_permutations_with_shape",
-        "first_return",
         "path_from_shape",
-        "rectangle_decomposition",
         "shape",
         "shape_from_path",
-        "valleys",
     ),
     "tableaux": (
         "FilledTableau",
         "InconsistentFillingError",
         "InvalidFillingError",
-        "bijection_132_to_231",
-        "count_132_from_tableau",
-        "count_231_from_tableau",
         "decode_tableau",
         "encode_tableau",
-        "is_valid_filling",
-        "max_filling",
-        "min_filling",
         "tableau_from_json",
         "tableau_to_json",
     ),

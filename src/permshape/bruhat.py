@@ -25,7 +25,6 @@ __all__ = [
     "up_sets",
     "bruhat_up_sets",
     "bruhat_leq",
-    "bruhat_lt",
     "bruhat_covers",
     "upper_covers",
     "shape_contains",
@@ -86,10 +85,6 @@ def bruhat_leq(p: Permutation, q: Permutation) -> bool:
     if p.n != q.n:
         raise ValueError(f"length mismatch: {p.n} vs {q.n}")
     return _leq_tables(rank_table(p.entries), rank_table(q.entries))
-
-
-def bruhat_lt(p: Permutation, q: Permutation) -> bool:
-    return p.entries != q.entries and bruhat_leq(p, q)
 
 
 def bruhat_covers(p: Permutation, q: Permutation) -> bool:

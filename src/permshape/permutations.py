@@ -8,13 +8,13 @@ matching the usual combinatorial conventions.
 
 The module-level functions operate on plain value tuples; they are the hot
 path for exhaustive enumeration.  The :class:`Permutation` wrapper adds
-validation and convenience methods on top of them.
+validation on top of them.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "InvalidPermutationError",
@@ -22,19 +22,15 @@ __all__ = [
     "StatVector",
     "DecreasingTree",
     "parse_permutation",
-    "standardize",
-    "identity",
     "left_borders",
     "right_borders",
     "descent_positions",
     "inversion_count",
     "lr_maxima_count",
     "stat_vector",
-    "count_pattern_word",
     "count_barred_132_word",
     "contains_132",
     "contains_231",
-    "avoids_word",
     "max_links",
     "decreasing_tree_word",
 ]
@@ -115,18 +111,8 @@ class Permutation:
     def n(self) -> int:
         return len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.entries)
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -156,20 +142,6 @@ def parse_permutation(text: str) -> Permutation:
         except ValueError:
             raise InvalidPermutationError(f"non-integer token {token!r}") from None
     return Permutation(tuple(values))
-
-
-def standardize(word: Sequence[int]) -> Permutation:
-    """
-    Replace the i-th smallest value by i, keeping the relative order.
-
-    >>> standardize((3, 5, 9, 4)).entries
-    (1, 3, 4, 2)
-    """
-    values = tuple(word)
-    if len(set(values)) != len(values):
-        raise InvalidPermutationError("standardize requires distinct values")
-    rank = {v: i for i, v in enumerate(sorted(values), start=1)}
-    return Permutation(tuple(rank[v] for v in values))
 
 
 def left_borders(word: Sequence[int]) -> tuple[int, ...]:
@@ -262,47 +234,6 @@ def _stat_vector(word: Sequence[int], borders: Sequence[int]) -> StatVector:
     )
 
 
-def count_pattern_word(word: Sequence[int], pattern: Sequence[int]) -> int:
-    """
-    Number of subsequences of ``word`` order-isomorphic to ``pattern``
-    (a classical pattern: arbitrary gaps are allowed everywhere).
-    Patterns of length 2 and 3 are supported; ``word`` holds distinct
-    positive integers, as :func:`inversion_count` requires.
-    """
-    n = len(word)
-    if len(pattern) == 2:
-        lo, hi = pattern
-        if lo < hi:
-            return sum(
-                1 for i in range(n) for j in range(i + 1, n) if word[i] < word[j]
-            )
-        return inversion_count(word)
-    if len(pattern) == 3:
-        # O(n^2): for each pair of positions b < c whose order matches the
-        # pattern's last two letters, count the values left of b in the
-        # interval the first letter asks for.  ``seen`` has bit u set for
-        # every value u left of b, as in inversion_count.
-        first, middle, last = pattern
-        rising = middle < last
-        place = sorted(pattern).index(first)  # under, between or over the pair
-        count = seen = 0
-        for b, x in enumerate(word):
-            for y in word[b + 1 :]:
-                if (x < y) is not rising:
-                    continue
-                lo, hi = (x, y) if rising else (y, x)
-                if place == 0:
-                    left = seen & ((1 << lo) - 1)
-                elif place == 1:
-                    left = seen >> lo & ((1 << (hi - lo)) - 1)
-                else:
-                    left = seen >> hi
-                count += left.bit_count()
-            seen |= 1 << x
-        return count
-    raise ValueError(f"unsupported pattern length {len(pattern)} (only 2 and 3)")
-
-
 def _count_132_231(word: Sequence[int]) -> tuple[int, int]:
     """
     The occurrences of 1-3-2 and of 2-3-1 in a permutation of 1..n, in one
@@ -361,18 +292,6 @@ def contains_132(word: Sequence[int]) -> bool:
 def contains_231(word: Sequence[int]) -> bool:
     """Linear-time test for an occurrence of the classical pattern 2-3-1."""
     return contains_132(tuple(word)[::-1])
-
-
-def avoids_word(word: Sequence[int], pattern: Sequence[int]) -> bool:
-    """True when ``word`` contains no occurrence of the length-3 pattern."""
-    if len(pattern) != 3:
-        raise ValueError("avoidance is defined here for length-3 patterns")
-    pat = tuple(pattern)
-    if pat == (1, 3, 2):
-        return not contains_132(word)
-    if pat == (2, 3, 1):
-        return not contains_231(word)
-    return count_pattern_word(word, pat) == 0
 
 
 def max_links(word: Sequence[int]) -> tuple[list[int], list[int], int]:

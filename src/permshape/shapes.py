@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .permutations import Permutation, left_borders, max_links
 
@@ -22,8 +22,6 @@ __all__ = [
     "RIGHT",
     "InvalidDyckWordError",
     "ShapePartition",
-    "Rectangle",
-    "RectangleDecomposition",
     "dyck_word",
     "is_dyck_word",
     "shape_parts",
@@ -31,10 +29,7 @@ __all__ = [
     "shape_from_path",
     "path_from_shape",
     "borders_from_shape",
-    "rectangle_decomposition",
     "count_permutations_with_shape",
-    "valleys",
-    "first_return",
 ]
 
 UP = "u"
@@ -139,14 +134,6 @@ class ShapePartition:
     def to_text(self) -> str:
         return ",".join(str(v) for v in self.parts)
 
-    @property
-    def area(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def largest(self) -> int:
-        return self.parts[0] if self.parts else 0
-
     def distinct_nonzero(self) -> tuple[int, ...]:
         return tuple(sorted({v for v in self.parts if v > 0}, reverse=True))
 
@@ -240,59 +227,17 @@ def borders_from_shape(s: ShapePartition) -> tuple[int, ...]:
     return tuple(a[1:])  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class Rectangle:
-    """
-    One tile of the corner decomposition.  ``column`` is the (1-based) column
-    of the bottom-right corner cell and ``corner_row`` its row counted from
-    the top of the diagram; the tile spans ``width`` columns to the left and
-    ``height`` rows upward.
-    """
-
-    column: int
-    width: int
-    height: int
-    corner_row: int
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for row in range(self.corner_row - self.height + 1, self.corner_row + 1):
-            for col in range(self.column - self.width + 1, self.column + 1):
-                yield (row, col)
-
-
-@dataclass(frozen=True)
-class RectangleDecomposition:
-    shape: ShapePartition
-    rectangles: tuple[Rectangle, ...]
-
-    def cell_assignment(self) -> dict[tuple[int, int], int]:
-        """Map each cell (row from top, column) to its rectangle's index."""
-        assignment: dict[tuple[int, int], int] = {}
-        for idx, rect in enumerate(self.rectangles):
-            for cell in rect.cells():
-                if cell in assignment:
-                    raise ValueError(f"rectangles overlap at {cell}")
-                assignment[cell] = idx
-        return assignment
-
-
-def rectangle_decomposition(s: ShapePartition) -> RectangleDecomposition:
-    """
-    Tile the diagram with one rectangle per corner.  The cut happens at the
-    corner whose reverse hook (1 + cells above + cells to the left) is
-    maximal, preferring the leftmost on ties; the rectangle of all cells
-    weakly above and to the left of it is removed, and the subshapes below
-    it and to its right are tiled recursively (below first).
-    """
-    return RectangleDecomposition(
-        s, tuple(Rectangle(*fields) for fields in _rectangles(s.parts))
-    )
-
-
 def _rectangles(parts: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
     """
-    The tiles of :func:`rectangle_decomposition` as plain (column, width,
-    height, corner_row) tuples, in the same order.
+    Tile the diagram of the shape ``parts`` with one rectangle per corner, as
+    (column, width, height, corner_row): ``column`` is the (1-based) column
+    of the bottom-right corner cell and ``corner_row`` its row counted from
+    the top of the diagram; the tile spans ``width`` columns to the left and
+    ``height`` rows upward.  The cut happens at the corner whose reverse
+    hook (1 + cells above + cells to the left) is maximal, preferring the
+    leftmost on ties; the rectangle of all cells weakly above and to the
+    left of it is removed, and the subshapes below it and to its right are
+    tiled recursively (below first).
     """
     rects: list[tuple[int, int, int, int]] = []
     # (rows, column offset) still to cut, the subshape below a tile on top
@@ -343,21 +288,16 @@ def _rectangle_count(rects: list[tuple[int, int, int, int]]) -> int:
     return prod(comb(width + height - 1, width - 1) for _, width, height, _ in rects)
 
 
-def valleys(word: str) -> tuple[int, ...]:
+def _valleys(word: str) -> tuple[int, ...]:
     """
-    Diagonal coordinates of the valleys (factors "ru") of a Dyck word.  The
-    coordinate is twice the number of right steps up to the valley; halved,
-    these are the descent positions of every preimage permutation.
+    Diagonal coordinates of the valleys (factors "ru") of a Dyck word, not
+    checked to be one.  The coordinate is twice the number of right steps
+    up to the valley; halved, these are the descent positions of every
+    preimage permutation.
 
-    >>> valleys("uuruururrruurrur")
+    >>> _valleys("uuruururrruurrur")
     (2, 4, 10, 14)
     """
-    _require_dyck(word)
-    return _valleys(word)
-
-
-def _valleys(word: str) -> tuple[int, ...]:
-    """:func:`valleys` of a word not checked to be a Dyck word."""
     coords: list[int] = []
     rights = 0
     for i, step in enumerate(word):
@@ -368,19 +308,12 @@ def _valleys(word: str) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def first_return(word: str) -> int:
-    """
-    The step count at which a nonempty Dyck word first returns to the
-    diagonal; equals 2k where k is the position of n in any preimage.
-    """
-    _require_dyck(word)
-    if not word:
-        raise ValueError("the empty path has no first return")
-    return _first_return(word)
-
-
 def _first_return(word: str) -> int:
-    """:func:`first_return` of a nonempty word not checked to be a Dyck word."""
+    """
+    The step count at which a nonempty Dyck word, not checked to be one,
+    first returns to the diagonal; equals 2k where k is the position of n
+    in any preimage.
+    """
     height = 0
     for i, step in enumerate(word, start=1):
         height += 1 if step == UP else -1

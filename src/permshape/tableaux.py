@@ -16,27 +16,33 @@ order and a column's dot count is the popcount of its field.  A tableau
 keeps no column split: each reader splits the mask itself (:func:`_columns`),
 and the private readers, ``_decode_word`` and the fused pattern count, take
 the split, so a caller that needs both splits once.  Every tableau, whether
-built by the public constructor, the encoder, the extreme fillings or from
-JSON, has the shape's row labels (the constructor compares the caller's
-with them) and no bit outside the shape's cells.  What a shape
-fixes of its fillings is its layout: the row labels, the mask of its cells,
-the border numbers both come from and the mask of each row's last cell.
+built by the public constructor, the encoder or from JSON, has the shape's
+row labels (the constructor compares the caller's with them) and no bit
+outside the shape's cells.  What a shape fixes of its fillings is its
+layout: the row labels, the mask of its cells, the border numbers both
+come from and the mask of each row's last cell.
+
+The extreme fillings of a shape are masks, not tableaux: the full filling
+is the layout's mask of cells, and decodes to the shape's 1-3-2-avoider;
+the minimal filling, :func:`_min_mask`, dots the rightmost column of each
+tile of the corner decomposition, and decodes to the shape's
+2-3-1-avoider.  The shape-preserving bijection from 1-3-2- to
+2-3-1-avoiders, :func:`_bijection_image`, is that decode.
 
 Validation happens at the edge.  The public constructor, ``encode_tableau``
 (through its :class:`Permutation` argument) and ``decode_tableau`` check
 everything; each encoder and decoder is that check followed by one private
 route, ``_encode_word`` or ``_checked_decode`` (``_decode_word`` and the
-decoded word's consistency with the dots and the shape), and
-``bijection_132_to_231`` is its 1-3-2 test followed by ``_bijection_image``,
-which decodes a shape's minimal filling with no tableau built.  The
-exhaustive walks of :mod:`permshape.verify` feed those routes words that are
-permutations, or 1-3-2-avoiders, by construction, and hand ``_encode_word``
-one dict per range of a walk, in which it alone maps (n, parts) to the
-shape's layout; ``encode_tableau`` hands it a fresh one.  A word's left
-borders are compared with the layout's, which the shape alone gives, and
-its labels are the layout's.  A tableau keeps the layout it was checked
-against, which is how the walk reaches a shape's extreme fillings: at the
-word whose filling is full, which is the decode of that filling.
+decoded word's consistency with the dots and the shape).  The exhaustive
+walks of :mod:`permshape.verify` feed those routes words that are
+permutations, or the left borders of 1-3-2-avoiders, by construction, and
+hand ``_encode_word`` one dict per range of a walk, in which it alone maps
+(n, parts) to the shape's layout; ``encode_tableau`` hands it a fresh one.
+A word's left borders are compared with the layout's, which the shape
+alone gives, and its labels are the layout's.  A tableau keeps the layout
+it was checked against, which is how the walk reaches a shape's extreme
+fillings: at the word whose filling is full, which is the decode of that
+filling.
 """
 from __future__ import annotations
 
@@ -44,23 +50,15 @@ from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, NamedTuple, Sequence
 
-from .permutations import Permutation, contains_132, left_borders
+from .permutations import Permutation, left_borders
 from .shapes import ShapePartition, _rectangles, borders_from_shape
 
 __all__ = [
     "InvalidFillingError",
     "InconsistentFillingError",
     "FilledTableau",
-    "row_labels_for",
-    "row_lengths_by_label",
     "encode_tableau",
     "decode_tableau",
-    "min_filling",
-    "max_filling",
-    "is_valid_filling",
-    "bijection_132_to_231",
-    "count_132_from_tableau",
-    "count_231_from_tableau",
     "tableau_to_json",
     "tableau_from_json",
 ]
@@ -83,16 +81,6 @@ def _row_buckets(borders: Sequence[int]) -> list[list[int]]:
     for j, length in enumerate(borders, start=1):
         buckets[length].append(j)
     return buckets
-
-
-def row_labels_for(s: ShapePartition) -> tuple[int, ...]:
-    """Row labels bottom to top: positions j with a_j > 0, sorted by (a_j, j)."""
-    return _layout(s).labels
-
-
-def row_lengths_by_label(s: ShapePartition) -> dict[int, int]:
-    a = borders_from_shape(s)
-    return {j: length for j, length in enumerate(a, start=1) if length > 0}
 
 
 class _Layout(NamedTuple):
@@ -128,8 +116,10 @@ def _layout(s: ShapePartition) -> _Layout:
 
 
 def _stray_dot(s: ShapePartition, col: int, label: int) -> ValueError:
-    length = row_lengths_by_label(s).get(label)
-    if length is None:
+    """The error for the dot (col, label) off the shape's cells."""
+    borders = borders_from_shape(s)
+    length = borders[label - 1] if 1 <= label <= s.n else 0
+    if not length:
         return ValueError(f"dot ({col}, {label}) lies outside every row")
     return ValueError(f"dot ({col}, {label}) exceeds its row of length {length}")
 
@@ -245,15 +235,6 @@ class FilledTableau:
     def n(self) -> int:
         return self.shape.n
 
-    @property
-    def dots(self) -> frozenset[tuple[int, int]]:
-        """The dots as (column, row label) pairs."""
-        return frozenset(_cells(self.mask, self.n))
-
-    def column_dot_counts(self) -> tuple[int, ...]:
-        """Dots per column for columns 1..n (columns beyond k hold none)."""
-        return tuple(field.bit_count() for field in _columns(self.mask, self.n))
-
 
 def _encode_word(
     word: Sequence[int], shapes: dict, borders: tuple[int, ...] | None = None
@@ -334,17 +315,11 @@ def _checked_decode(
     return word, borders
 
 
-def is_valid_filling(t: FilledTableau) -> bool:
-    """Whether the filling is realized by a permutation (decode succeeds)."""
-    try:
-        decode_tableau(t)
-    except InvalidFillingError:
-        return False
-    return True
-
-
 def _min_mask(layout: _Layout) -> int:
-    """The mask of :func:`min_filling`: each tile's rightmost column dotted."""
+    """
+    The sparsest realizable filling of the layout's shape: the rightmost
+    column of every tile of :func:`permshape.shapes._rectangles` dotted.
+    """
     n = layout.shape.n
     top_down = layout.labels[::-1]  # geometric rows 1.. from the top
     mask = 0
@@ -354,60 +329,19 @@ def _min_mask(layout: _Layout) -> int:
     return mask
 
 
-def _min_filling(layout: _Layout) -> FilledTableau:
-    return FilledTableau._from_mask(layout, _min_mask(layout))
-
-
-def _max_filling(layout: _Layout) -> FilledTableau:
-    return FilledTableau._from_mask(layout, layout.allowed)
-
-
-def min_filling(s: ShapePartition) -> FilledTableau:
-    """
-    The sparsest realizable filling of a shape: only the rightmost column of
-    every rectangle of the corner decomposition is dotted.  Its decode avoids
-    the pattern 2-3-1.
-    """
-    return _min_filling(_layout(s))
-
-
-def max_filling(s: ShapePartition) -> FilledTableau:
-    """The fully dotted filling of a shape; its decode avoids 1-3-2."""
-    return _max_filling(_layout(s))
-
-
-def bijection_132_to_231(p: Permutation) -> Permutation:
-    """
-    The shape-preserving bijection from 1-3-2-avoiding to 2-3-1-avoiding
-    permutations: decode the minimal filling of the shape of p.
-    """
-    if contains_132(p.entries):
-        raise ValueError(f"{p} contains 1-3-2; the bijection is not defined on it")
-    return Permutation(_bijection_image(left_borders(p.entries))[0])
-
-
 def _bijection_image(
     borders: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    The image under :func:`bijection_132_to_231` of the word whose left
-    borders are ``borders``, not checked to avoid 1-3-2, and the image's
-    left borders: the minimal filling of the word's shape, decoded and
-    checked as :func:`decode_tableau` does, with no tableau built.
+    The image under the shape-preserving bijection from 1-3-2- to
+    2-3-1-avoiders of the word whose left borders are ``borders``, not
+    checked to avoid 1-3-2, and the image's left borders: the minimal
+    filling of the word's shape, decoded and checked as
+    :func:`decode_tableau` does, with no tableau built.
     """
     parts = tuple(sorted(borders[1:], reverse=True))
     layout = _layout(ShapePartition(parts, len(borders)))
     return _checked_decode(layout, _min_mask(layout))
-
-
-def count_132_from_tableau(t: FilledTableau) -> int:
-    """Occurrences of 1-3-2 read off a permutation's tableau."""
-    return _count_132_231_from_columns(_columns(t.mask, t.n))[0]
-
-
-def count_231_from_tableau(t: FilledTableau) -> int:
-    """Occurrences of 2-3-1 read off a permutation's tableau."""
-    return _count_132_231_from_columns(_columns(t.mask, t.n))[1]
 
 
 def _count_132_231_from_columns(columns: list[int]) -> tuple[int, int]:

@@ -443,8 +443,7 @@ def _tiles_exactly(
     column c) is bit (r - 1) * n + c - 1, so a tile inside the staircase is
     ``height`` runs of ``width`` bits.  A tile reaching out of the staircase
     fails the tiling; one that meets an earlier tile raises ValueError at the
-    first shared cell, as :meth:`RectangleDecomposition.cell_assignment`
-    does.
+    first shared cell, (row from the top, column).
     """
     n = s.n
     diagram = covered = 0

@@ -127,6 +127,20 @@ def naive_pattern_count(word, pattern):
     )
 
 
+def naive_132_231(word):
+    """The occurrences of 1-3-2 and of 2-3-1, one triple of values at a time."""
+    count_132 = count_231 = 0
+    for a, b, c in itertools.combinations(word, 3):
+        count_132 += a < c < b
+        count_231 += c < a < b
+    return count_132, count_231
+
+
+def naive_standardize(word):
+    """The word with its i-th smallest value replaced by i."""
+    return tuple(sorted(word).index(v) + 1 for v in word)
+
+
 def naive_barred_132(word):
     """Triple scan with the explicit window-maximum side condition."""
     n = len(word)
@@ -204,6 +218,40 @@ def naive_borders_from_shape(s):
     return tuple(a[1:])
 
 
+def naive_row_labels(s):
+    """The positions j with a_j > 0 sorted by (a_j, j): the rows, bottom to top."""
+    a = naive_borders_from_shape(s)
+    rows = [j for j in range(1, s.n + 1) if a[j - 1]]
+    return tuple(sorted(rows, key=lambda j: (a[j - 1], j)))
+
+
+def naive_dots(mask, n):
+    """The (column, label) pairs of a filling mask, bit by bit."""
+    return frozenset((b // n + 1, b % n + 1) for b in range(n * n) if mask >> b & 1)
+
+
+def naive_column_counts(mask, n):
+    """The dots of a filling mask in each column 1..n."""
+    dots = naive_dots(mask, n)
+    return tuple(sum(1 for column, _ in dots if column == i) for i in range(1, n + 1))
+
+
+def cell_assignment(tiles):
+    """
+    Each cell (row from the top, column) of the tiles (column, width, height,
+    corner_row) mapped to its tile's index; a cell of two tiles raises
+    ValueError.
+    """
+    assignment = {}
+    for index, (column, width, height, corner_row) in enumerate(tiles):
+        for row in range(corner_row - height + 1, corner_row + 1):
+            for col in range(column - width + 1, column + 1):
+                if (row, col) in assignment:
+                    raise ValueError(f"rectangles overlap at {(row, col)}")
+                assignment[row, col] = index
+    return assignment
+
+
 def naive_inversions(word):
     """Every inversion (i, j), 1-based, i < j and word[i] > word[j], in order."""
     return [
@@ -227,10 +275,14 @@ def naive_statistic_distribution(n, fn):
 
 
 def naive_avoiders(n, pattern):
+    """The words of S_n with no occurrence of ``pattern``, in lexicographic order."""
     return [
         word
         for word in itertools.permutations(range(1, n + 1))
-        if naive_pattern_count(word, pattern) == 0
+        if not any(
+            order_isomorphic([word[p] for p in positions], pattern)
+            for positions in itertools.combinations(range(n), len(pattern))
+        )
     ]
 
 
@@ -354,6 +406,11 @@ def _dict_at_one(poly, var):
 
 def _dict_times(poly, monomial, scalar=1):
     return {tuple(map(add, key, monomial)): scalar * c for key, c in poly.items()}
+
+
+def naive_derivative(counts):
+    """The derivative of a polynomial in x given as exponent -> coefficient."""
+    return {e - 1: e * c for e, c in counts.items() if e > 0}
 
 
 def dict_value(poly, point):

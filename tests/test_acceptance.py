@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import permshape.verify as verify
-from permshape.bruhat import bruhat_leq, bruhat_lt, shape_contains, verify_poset_equivalence
+from permshape.bruhat import bruhat_leq, shape_contains, verify_poset_equivalence
 from permshape.cli import map_report
 from permshape.genfun import (
     lbsum_polynomial,
@@ -29,8 +29,6 @@ from permshape.genfun import (
 from permshape.oracle import avoiders_132, distribution, enumerate_sn, shape_census
 from permshape.permutations import (
     Permutation,
-    contains_231,
-    count_pattern_word,
     descent_positions,
     inversion_count,
     left_borders,
@@ -40,16 +38,18 @@ from permshape.permutations import (
 )
 from permshape.shapes import ShapePartition, count_permutations_with_shape, shape
 from permshape.tableaux import (
-    bijection_132_to_231,
-    count_132_from_tableau,
+    _bijection_image,
+    _checked_decode,
+    _columns,
+    _count_132_231_from_columns,
+    _layout,
+    _min_mask,
     decode_tableau,
     encode_tableau,
-    max_filling,
-    min_filling,
     tableau_from_json,
 )
 
-from naive_oracles import dict_value, series_coefficients
+from naive_oracles import dict_value, naive_132_231, naive_avoiders, series_coefficients
 
 # A child interpreter imports the package under test, installed or not.
 SOURCE = str(pathlib.Path(verify.__file__).resolve().parent.parent)
@@ -210,18 +210,25 @@ def test_criterion_11_tableau_codec():
                 seen.add((t.shape.parts, t.mask))
             assert len(seen) == factorial(n)
         from permshape.oracle import all_shapes
-        from permshape.permutations import contains_132
 
+        # A shape's minimal filling decodes to a 2-3-1-avoider, its full
+        # filling to a 1-3-2-avoider; up to n = 7 they are every avoider.
         for n in range(10):
+            low, high = set(), set()
             for s in all_shapes(n):
-                assert not contains_231(decode_tableau(min_filling(s)).entries)
-                assert not contains_132(decode_tableau(max_filling(s)).entries)
+                layout = _layout(s)
+                low.add(_checked_decode(layout, _min_mask(layout))[0])
+                high.add(_checked_decode(layout, layout.allowed)[0])
+            assert all(naive_132_231(word)[1] == 0 for word in low)
+            assert all(naive_132_231(word)[0] == 0 for word in high)
+            if n < 8:
+                assert sorted(low) == naive_avoiders(n, (2, 3, 1))
+                assert sorted(high) == naive_avoiders(n, (1, 3, 2))
         for n in range(9):
             for word in enumerate_sn(n):
                 t = encode_tableau(Permutation(word))
-                assert count_132_from_tableau(t) == count_pattern_word(
-                    word, (1, 3, 2)
-                )
+                columns = _columns(t.mask, n)
+                assert _count_132_231_from_columns(columns) == naive_132_231(word)
 
 
 def test_criterion_12_bijection():
@@ -230,14 +237,16 @@ def test_criterion_12_bijection():
         for n in range(11):
             image = set()
             for word in avoiders_132(n):
-                target = bijection_132_to_231(Permutation(word))
-                assert not contains_231(target.entries)
-                sv, tv = stat_vector(word), stat_vector(target.entries)
+                target = _bijection_image(left_borders(word))[0]
+                assert naive_132_231(target)[1] == 0
+                sv, tv = stat_vector(word), stat_vector(target)
                 assert (sv.des, sv.maj, sv.lrmax, sv.maxdes, sv.lbsum) == (
                     tv.des, tv.maj, tv.lrmax, tv.maxdes, tv.lbsum,
                 )
-                image.add(target.entries)
+                image.add(target)
             assert len(image) == catalan(n)
+            if n < 8:
+                assert sorted(image) == naive_avoiders(n, (2, 3, 1))
         assert len(image) == 16796  # n = 10
         elapsed = time.perf_counter() - started
         assert elapsed < 10, f"took {elapsed:.1f} s"
@@ -249,7 +258,7 @@ def test_criterion_13_poset_equivalence():
             report = verify_poset_equivalence(n)
             assert report.equivalence_holds, report.counterexamples[:1]
         p1243, p1423 = Permutation((1, 2, 4, 3)), Permutation((1, 4, 2, 3))
-        assert bruhat_lt(p1243, p1423)
+        assert p1243 != p1423 and bruhat_leq(p1243, p1423)
         assert not shape_contains(shape(p1243), shape(p1423))
         assert not shape_contains(shape(p1423), shape(p1243))
         p1342, p2143 = Permutation((1, 3, 4, 2)), Permutation((2, 1, 4, 3))

@@ -98,7 +98,7 @@ def _consistent_mean_shift(report):
 
 def _top_term_raised(f):
     """The polynomial with its top term moved up one degree."""
-    top = UniPolynomial.monomial(f.degree, f.coefficient(f.degree))
+    top = UniPolynomial({f.degree: f.coefficient(f.degree)})
     return f - top + top.shifted(1)
 
 

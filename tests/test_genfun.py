@@ -31,6 +31,7 @@ from permshape.permutations import (
 from naive_oracles import (
     dict_value,
     fraction_series_report,
+    naive_derivative,
     naive_statistic_distribution,
     series_coefficients,
     sparse_split_recursion,
@@ -99,7 +100,7 @@ class TestUniPolynomial:
         assert (p + q).to_counts() == {0: 1, 1: 2, 2: 3}
         assert (p * q).to_counts() == {1: 2, 3: 6}
         assert p.shifted(2).to_counts() == {2: 1, 4: 3}
-        assert (p - p).is_zero()
+        assert (p - p).to_counts() == {}
 
     def test_results_hold_no_zero_coefficient(self):
         # Sums, products and merged keys that cancel drop the term; a
@@ -108,14 +109,15 @@ class TestUniPolynomial:
         assert (p * q).to_counts() == {0: 1, 2: -1} == (p * q)._coeffs
         assert (p + q).to_counts() == {0: 2}
         assert UniPolynomial({1: 1, 2: -1}).merged(0).to_counts() == {}
-        assert p.scaled(0).is_zero() and p.scaled(0) == UniPolynomial()
+        assert p.scaled(0).to_counts() == {} and p.scaled(0) == UniPolynomial()
         assert (p * q) == UniPolynomial({0: 1, 1: 0, 2: -1})
 
     def test_evaluate_and_derivative(self):
         p = UniPolynomial({0: 1, 1: 1, 2: 3, 3: 1})
         assert p.evaluate(1) == 6
         assert p.evaluate(-1) == 2
-        assert p.derivative().to_counts() == {0: 1, 1: 6, 2: 3}
+        # The derivative the moments test takes as its reference.
+        assert naive_derivative(p.to_counts()) == {0: 1, 1: 6, 2: 3}
 
     def test_reversal(self):
         p = UniPolynomial({0: 1, 1: 1, 2: 2, 3: 1})
@@ -199,6 +201,12 @@ class TestTangentNumbers:
             tangent_numbers(3)
 
 
+def max_exponents(g):
+    """The largest exponent of each of x, y, p and q over g's terms, 0 for none."""
+    keys = [key for key, _ in g.terms()]
+    return tuple(max((key[v] for key in keys), default=0) for v in range(4))
+
+
 class TestQuadPolynomial:
     def test_g2(self):
         assert quad_polynomial(2).terms() == [
@@ -230,22 +238,22 @@ class TestQuadPolynomial:
 
     def test_exponent_box(self):
         for n in range(2, 10):
-            ex, ey, ep, eq = quad_polynomial(n).max_exponents()
+            ex, ey, ep, eq = max_exponents(quad_polynomial(n))
             assert ex == comb(n, 2)
             assert max(ey, ep, eq) <= n - 1
 
     def test_arithmetic_helpers(self):
         g = QuadPolynomial({(1, 1, 2, 1): 3, (1, 1, 0, 2): 1})
         assert g.with_p_one().terms() == [((1, 1, 0, 1), 3), ((1, 1, 0, 2), 1)]
-        assert g.with_q_one().coefficient((1, 1, 2, 0)) == 3
-        assert g.times_monomial((1, 0, 0, 0), 2).coefficient((2, 1, 2, 1)) == 6
+        assert dict(g.with_q_one().terms())[1, 1, 2, 0] == 3
+        assert dict(g.times_monomial((1, 0, 0, 0), 2).terms())[2, 1, 2, 1] == 6
 
     def test_terms_in_tuple_order(self):
         keys = [(2, 0, 0, 0), (1, 9, 0, 0), (1, 0, 7, 3), (0, 0, 0, 20000)]
         g = QuadPolynomial({k: 1 for k in keys})
         assert [k for k, _ in g.terms()] == sorted(keys)
-        assert g.max_exponents() == (2, 9, 7, 20000)
-        assert QuadPolynomial().max_exponents() == (0, 0, 0, 0)
+        assert max_exponents(g) == (2, 9, 7, 20000)
+        assert max_exponents(QuadPolynomial()) == (0, 0, 0, 0)
         assert g.marginal("y").to_counts() == {0: 3, 9: 1}
 
     def test_x_is_unbounded(self):
@@ -271,7 +279,7 @@ class TestQuadPolynomial:
         assert len({QuadPolynomial.one(), UniPolynomial.one()}) == 2
         assert QuadPolynomial.one() == QuadPolynomial({(0, 0, 0, 0): 1})
         assert hash(QuadPolynomial.one()) == hash(QuadPolynomial({(0, 0, 0, 0): 1}))
-        assert (QuadPolynomial.one() - QuadPolynomial.one()) == QuadPolynomial.zero()
+        assert (QuadPolynomial.one() - QuadPolynomial.one()) == QuadPolynomial()
 
 
 class TestQCatalan:
@@ -332,7 +340,7 @@ class TestMoments:
         for n in range(2, 21):
             f = lbsum_polynomial(n)
             total = factorial(n)
-            mean = Fraction(f.derivative().evaluate(1), total)
+            mean = Fraction(sum(naive_derivative(f.to_counts()).values()), total)
             assert moments(n).mean == mean
 
     def test_domain_guard(self):
@@ -403,8 +411,8 @@ class TestSeries:
         [
             (0, lambda g: g.times_monomial((0, 0, 0, 0), 2)),
             (2, lambda g: g.times_monomial((0, 0, 0, 0), 2)),
-            (3, lambda g: g + QuadPolynomial.monomial((1, 1, 0, 0))),
-            (5, lambda g: g - QuadPolynomial.monomial((2, 1, 1, 0))),
+            (3, lambda g: g + QuadPolynomial({(1, 1, 0, 0): 1})),
+            (5, lambda g: g - QuadPolynomial({(2, 1, 1, 0): 1})),
             (3, lambda g: QuadPolynomial({(x, q, p, y): c for (x, y, p, q), c in g.terms()})),
         ],
         ids=["doubled-G0", "doubled-G2", "extra-term-G3", "missing-term-G5", "swapped-y-q-G3"],
@@ -430,7 +438,7 @@ class TestSeries:
             product = real(a, b)
             if len(a.terms()) > 1 and len(b.terms()) > 1:
                 top = product.degree
-                return product + UniPolynomial.monomial(top, product.coefficient(top))
+                return product + UniPolynomial({top: product.coefficient(top)})
             return product
 
         monkeypatch.setattr(UniPolynomial, "__mul__", doubled_top)

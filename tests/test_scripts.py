@@ -9,6 +9,8 @@ import permshape
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
+# What reach.py reports unreached at the size below: the most it may report.
+REACH_FUNCTIONS, REACH_LINES = 26, 175
 
 
 # Every script under scripts/, at a size that runs in about a second.
@@ -33,6 +35,10 @@ def test_script_runs(script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    if script == "reach.py":
+        # A ceiling: code that no command line reaches may shrink, not grow.
+        functions, _, lines, *_ = proc.stdout.splitlines()[-1].split()
+        assert int(functions) <= REACH_FUNCTIONS and int(lines) <= REACH_LINES
     if script == "worker_scaling.py" and (os.cpu_count() or 1) >= 2:
         # At n = 7 the 2-worker run splits its walk once, into 2 processes.
         line = proc.stdout.splitlines()[2]

@@ -11,21 +11,19 @@ from permshape.shapes import (
     InvalidDyckWordError,
     ShapePartition,
     _first_return,
+    _rectangles,
     _valleys,
     borders_from_shape,
     count_permutations_with_shape,
     dyck_word,
-    first_return,
     is_dyck_word,
     path_from_shape,
-    rectangle_decomposition,
     shape,
     shape_from_path,
     shape_parts,
-    valleys,
 )
 
-from naive_oracles import naive_borders_from_shape, naive_dyck_word
+from naive_oracles import cell_assignment, naive_borders_from_shape, naive_dyck_word
 
 RUNNING = (5, 3, 1, 4, 8, 2, 7, 6)
 RUNNING_WORD = "uuruururrruurrur"
@@ -133,8 +131,6 @@ class TestShape:
 
     def test_accessors(self):
         s = ShapePartition.from_text("7,5,5,2,1,1,0")
-        assert s.area == 21
-        assert s.largest == 7
         assert s.distinct_nonzero() == (7, 5, 2, 1)
 
 
@@ -185,35 +181,38 @@ class TestBordersFromShape:
         assert borders_from_shape(s) == naive_borders_from_shape(s)
 
 
+# The tiles (column, width, height, corner_row) of the corner decomposition.
 class TestRectangles:
     def test_running_example(self):
-        d = rectangle_decomposition(ShapePartition.from_text("7,5,5,2,1,1,0"))
-        summary = {(r.column, r.width, r.height) for r in d.rectangles}
+        tiles = _rectangles((7, 5, 5, 2, 1, 1, 0))
+        summary = {(column, width, height) for column, width, height, _ in tiles}
         assert summary == {(5, 5, 3), (7, 2, 1), (1, 1, 3), (2, 1, 1)}
 
     def test_single_row(self):
-        d = rectangle_decomposition(ShapePartition((3, 0, 0), 4))
-        assert [(r.column, r.width, r.height) for r in d.rectangles] == [(3, 3, 1)]
+        assert _rectangles((3, 0, 0)) == [(3, 3, 1, 1)]
 
     def test_square(self):
-        d = rectangle_decomposition(ShapePartition((2, 2, 0), 4))
-        assert [(r.column, r.width, r.height) for r in d.rectangles] == [(2, 2, 2)]
+        assert _rectangles((2, 2, 0)) == [(2, 2, 2, 2)]
 
     def test_empty(self):
-        assert rectangle_decomposition(ShapePartition((), 1)).rectangles == ()
+        assert _rectangles(()) == []
 
     @given(perms())
     def test_tiles_exactly(self, word):
-        s = ShapePartition(shape_parts(word), len(word))
-        d = rectangle_decomposition(s)
-        cells = d.cell_assignment()
-        assert len(cells) == s.area
+        parts = shape_parts(word)
+        tiles = _rectangles(parts)
+        cells = cell_assignment(tiles)
+        assert set(cells) == {
+            (row, col)
+            for row, length in enumerate(parts, start=1)
+            for col in range(1, length + 1)
+        }
         corners = sum(
             1
-            for j, v in enumerate(s.parts)
-            if v and (j + 1 == len(s.parts) or s.parts[j + 1] < v)
+            for j, v in enumerate(parts)
+            if v and (j + 1 == len(parts) or parts[j + 1] < v)
         )
-        assert len(d.rectangles) == corners
+        assert len(tiles) == corners
 
 
 class TestCounting:
@@ -241,39 +240,50 @@ class TestCounting:
                 )
 
 
+# Valleys and the first return, on words the walks know to be Dyck words.
 class TestValleysAndReturns:
     def test_running_example(self):
-        assert valleys(RUNNING_WORD) == (2, 4, 10, 14)
-        assert first_return(RUNNING_WORD) == 10
+        assert _valleys(RUNNING_WORD) == (2, 4, 10, 14)
+        assert _first_return(RUNNING_WORD) == 10
 
     def test_flat(self):
-        assert valleys("uuurrr") == ()
-        assert first_return("uuurrr") == 6
+        assert _valleys("uuurrr") == ()
+        assert _first_return("uuurrr") == 6
 
     def test_smallest(self):
-        assert valleys("urur") == (2,)
-        assert first_return("ur" + "uurr") == 2
+        assert _valleys("urur") == (2,)
+        assert _first_return("ur" + "uurr") == 2
 
     def test_empty_first_return_rejected(self):
-        with pytest.raises(ValueError):
-            first_return("")
+        # The empty path has no first return, so the walks never ask for one.
+        with pytest.raises(AssertionError):
+            _first_return("")
 
     @given(perms())
     def test_valleys_are_doubled_descents(self, word):
         descents = tuple(
             i for i in range(1, len(word)) if word[i - 1] > word[i]
         )
-        assert valleys(dyck_word(word)) == tuple(2 * d for d in descents)
+        assert _valleys(dyck_word(word)) == tuple(2 * d for d in descents)
 
     @given(perms(8))
     def test_first_return_is_twice_max_position(self, word):
         if word:
             n = len(word)
-            assert first_return(dyck_word(word)) == 2 * (word.index(n) + 1)
+            assert _first_return(dyck_word(word)) == 2 * (word.index(n) + 1)
 
     def test_unchecked_forms_agree_on_every_dyck_word(self):
+        # Every Dyck word of length up to 14, each read off its own steps.
         for n in range(1, 8):
             for s in all_shapes(n):
                 path = path_from_shape(s)
-                assert _valleys(path) == valleys(path)
-                assert _first_return(path) == first_return(path)
+                valleys, first, rights, height = [], None, 0, 0
+                for i, step in enumerate(path, start=1):
+                    rights += step == "r"
+                    height += 1 if step == "u" else -1
+                    if path[i - 2 : i] == "ru":
+                        valleys.append(2 * rights)
+                    if height == 0 and first is None:
+                        first = i
+                assert _valleys(path) == tuple(valleys)
+                assert _first_return(path) == first

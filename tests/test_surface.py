@@ -25,16 +25,14 @@ WITH_ALL = [
 PUBLIC = """
     Distribution FilledTableau InconsistentFillingError InvalidFillingError
     InvalidPermutationError MomentReport ParityTable Permutation PosetReport
-    QuadPolynomial Rectangle RectangleDecomposition SeriesReport ShapePartition
-    StatVector UniPolynomial all_shapes avoiders_132 avoiders_231
-    bijection_132_to_231 borders_from_shape bruhat_covers bruhat_leq
-    count_132_from_tableau count_231_from_tableau count_permutations_with_shape
-    decode_tableau distribution encode_tableau enumerate_sn first_return
-    identity is_valid_filling lbsum_polynomial max_filling min_filling moments
-    parity_table parse_permutation path_from_shape q_catalan q_catalan_alt
-    quad_polynomial rectangle_decomposition shape shape_census shape_contains
-    shape_from_path standardize tableau_from_json tableau_to_json
-    tangent_numbers valleys verify_poset_equivalence verify_series_identities
+    QuadPolynomial SeriesReport ShapePartition StatVector UniPolynomial
+    all_shapes avoiders_132 avoiders_231 borders_from_shape bruhat_covers
+    bruhat_leq count_permutations_with_shape decode_tableau distribution
+    encode_tableau enumerate_sn lbsum_polynomial moments parity_table
+    parse_permutation path_from_shape q_catalan q_catalan_alt quad_polynomial
+    shape shape_census shape_contains shape_from_path tableau_from_json
+    tableau_to_json tangent_numbers verify_poset_equivalence
+    verify_series_identities
 """.split()
 
 

