@@ -160,6 +160,14 @@ def _dist_rows(args: argparse.Namespace) -> tuple[list[tuple[str, int]], dict]:
         return rows, meta
     if args.shape is not None:
         raise ValueError(f"--shape applies only to --stat shape, not to --stat {args.stat}")
+    if args.check:
+        oracle.enumerate_sn(args.n)  # a bad n is named first, as the walk names it
+        predicted = predicted_distribution(args.n, args.stat, args.avoid)
+        if predicted is None:
+            raise ValueError(
+                f"no generating-polynomial prediction for statistic "
+                f"{args.stat!r} with filter {args.avoid!r}"
+            )
     dist = oracle.distribution(
         args.n, args.stat, avoid=args.avoid, workers=args.workers
     )
@@ -168,12 +176,6 @@ def _dist_rows(args: argparse.Namespace) -> tuple[list[tuple[str, int]], dict]:
         even, odd = dist.parity_split()
         meta["parity"] = {"even": str(even), "odd": str(odd), "delta": str(even - odd)}
     if args.check:
-        predicted = predicted_distribution(args.n, args.stat, args.avoid)
-        if predicted is None:
-            raise ValueError(
-                f"no generating-polynomial prediction for statistic "
-                f"{args.stat!r} with filter {args.avoid!r}"
-            )
         meta["check"] = {
             "source": "generating polynomial",
             "match": predicted == dist.counts,

@@ -5,32 +5,23 @@ shape censuses, and direct generators for the two pattern-avoidance classes.
 Every walk over S_n goes through :func:`itertools.permutations`, which is
 lexicographic (Knuth, TAOCP 4A, 7.2.1.2); a lexicographic range is a slice of
 that one stream, so work split into ranges across processes merges back into
-exactly the serial result.  :func:`tally` counts a key over S_n; the walks
-of :mod:`permshape.verify` count the keys of their checks as they check.
-
-:func:`fan_out` is the library's one parallel layer: it rejects ``workers``
-below 1, decides whether the work is big enough to split at all (from 7!
-words on, n = 7, for a count and a check walk alike), how many
-processes walk it (``workers`` clamped to the CPU count and to the amount of
-work, the caller counted), the start method of the others (``fork``, else
-``spawn``) and the split.  A split deals the stream out in
-``_BLOCKS_PER_WORKER`` contiguous blocks per worker, block t to worker t mod
-w, so that a cost per word that varies along the stream evens out between
-the workers.  The caller walks share 0 itself and one child process per
-other share walks that one, each answering over its own one-way pipe.  Each
-worker walks its blocks in stream order over one iterator
-(:func:`walk_blocks`) and returns one result per block, and :func:`fan_out`
-hands the caller the results in stream order.
+exactly the serial result.  :func:`walk` is the library's one walk and its
+one parallel layer: it deals the stream of S_n, for the n's asked for, out
+in blocks to the workers and hands each block to a visitor.  :func:`tally`
+counts a key over S_n with a counting visitor; the suites of
+:mod:`permshape.verify` check each block's words and count the keys of
+their checks.
 """
 from __future__ import annotations
 
 import itertools
 import multiprocessing
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import factorial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .permutations import (
     descent_positions,
@@ -55,8 +46,7 @@ __all__ = [
     "shape_census",
     "split_ranges",
     "effective_workers",
-    "walk_blocks",
-    "fan_out",
+    "walk",
 ]
 
 MAX_ENUM_N = 11
@@ -143,7 +133,7 @@ def split_ranges(total: int, pieces: int) -> list[tuple[int, int]]:
 
 def effective_workers(workers: int, total: int) -> int:
     """
-    The number of processes :func:`fan_out` uses for ``total`` words of
+    The number of processes :func:`walk` uses for ``total`` words of
     work: 1 below 7! words (S_7), otherwise ``workers`` clamped to the CPU
     count and to ``total``, and at least 1.  ``workers`` below 1 raises
     ValueError at every size.
@@ -155,66 +145,39 @@ def effective_workers(workers: int, total: int) -> int:
     return max(1, min(workers, os.cpu_count() or 1, total))
 
 
-def walk_blocks(
-    words: Iterator[tuple[int, ...]], blocks: list[tuple[int, int]], total: int
-) -> Iterator[Iterator[tuple[int, ...]]]:
+def walk(ns: Sequence[int], visit: Callable, workers: int) -> list:
     """
-    The words [lo, hi) of ``words``, a stream of ``total`` words, for each
-    of ``blocks``, ascending and disjoint, as slices of the one iterator.  A
-    slice moves the iterator only once it is read: it first finishes the
-    slice before it, whatever the caller left of that, then skips the words
-    between the two.  So whatever the stream raises, in a block or in a gap
-    before it, is raised by reading that block's slice.  So is a stream of
-    the wrong length: a slice that comes up short raises RuntimeError once
-    read to its end, as does the slice ending at ``total`` if words remain.
+    Call ``visit(words)`` on each block of the stream of S_n for the n in
+    ``ns``, in lexicographic order, and return the values in stream order.
+    ``visit`` returns ``(value, stop)``; a block that stops ends its
+    worker's share, and the values end just before the first block left
+    without one.  A walk below 7! words, or on one worker, is the single
+    block of the whole stream, visited inline.
+
+    ``workers`` counts processes, the caller among them (see
+    :func:`effective_workers`).  Several workers each get
+    ``_BLOCKS_PER_WORKER`` contiguous blocks, dealt out round robin, block t
+    to worker t mod w, so that a cost per word that varies along the stream
+    evens out between the workers.  The caller visits share 0 itself, while
+    one child process per other share, started by ``fork`` or else
+    ``spawn``, visits that one and answers over its own one-way pipe; under
+    ``spawn`` ``visit`` must be picklable (a module-level function, or a
+    :func:`functools.partial` of one).
+
+    Each worker builds the stream once and reads its blocks off it in
+    order.  A block first finishes the one before it, whatever ``visit``
+    left of that unread, then skips the words between the two.  So whatever
+    the stream raises, in a block or in the gap before it, is raised by
+    reading that block, and so is a stream of the wrong length: a block
+    that comes up short raises RuntimeError once read to its end, as does
+    the block ending the stream if words remain.  What a child raises is
+    raised here, a child that exits without an answer raises RuntimeError,
+    and whatever ``walk`` raises, it first ends and joins its children.
     """
-    at, previous = 0, iter(())
-    for lo, hi in blocks:
-        previous = itertools.chain.from_iterable(
-            _slice_after(words, previous, lo - at, hi - lo, hi == total, total)
-        )
-        yield previous
-        at = hi
-
-
-def _slice_after(words, previous, gap, size, last, total):
-    """The one slice of a block of :func:`walk_blocks`, made once it is read."""
-    for _ in previous:
-        pass
-    next(itertools.islice(words, gap, gap), None)  # skip the gap
-    read = itertools.count(1)  # compress takes one count per word it passes
-    yield itertools.compress(itertools.islice(words, size), read)
-    if next(read) - 1 < size:
-        raise RuntimeError(f"the stream ends short of its {total} words")
-    if last and next(words, None) is not None:
-        raise RuntimeError(f"the stream runs past its {total} words")
-
-
-def fan_out(
-    work: Callable[[list[tuple[int, int]]], list], total: int, workers: int
-) -> list:
-    """
-    Run ``work(blocks)`` once per worker on its blocks of [0, total), a list
-    of (lo, hi) in ascending order, and return the per-block results in
-    block order.  ``work`` returns one result per block, in order, and may
-    stop early: fewer results end that worker's share, and the returned list
-    ends just before the first block without a result.  One worker gets the
-    single block [0, total) and runs inline, as does all work below 7!
-    words: a tally splits from n = 7 on, and a verify suite's walk over
-    S_0..S_max once it reaches 7! words.
-
-    ``workers`` counts processes, the caller among them.  Several workers
-    each get ``_BLOCKS_PER_WORKER`` interleaved blocks: the caller walks
-    share 0 itself while one child process per other share walks that share
-    and sends back ``(True, results)``, or ``(False, exception)`` for what
-    its ``work`` raised, which is raised here.  Under ``spawn`` ``work`` must
-    be picklable (a module-level function, or a :func:`functools.partial`
-    of one).  A child that exits without an answer raises RuntimeError, and
-    whatever ``fan_out`` raises, it first ends and joins its children.
-    """
+    total = sum(map(factorial, ns))
     count = effective_workers(workers, total)
     if count == 1:
-        return work([(0, total)])
+        return _walk_share(ns, visit, [(0, total)])
     blocks = split_ranges(total, count * _BLOCKS_PER_WORKER)
     shares = [blocks[w :: count] for w in range(count)]
     methods = multiprocessing.get_all_start_methods()
@@ -224,12 +187,12 @@ def fan_out(
         for share in shares[1:]:
             receiver, sender = context.Pipe(duplex=False)
             child = context.Process(
-                target=_walk_share, args=(work, share, sender), daemon=True
+                target=_answer, args=(ns, visit, share, sender), daemon=True
             )
             child.start()
             children.append((child, receiver))
             sender.close()  # the child's copy is the only one left
-        returned = [work(shares[0])]
+        returned = [_walk_share(ns, visit, shares[0])]
         for child, receiver in children:
             try:
                 ok, value = receiver.recv()
@@ -248,19 +211,49 @@ def fan_out(
             if child.is_alive():
                 child.terminate()
             child.join()
-    results = []
+    values = []
     for t in range(len(blocks)):
         share = returned[t % count]
         if t // count >= len(share):
             break
-        results.append(share[t // count])
-    return results
+        values.append(share[t // count])
+    return values
 
 
-def _walk_share(work, share, sender) -> None:
-    """A child of :func:`fan_out`: run ``work`` on its share, send the answer."""
+def _walk_share(ns: Sequence[int], visit: Callable, share: list) -> list:
+    """One worker of :func:`walk`: its blocks [lo, hi), visited in order."""
+    words = itertools.chain.from_iterable(map(enumerate_sn, ns))
+    total = sum(map(factorial, ns))
+    values, at, block = [], 0, iter(())
+    for lo, hi in share:
+        block = itertools.chain.from_iterable(
+            _slice_after(words, block, lo - at, hi - lo, hi == total, total)
+        )
+        value, stop = visit(block)
+        values.append(value)
+        if stop:
+            break
+        at = hi
+    return values
+
+
+def _slice_after(words, previous, gap, size, last, total):
+    """The one slice of a block of :func:`walk`, made once it is read."""
+    for _ in previous:
+        pass
+    next(itertools.islice(words, gap, gap), None)  # skip the gap
+    read = itertools.count(1)  # compress takes one count per word it passes
+    yield itertools.compress(itertools.islice(words, size), read)
+    if next(read) - 1 < size:
+        raise RuntimeError(f"the stream ends short of its {total} words")
+    if last and next(words, None) is not None:
+        raise RuntimeError(f"the stream runs past its {total} words")
+
+
+def _answer(ns, visit, share, sender) -> None:
+    """A child of :func:`walk`: visit its share, send the answer."""
     try:
-        reply = (True, work(share))
+        reply = (True, _walk_share(ns, visit, share))
     except Exception as error:
         reply = (False, error)
     sender.send(reply)
@@ -346,38 +339,22 @@ class Distribution:
         return even, self.total - even
 
 
-def _tally(words: Iterator[tuple[int, ...]], key: Callable) -> dict:
-    counts: dict = {}
-    for word in words:
-        v = key(word)
-        counts[v] = counts.get(v, 0) + 1
-    return counts
-
-
-def _tally_blocks(n: int, key: Callable, blocks: list[tuple[int, int]]) -> list[dict]:
-    return [
-        _tally(words, key)
-        for words in walk_blocks(enumerate_sn(n), blocks, factorial(n))
-    ]
-
-
-def _merge_tallies(partials: list[dict]) -> dict:
-    counts: dict = {}
-    for partial_counts in partials:
-        for v, c in partial_counts.items():
-            counts[v] = counts.get(v, 0) + c
-    return counts
+def _tally(key: Callable, words: Iterator[tuple[int, ...]]) -> tuple[dict, bool]:
+    """The counts of ``key(word)`` over ``words``; as a visitor, it never stops."""
+    return dict(Counter(map(key, words))), False
 
 
 def tally(n: int, key: Callable, workers: int = 1) -> dict:
     """
     Exact counts of ``key(word)`` over S_n.  From n = 7 on, ``workers``
     splits the enumeration into lexicographic blocks counted by separate
-    processes (see :func:`fan_out`), so ``key`` must be picklable (a
+    processes (see :func:`walk`), so ``key`` must be picklable (a
     module-level function).
     """
-    work = partial(_tally_blocks, n, key)
-    return _merge_tallies(fan_out(work, factorial(n), workers))
+    counts = Counter()
+    for part in walk((n,), partial(_tally, key), workers):
+        counts.update(part)
+    return dict(counts)
 
 
 def distribution(
@@ -400,7 +377,7 @@ def distribution(
         counts = tally(n, fn, workers)
     else:
         effective_workers(workers, 0)  # inline, but workers < 1 is still an error
-        counts = _tally((avoiders_132 if avoid == "132" else avoiders_231)(n), fn)
+        counts, _ = _tally(fn, (avoiders_132 if avoid == "132" else avoiders_231)(n))
     return Distribution(n=n, statistic=statistic, filter=avoid, counts=counts)
 
 

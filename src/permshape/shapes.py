@@ -141,9 +141,14 @@ class ShapePartition:
         return self.to_text()
 
 
+def _border_parts(borders: Sequence[int]) -> tuple[int, ...]:
+    """The parts of the shape of left borders a_1..a_n: a_2..a_n, decreasing."""
+    return tuple(sorted(borders[1:], reverse=True))
+
+
 def shape_parts(word: Sequence[int]) -> tuple[int, ...]:
     """Left border numbers a_2..a_n sorted decreasingly (tuple-level)."""
-    return tuple(sorted(left_borders(word)[1:], reverse=True))
+    return _border_parts(left_borders(word))
 
 
 def shape(p: Permutation) -> ShapePartition:

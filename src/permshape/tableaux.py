@@ -51,7 +51,7 @@ from itertools import chain, count
 from typing import Iterable, NamedTuple, Sequence
 
 from .permutations import Permutation, left_borders
-from .shapes import ShapePartition, _rectangles, borders_from_shape
+from .shapes import ShapePartition, _border_parts, _rectangles, borders_from_shape
 
 __all__ = [
     "InvalidFillingError",
@@ -72,17 +72,6 @@ class InconsistentFillingError(InvalidFillingError):
     """A filling whose dots contradict the permutation its counts decode to."""
 
 
-def _row_buckets(borders: Sequence[int]) -> list[list[int]]:
-    """
-    The labels j bucketed by the row length a_j, ascending; bucket 0 holds
-    the positions without a row.
-    """
-    buckets: list[list[int]] = [[] for _ in borders]
-    for j, length in enumerate(borders, start=1):
-        buckets[length].append(j)
-    return buckets
-
-
 class _Layout(NamedTuple):
     """
     What a shape fixes of every filling: the shape, its row labels, the mask
@@ -99,13 +88,17 @@ class _Layout(NamedTuple):
 
 def _layout(s: ShapePartition) -> _Layout:
     """
-    The shape's :class:`_Layout`.  Column i holds the rows of length >= i,
-    so the column's label set grows from the widest column down; a cell is
-    a row's last when the cell to its right is not the shape's.
+    The shape's :class:`_Layout`.  The labels j are bucketed by the row
+    length a_j, ascending (bucket 0 holds the positions without a row).
+    Column i holds the rows of length >= i, so the column's label set grows
+    from the widest column down; a cell is a row's last when the cell to
+    its right is not the shape's.
     """
     n = s.n
     borders = borders_from_shape(s)
-    buckets = _row_buckets(borders)
+    buckets: list[list[int]] = [[] for _ in borders]
+    for j, length in enumerate(borders, start=1):
+        buckets[length].append(j)
     allowed = column = 0
     for length in range(n - 1, 0, -1):
         for j in buckets[length]:
@@ -115,10 +108,9 @@ def _layout(s: ShapePartition) -> _Layout:
     return _Layout(s, labels, allowed, borders, allowed & ~(allowed >> n))
 
 
-def _stray_dot(s: ShapePartition, col: int, label: int) -> ValueError:
-    """The error for the dot (col, label) off the shape's cells."""
-    borders = borders_from_shape(s)
-    length = borders[label - 1] if 1 <= label <= s.n else 0
+def _stray_dot(layout: _Layout, col: int, label: int) -> ValueError:
+    """The error for the dot (col, label) off the layout's cells."""
+    length = layout.borders[label - 1] if 1 <= label <= layout.shape.n else 0
     if not length:
         return ValueError(f"dot ({col}, {label}) lies outside every row")
     return ValueError(f"dot ({col}, {label}) exceeds its row of length {length}")
@@ -196,15 +188,15 @@ class FilledTableau:
         dots: Iterable[tuple[int, int]],
     ) -> None:
         n = shape.n
+        layout = _layout(shape)
         mask = 0
         for col, label in dots:
             if type(col) is not int or type(label) is not int:
                 raise ValueError(f"non-integer dot {(col, label)!r}")
             # Checked before packing: (1, n + 1) would land on bit n, (2, 1).
             if not (1 <= col <= n and 1 <= label <= n):
-                raise _stray_dot(shape, col, label)
+                raise _stray_dot(layout, col, label)
             mask |= 1 << ((col - 1) * n + label - 1)
-        layout = _layout(shape)
         row_labels = tuple(row_labels)
         # (2.0,) == (2,): equal values are not enough.
         if row_labels != layout.labels or any(type(j) is not int for j in row_labels):
@@ -226,7 +218,7 @@ class FilledTableau:
         stray = mask & ~layout.allowed
         if stray:
             col, label = divmod((stray & -stray).bit_length() - 1, layout.shape.n)
-            raise _stray_dot(layout.shape, col + 1, label + 1)
+            raise _stray_dot(layout, col + 1, label + 1)
         # Frozen: the fields go straight into the instance dict, in one call.
         fields = {"shape": layout.shape, "row_labels": layout.labels, "mask": mask}
         self.__dict__.update(fields, _shape_layout=layout)
@@ -249,7 +241,7 @@ def _encode_word(
     """
     if borders is None:
         borders = left_borders(word)
-    n, parts = len(word), tuple(sorted(borders[1:], reverse=True))
+    n, parts = len(word), _border_parts(borders)
     layout = shapes.get((n, parts))
     if layout is None:
         layout = shapes[n, parts] = _layout(ShapePartition(parts, n))
@@ -308,7 +300,7 @@ def _checked_decode(
             "inconsistent filling: dots do not match the decoded inversions"
         )
     borders = left_borders(word)
-    if tuple(sorted(borders[1:], reverse=True)) != layout.shape.parts:
+    if _border_parts(borders) != layout.shape.parts:
         raise InconsistentFillingError(
             "inconsistent filling: host shape differs from the decoded shape"
         )
@@ -339,8 +331,7 @@ def _bijection_image(
     filling of the word's shape, decoded and checked as
     :func:`decode_tableau` does, with no tableau built.
     """
-    parts = tuple(sorted(borders[1:], reverse=True))
-    layout = _layout(ShapePartition(parts, len(borders)))
+    layout = _layout(ShapePartition(_border_parts(borders), len(borders)))
     return _checked_decode(layout, _min_mask(layout))
 
 

@@ -6,37 +6,27 @@ counts its checks through :meth:`SuiteResult.require`; the first check that
 fails is the suite's one failure and ends it.  Suite names, workers and the
 series order are checked first; past that, a suite runs inside one error
 boundary, :func:`_boundary`, where any other exception is a fault of the
-library and counts as the suite's one failed check.  Every per-word check
-runs through :func:`_run_ranged`: the n's of a suite's walk form one
-lexicographic stream of words, permutations by construction and so fed to
-the kernels' unchecked routes, which :func:`permshape.oracle.fan_out` splits
-once (from 7! words on) into interleaved blocks.  A worker keeps one shape
-dict for all its blocks and stops at its first failed block; each block
-has its own boundary, whose failure names the word it was checking.  The
-dict holds what a check can share between words: the tableau walk's
+library and counts as the suite's one failed check.
+
+Every per-word check runs through :func:`_run_ranged`, over one
+:func:`permshape.oracle.walk` of S_0, S_1, ... up to the suite's depth:
+words that are permutations by construction, fed to the kernels' unchecked
+routes.  What verify adds to the walk is threefold.  Each block has its own
+boundary, whose failure names the word it was checking (a fault of the
+stream names none) and stops its worker; the blocks merge in stream order
+up to the first that failed, so parallel and single-threaded runs agree
+exactly, on failing runs too.  Each worker keeps one shape dict for all its
+blocks, holding what a check can share between words: the tableau walk's
 layouts, by (n, parts), which :mod:`permshape.tableaux` alone makes and
-reads, and the shapes and stats walks' side of each Dyck path, by the
-path, computed when a word first meets it.  A word's own side and every
-comparison still run per word, so no comparison reads both of its sides
-from one entry.  A block moves the stream only inside that boundary, so
-a fault of the stream itself, in the block or in the gap a worker skips
-before it, fails that block and names no word; so does a stream of the
-wrong length, in the block that comes up short or in the last block if
-words remain.  The blocks merge in stream order up to the
-first that failed, so every block before it is complete and parallel and
-single-threaded runs agree exactly, on failing runs and on faults raised
-in a worker too.  A walk is this one stream: a check per shape (the tableau
-suite's extreme fillings) runs at the one word that marks its shape, the
-word whose filling is full, and reads that word as the full filling's
-decode.  The tableau check splits each word's filling into its columns
-once, for the decode and the pattern counts.  A block also counts the keys
-its checks give it, and claims about a whole S_n are checked after the
-walk on those counts, merged.  The loops over avoiders, shapes and pairs
-stand on the same footing: the avoiders of
-:func:`permshape.oracle.avoiders_132` are 1-3-2-free by construction and
-take the bijection's private route, each object's side of a claim is
-computed once, and every message built per word, pair, avoider or shape
-is a template that :meth:`SuiteResult.require` fills in only on failure.
+reads, and the shapes and stats walks' side of each Dyck path, by the path.
+A word's own side and every comparison still run per word, so no
+comparison reads both of its sides from one entry.  And each block counts
+the keys its checks give it; claims about a whole S_n are checked after
+the walk on those counts, merged.  A check per shape (the tableau suite's
+extreme fillings) runs at the one word whose filling is full.  The loops
+over avoiders, shapes and pairs stand on the same footing, and every
+message built per word, pair, avoider or shape is a template that
+:meth:`SuiteResult.require` fills in only on failure.
 """
 from __future__ import annotations
 
@@ -165,47 +155,36 @@ def _boundary(result: SuiteResult, where=None):
         result.failures.append(text + where() if where else text)
 
 
-def _check_blocks(
-    ns: range, check, blocks: list[tuple[int, int]]
-) -> list[tuple[SuiteResult, dict]]:
+def _check_block(check, shapes: dict, words) -> tuple[tuple[SuiteResult, dict], bool]:
     """
-    The words of each block of the stream S_n for n in ``ns``, block by
-    block up to the first that fails, each with its own result and key
-    counts.  One shape dict serves all the blocks and lives and dies here.
+    A visitor of :func:`permshape.oracle.walk`: ``check`` on each of a
+    block's words, with the block's own result and key counts, inside its
+    own boundary, stopping the worker's share at the block's failure.
     """
-    out, shapes = [], {}
-    words = chain.from_iterable(map(oracle.enumerate_sn, ns))
-    for block in oracle.walk_blocks(words, blocks, sum(map(factorial, ns))):
-        part, keys = SuiteResult("", 0), {}
-        word = None  # the word under check; None while the stream moves
-        with _boundary(part, lambda: "" if word is None else f" at {word}"):
-            for word in block:
-                check(part, word, keys, shapes)
-                word = None
-        out.append((part, keys))
-        if part.failures:
-            break
-    return out
+    part, keys = SuiteResult("", 0), {}
+    word = None  # the word under check; None while the stream moves
+    with _boundary(part, lambda: "" if word is None else f" at {word}"):
+        for word in words:
+            check(part, word, keys, shapes)
+            word = None
+    return (part, keys), bool(part.failures)
 
 
-def _run_ranged(result: SuiteResult, ns: range, workers: int, check) -> dict:
+def _run_ranged(result: SuiteResult, ns: range, workers: int, check) -> Counter:
     """
     Run ``check(result, word, keys, shapes)`` over the stream of S_n for the
     n in ``ns`` (see the module docstring), and return the counts the checks
     kept in the dict ``keys``, merged over the walk, which claims about a
-    whole S_n need.  A walk below 7! words runs inline (see
-    :func:`permshape.oracle.fan_out`).
+    whole S_n need.
     """
-    counts = []
-    total = sum(factorial(n) for n in ns)
-    work = partial(_check_blocks, ns, check)
-    for part, keys in oracle.fan_out(work, total, workers):
+    counts = Counter()
+    for part, keys in oracle.walk(ns, partial(_check_block, check, {}), workers):
         result.checks += part.checks
         if part.failures:
             result.failures = part.failures
             raise _Stop
-        counts.append(keys)
-    return oracle._merge_tallies(counts)
+        counts.update(keys)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -50,5 +50,5 @@ def no_fan_out(monkeypatch):
 
 @pytest.fixture
 def split_any_size(monkeypatch):
-    """Let :func:`permshape.oracle.fan_out` split work of any size."""
+    """Let :func:`permshape.oracle.walk` split a stream of any size."""
     monkeypatch.setattr(oracle, "_FAN_OUT_MIN_TOTAL", 0)

@@ -16,7 +16,7 @@ from math import comb
 import pytest
 
 import permshape
-from permshape import genfun, verify
+from permshape import genfun, oracle, verify
 from permshape.cli import MAP_MAX_N, main, map_report, predicted_distribution
 from permshape.permutations import parse_permutation
 from permshape.shapes import dyck_word
@@ -156,6 +156,30 @@ class TestDist:
 
     def test_unpredictable_combination(self, capsys):
         assert main(["dist", "--n", "4", "--stat", "maj", "--check"]) == 2
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (
+                "9",
+                "no generating-polynomial prediction for statistic 'maj' with filter None",
+            ),
+            ("12", "full enumeration supports 0 <= n <= 11"),
+        ],
+    )
+    def test_a_check_without_prediction_fails_before_the_walk(
+        self, n, message, capsys, monkeypatch
+    ):
+        # A bad n is named first, then the missing prediction, and S_n is
+        # never walked.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the distribution was walked")
+
+        monkeypatch.setattr(oracle, "distribution", refuse)
+        assert main(["dist", "--n", n, "--stat", "maj", "--check"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_csv_format(self, capsys):
         assert main(["dist", "--n", "3", "--stat", "des", "--format", "csv"]) == 0

@@ -3,6 +3,7 @@ import os
 import signal
 import time
 from contextlib import contextmanager
+from itertools import chain
 from math import comb, factorial
 
 import pytest
@@ -18,12 +19,11 @@ from permshape.oracle import (
     avoiders_231,
     distribution,
     enumerate_sn,
-    fan_out,
     permutation_range,
     shape_census,
     split_ranges,
     tally,
-    walk_blocks,
+    walk,
 )
 from permshape.shapes import ShapePartition, count_permutations_with_shape
 from permshape.verify import run_suite
@@ -40,46 +40,67 @@ def catalan(n):
     return comb(2 * n, n) // (n + 1)
 
 
-def _ranges(blocks):
-    """One range per block: the blocks a worker was dealt, made visible."""
-    return [range(lo, hi) for lo, hi in blocks]
+# Visitors of ``walk``.  Each returns (value, stop) for one block of words.
+S5 = list(enumerate_sn(5))
+BLOCKS = split_ranges(120, 2 * oracle._BLOCKS_PER_WORKER)  # S_5 on 2 workers
 
 
-def _owned(blocks):
-    """Each block with the process that ran it."""
-    return [(os.getpid(), lo, hi) for lo, hi in blocks]
+def _read(words):
+    """Every word of the block: the block, made visible."""
+    return list(words), False
 
 
-def _until(stop, blocks):
-    """One range per block, up to and including the block that holds ``stop``."""
-    out = []
-    for lo, hi in blocks:
-        out.append(range(lo, hi))
-        if lo <= stop < hi:
-            break
-    return out
+def _first(words):
+    """The block's first word, the others left unread."""
+    return next(words), False
 
 
-def _exits_past_share_0(blocks):
+def _skip(words):
+    """Nothing of the block read."""
+    return None, False
+
+
+def _owned(words):
+    """The block with the process that read it."""
+    return (os.getpid(), list(words)), False
+
+
+def _until(stop, words):
+    """The block, stopping the share at the block that holds ``stop``."""
+    block = list(words)
+    return block, stop in block
+
+
+def _read_or_fault(words):
+    """The words read and what the stream raised while they were read."""
+    read = []
+    try:
+        read.extend(words)
+    except RuntimeError as error:
+        return (read, str(error)), True
+    return (read, None), False
+
+
+def _exits_past_share_0(words):
     """Exit without an answer in every share but the caller's, share 0."""
-    if blocks[0][0]:
+    if multiprocessing.parent_process():
         os._exit(3)
-    return _ranges(blocks)
+    return _read(words)
 
 
-def _fails_in_share_0(blocks):
+def _fails_in_share_0(words):
     """Raise in the caller's share while the children sleep."""
-    if not blocks[0][0]:
+    if not multiprocessing.parent_process():
         raise ValueError("share 0 fails")
     time.sleep(60)
-    return _ranges(blocks)
+    return _read(words)
 
 
-def _fails_past_share_0(blocks):
-    """Raise in every share but the caller's, naming where it starts."""
-    if blocks[0][0]:
-        raise LookupError(f"share from {blocks[0][0]} fails")
-    return _ranges(blocks)
+def _fails_past_share_0(words):
+    """Raise in every share but the caller's, naming the word it starts at."""
+    if multiprocessing.parent_process():
+        raise LookupError(f"share from {next(words)} fails")
+    return _read(words)
 
 
 @contextmanager
@@ -148,14 +169,15 @@ class TestFanOut:
     def test_rejects_workers_below_one(self, no_fan_out):
         for workers in (0, -1):
             with pytest.raises(ValueError, match="workers"):
-                fan_out(_ranges, 10, workers)
+                walk((5,), _read, workers)
 
     def test_single_range_runs_inline(self, no_fan_out, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert fan_out(_ranges, 10, 4) == [range(0, 10)]
+        assert walk((7,), _first, 4) == [(1, 2, 3, 4, 5, 6, 7)]
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert fan_out(_ranges, 1, 4) == [range(0, 1)]
-        assert fan_out(_ranges, factorial(7) - 1, 4) == [range(0, factorial(7) - 1)]
+        assert walk((1,), _read, 4) == [[(1,)]]
+        # S_0..S_6, 874 words, is the largest walk of S_0, S_1, ... below 7!.
+        assert walk(range(7), _read, 4) == [list(chain(*map(enumerate_sn, range(7))))]
 
     def test_one_cpu_opens_no_pool(self, no_fan_out, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -196,45 +218,47 @@ class TestFanOut:
         assert distribution(6, "lbsum", workers=2) == distribution(6, "lbsum")
         assert shape_census(6, workers=2) == shape_census(6)
         assert run_suite("stats", 6, workers=2).checks == 2620
-        # The cut is read when the fan-out is called.
-        monkeypatch.setattr(oracle, "_FAN_OUT_MIN_TOTAL", 64)
-        assert fan_out(_ranges, 63, 2) == [range(0, 63)]
+        # The cut is read when the walk is called.
+        monkeypatch.setattr(oracle, "_FAN_OUT_MIN_TOTAL", 121)
+        assert walk((5,), _read, 2) == [S5]
         assert not fan_outs
 
-    def test_a_block_moves_the_stream_only_once_read(self):
-        # Left partly read or unread, a slice still ends where its block
-        # does, and the next slice starts at its own lo.
-        blocks = [(2, 5), (7, 9), (12, 15), (16, 18)]
-        first, second, third, fourth = walk_blocks(iter(range(20)), blocks, 20)
-        assert next(first) == 2
-        assert list(third) == [12, 13, 14]
-        assert list(second) == [] and list(fourth) == [16, 17]
+    @pytest.mark.usefixtures("split_any_size")
+    def test_a_block_moves_the_stream_only_once_read(self, fan_outs):
+        # Left partly read or unread, a block still ends where it does, and
+        # the next block of the share starts at its own lo.
+        assert walk((5,), _first, 2) == [S5[lo] for lo, _ in BLOCKS]
+        assert walk((5,), _skip, 2) == [None] * len(BLOCKS)
+        assert [processes for _, processes in fan_outs] == [2, 2]
 
-    def test_a_fault_in_a_gap_is_raised_by_the_next_block(self):
-        def stream():
-            yield from range(10)
+    @pytest.mark.usefixtures("split_any_size")
+    def test_a_fault_in_a_gap_is_raised_by_the_next_block(self, fan_outs, monkeypatch):
+        # The stream fails at word 60, in block 7 of the child's share: the
+        # child meets it in that block, the caller in the gap before its
+        # block 8.  The values end before block 9, the child's next.
+        def stream(n):
+            yield from S5[:60]
             raise RuntimeError("gap")
 
-        first, second = walk_blocks(stream(), [(0, 2), (12, 14)], 14)
-        assert list(first) == [0, 1]
-        with pytest.raises(RuntimeError, match="gap"):
-            next(second)
+        monkeypatch.setattr(oracle, "enumerate_sn", stream)
+        values = walk((5,), _read_or_fault, 2)
+        assert values[:7] == [(S5[lo:hi], None) for lo, hi in BLOCKS[:7]]
+        assert values[7:] == [(S5[56:60], "gap"), ([], "gap")]
 
-    def test_a_stream_of_the_wrong_length_fails_where_it_shows(self):
-        # Short: the slice that runs out raises once read to its end, after
-        # yielding what there was.  Long: the slice ending the stream raises.
-        blocks = [(0, 4), (6, 10)]
-        first, second = walk_blocks(iter(range(9)), blocks, 10)
-        assert list(first) == [0, 1, 2, 3]
-        assert next(second) == 6 and next(second) == 7 and next(second) == 8
-        with pytest.raises(RuntimeError, match="ends short of its 10 words"):
-            next(second)
-        (only,) = walk_blocks(iter(range(11)), [(0, 10)], 10)
-        with pytest.raises(RuntimeError, match="runs past its 10 words"):
-            list(only)
-        # A block that does not end the stream leaves what follows alone.
-        (head,) = walk_blocks(iter(range(11)), [(0, 10)], 11)
-        assert list(head) == list(range(10))
+    @pytest.mark.usefixtures("split_any_size")
+    def test_a_stream_of_the_wrong_length_fails_where_it_shows(
+        self, fan_outs, monkeypatch
+    ):
+        # Short: the block that runs out raises once read to its end, after
+        # yielding what there was.  Long: the block ending the stream raises.
+        # Every other block is whole.
+        whole = [(S5[lo:hi], None) for lo, hi in BLOCKS[:-1]]
+        for words, fault in [
+            (S5[:-1], "the stream ends short of its 120 words"),
+            (S5 + S5[:1], "the stream runs past its 120 words"),
+        ]:
+            monkeypatch.setattr(oracle, "enumerate_sn", lambda n, words=words: iter(words))
+            assert walk((5,), _read_or_fault, 2) == whole + [(words[113:120], fault)]
 
     def test_a_tally_of_the_wrong_length_fails(self, monkeypatch):
         real = oracle.enumerate_sn
@@ -245,25 +269,24 @@ class TestFanOut:
     @pytest.mark.usefixtures("split_any_size")
     def test_blocks_are_dealt_round_robin(self, fan_outs):
         # 2 workers x 8 blocks: block t goes to share t mod 2, share 0 to
-        # the caller and share 1 to one child process, and the results come
-        # back in stream order, covering [0, total) once.
-        results = fan_out(_owned, 100, 2)
-        assert [(lo, hi) for _, lo, hi in results] == split_ranges(100, 16)
-        pids = [pid for pid, _, _ in results]
+        # the caller and share 1 to one child process, and the values come
+        # back in stream order, covering the stream once.
+        values = walk((5,), _owned, 2)
+        assert [words for _, words in values] == [S5[lo:hi] for lo, hi in BLOCKS]
+        pids = [pid for pid, _ in values]
         assert pids[0] == os.getpid() != pids[1]
         assert pids == [pids[0], pids[1]] * 8
         assert [processes for _, processes in fan_outs] == [2]
 
     @pytest.mark.usefixtures("split_any_size")
-    @pytest.mark.parametrize("stop", [0, 6, 7, 93, 99])
+    @pytest.mark.parametrize("stop", [0, 6, 7, 8, 93, 99, 119])
     def test_results_end_at_the_first_block_a_worker_left(self, stop, fan_outs):
-        # The worker that meets ``stop`` in block t returns nothing after it,
-        # so the results run in order up to block t + 1, the other worker's
-        # next, and end before block t + 2, the first without a result.
-        blocks = split_ranges(100, 2 * oracle._BLOCKS_PER_WORKER)
-        t = next(t for t, (lo, hi) in enumerate(blocks) if lo <= stop < hi)
-        results = fan_out(partial(_until, stop), 100, 2)
-        assert results == [range(lo, hi) for lo, hi in blocks[: t + 2]]
+        # The worker that meets word ``stop`` in block t stops there, so the
+        # values run in order up to block t + 1, the other worker's next,
+        # and end before block t + 2, the first without a value.
+        t = next(t for t, (lo, hi) in enumerate(BLOCKS) if lo <= stop < hi)
+        values = walk((5,), partial(_until, S5[stop]), 2)
+        assert values == [S5[lo:hi] for lo, hi in BLOCKS[: t + 2]]
 
     def test_tallies_of_s7_fan_out_once(self, fan_outs):
         # A count splits under the one rule of every walk: from S_7 on.
@@ -283,9 +306,11 @@ class TestFanOut:
     @pytest.mark.usefixtures("split_any_size")
     def test_spawned_blocks_match_the_serial_walk(self, fan_outs, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        work = partial(oracle._tally_blocks, 6, oracle.STATISTICS["inv"])
-        serial = work(split_ranges(720, 2 * oracle._BLOCKS_PER_WORKER))
-        assert fan_out(work, 720, 2) == serial
+        visit = partial(oracle._tally, oracle.STATISTICS["inv"])
+        s6 = list(enumerate_sn(6))
+        blocks = split_ranges(720, 2 * oracle._BLOCKS_PER_WORKER)
+        serial = [visit(iter(s6[lo:hi]))[0] for lo, hi in blocks]
+        assert walk((6,), visit, 2) == serial
         assert fan_outs == [("spawn", 2)]
 
     @pytest.mark.usefixtures("split_any_size")
@@ -293,22 +318,23 @@ class TestFanOut:
         # A pool's map would wait for the lost task forever.
         with _deadline(60):
             with pytest.raises(RuntimeError, match="exited with code 3 before"):
-                fan_out(_exits_past_share_0, 100, 2)
+                walk((5,), _exits_past_share_0, 2)
         assert not multiprocessing.active_children()
 
     @pytest.mark.usefixtures("split_any_size")
     def test_a_fault_in_the_callers_share_ends_the_children(self, fan_outs):
         started = time.monotonic()
         with pytest.raises(ValueError, match="share 0 fails"):
-            fan_out(_fails_in_share_0, 100, 2)
+            walk((5,), _fails_in_share_0, 2)
         assert not multiprocessing.active_children()
         assert time.monotonic() - started < 30  # the child's sleep was cut short
         assert [processes for _, processes in fan_outs] == [2]
 
     @pytest.mark.usefixtures("split_any_size")
     def test_a_childs_exception_is_raised_as_it_was(self, fan_outs):
-        with pytest.raises(LookupError, match="^share from 7 fails$"):
-            fan_out(_fails_past_share_0, 100, 2)
+        # The child's first block starts at word 8 of S_5.
+        with pytest.raises(LookupError, match=r"^share from \(1, 3, 4, 2, 5\) fails$"):
+            walk((5,), _fails_past_share_0, 2)
         assert not multiprocessing.active_children()
 
 

@@ -65,6 +65,30 @@ def test_only_the_cli_writes_text():
     assert {name: found for name, found in writers.items() if found} == {}
 
 
+def _private_oracle_names(tree):
+    """The underscore names a module reads through ``oracle.`` or imports from it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "oracle" and node.attr.startswith("_"):
+                yield node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "oracle":
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+
+
+def test_oracle_alone_owns_the_walk():
+    # No other module starts processes, and none reads a private name of
+    # oracle.
+    others = [path for path in PACKAGE_DIR.glob("*.py") if path.name != "oracle.py"]
+    starts = [p.name for p in others if "multiprocessing" in _imported_modules(p)]
+    assert starts == []
+    reads = {
+        path.name: names
+        for path in PACKAGE_DIR.glob("*.py")
+        if (names := list(_private_oracle_names(ast.parse(path.read_text()))))
+    }
+    assert reads == {}
+
+
 def test_verify_has_one_error_boundary():
     # One try statement in verify.py, the boundary's: no per-call wrapper and
     # no suppress() may come back beside it.

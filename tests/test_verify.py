@@ -703,11 +703,9 @@ def test_each_path_is_read_once(name, kernels, monkeypatch):
 def test_labels_are_built_once_per_entry(monkeypatch):
     # Serial, S_0..S_7 is one block: each of the 626 entries' labels are
     # built once, by its layout, and neither a word nor its shape's extreme
-    # fillings rebuild them.
+    # fillings build a layout again.
     calls = []
-    monkeypatch.setattr(
-        tableaux, "_row_buckets", _counting(calls, "", tableaux._row_buckets)
-    )
+    monkeypatch.setattr(tableaux, "_layout", _counting(calls, "", tableaux._layout))
     assert run_suite("tableau", 7, workers=1).passed
     assert len(calls) == 626
 
