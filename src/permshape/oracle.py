@@ -174,6 +174,8 @@ def walk(ns: Sequence[int], visit: Callable, workers: int) -> list:
     raised here, a child that exits without an answer raises RuntimeError,
     and whatever ``walk`` raises, it first ends and joins its children.
     """
+    for n in ns:  # before the walk sizes its split from n!
+        _check_enum_n(n)
     total = sum(map(factorial, ns))
     count = effective_workers(workers, total)
     if count == 1:

@@ -79,11 +79,6 @@ def is_dyck_word(word: str) -> bool:
     return height == 0
 
 
-def _require_dyck(word: str) -> None:
-    if not is_dyck_word(word):
-        raise InvalidDyckWordError(f"not a Dyck word: {word!r}")
-
-
 @dataclass(frozen=True)
 class ShapePartition:
     """
@@ -180,7 +175,8 @@ def path_shape_parts(word: str) -> tuple[int, ...]:
 
 def shape_from_path(word: str) -> ShapePartition:
     """The cells above a Dyck word inside the staircase, read as a partition."""
-    _require_dyck(word)
+    if not is_dyck_word(word):
+        raise InvalidDyckWordError(f"not a Dyck word: {word!r}")
     return ShapePartition(path_shape_parts(word), word.count(UP))
 
 

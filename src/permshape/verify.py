@@ -4,9 +4,9 @@ exhaustive cross-check at small n, each suite timed.  A suite is a function
 ``suite(result, workers)`` that reads its depth from ``result.max_n`` and
 counts its checks through :meth:`SuiteResult.require`; the first check that
 fails is the suite's one failure and ends it.  Suite names, workers and the
-series order are checked first; past that, a suite runs inside one error
-boundary, :func:`_boundary`, where any other exception is a fault of the
-library and counts as the suite's one failed check.
+depth (the order, for series) are checked first; past that, a suite runs
+inside one error boundary, :func:`_boundary`, where any other exception is
+a fault of the library and counts as the suite's one failed check.
 
 Every per-word check runs through :func:`_run_ranged`, over one
 :func:`permshape.oracle.walk` of S_0, S_1, ... up to the suite's depth:
@@ -23,10 +23,9 @@ A word's own side and every comparison still run per word, so no
 comparison reads both of its sides from one entry.  And each block counts
 the keys its checks give it; claims about a whole S_n are checked after
 the walk on those counts, merged.  A check per shape (the tableau suite's
-extreme fillings) runs at the one word whose filling is full.  The loops
-over avoiders, shapes and pairs stand on the same footing, and every
-message built per word, pair, avoider or shape is a template that
-:meth:`SuiteResult.require` fills in only on failure.
+extreme fillings) runs at the one word whose filling is full.  Every
+message is a template that :meth:`SuiteResult.require` fills in only when
+its check fails.
 """
 from __future__ import annotations
 
@@ -74,6 +73,7 @@ from .permutations import (
 )
 from .shapes import (
     ShapePartition,
+    _border_parts,
     _first_return,
     _rectangle_count,
     _rectangles,
@@ -117,13 +117,13 @@ class SuiteResult:
 
     def require(self, condition: bool, message: str, *args) -> None:
         """
-        Count one check; at the first that fails, record it and stop.  Given
-        ``args``, ``message`` is a :meth:`str.format` template, filled in only
-        on failure.
+        Count one check; at the first that fails, record it and stop.
+        ``message`` is a :meth:`str.format` template, filled in with ``args``
+        only then.
         """
         self.checks += 1
         if not condition:
-            self.failures.append(message.format(*args) if args else message)
+            self.failures.append(message.format(*args))
             raise _Stop
 
 
@@ -295,14 +295,12 @@ def _cp_check_word(
     barred = count_barred_132_word(word)
     result.require(
         sum(left_borders(word)) == inversion_count(word) + barred,
-        "border-sum identity fails at {}",
-        word,
+        "border-sum identity fails at {}", word
     )
     if len(word) <= 6:
         result.require(
             barred == _naive_barred_132(word),
-            "windowed and naive barred counts differ at {}",
-            word,
+            "windowed and naive barred counts differ at {}", word
         )
 
 
@@ -313,8 +311,7 @@ def suite_cp_pattern(result: SuiteResult, workers: int) -> None:
         for word in oracle.avoiders_132(n):
             result.require(
                 sum(left_borders(word)) == inversion_count(word),
-                "border sum != inversions for 1-3-2-avoider {}",
-                word,
+                "border sum != inversions for 1-3-2-avoider {}", word
             )
 
 
@@ -347,21 +344,18 @@ def _shapes_check_word(
     parts, borders, valleys, first = side
     a = left_borders(word)
     result.require(
-        parts == tuple(sorted(a[1:], reverse=True)),
-        "path shape != border shape at {}",
-        word,
+        parts == _border_parts(a),
+        "path shape != border shape at {}", word
     )
     result.require(borders == a, "border reconstruction fails at {}", word)
     result.require(
         valleys == tuple(2 * d for d in descent_positions(word)),
-        "valleys != doubled descents at {}",
-        word,
+        "valleys != doubled descents at {}", word
     )
     if n:
         result.require(
             first == 2 * (word.index(n) + 1),
-            "first return != twice the max position at {}",
-            word,
+            "first return != twice the max position at {}", word
         )
 
 
@@ -373,7 +367,7 @@ def suite_shapes(result: SuiteResult, workers: int) -> None:
         all_words = {path_from_shape(s) for s in oracle.all_shapes(n)}
         result.require(
             len(words) == _catalan(n) and words == all_words,
-            f"paths of 2-3-1-avoiders are not all Dyck words at n={n}",
+            "paths of 2-3-1-avoiders are not all Dyck words at n={}", n
         )
 
 
@@ -387,12 +381,12 @@ def suite_count(result: SuiteResult, workers: int) -> None:
         census = oracle.shape_census(n, workers=workers)
         result.require(
             sum(census.values()) == factorial(n),
-            f"census of S_{n} does not sum to {n}!",
+            "census of S_{} does not sum to {}!", n, n
         )
-        expected_shapes = _catalan(n) if n else 1
+        expected_shapes = _catalan(n)
         result.require(
             len(census) == expected_shapes,
-            f"census of S_{n} has {len(census)} shapes, expected {expected_shapes}",
+            "census of S_{} has {} shapes, expected {}", n, len(census), expected_shapes
         )
         for parts, count in sorted(census.items()):
             s = ShapePartition(parts, n)
@@ -401,14 +395,11 @@ def suite_count(result: SuiteResult, workers: int) -> None:
             tiles = _rectangles(parts)
             result.require(
                 _rectangle_count(tiles) == count,
-                "binomial product != census count for shape '{}' (n={})",
-                s,
-                n,
+                "binomial product != census count for shape '{}' (n={})", s, n
             )
             result.require(
                 _tiles_exactly(s, tiles),
-                "rectangles do not tile shape '{}' one per corner",
-                s,
+                "rectangles do not tile shape '{}' one per corner", s
             )
 
 
@@ -462,8 +453,7 @@ def _tableau_check_word(
     corners = layout.corners
     result.require(
         _decode_word(columns) == word and t.mask & corners == corners,
-        "round trip broken at {}",
-        word,
+        "round trip broken at {}", word
     )
     # A filling decodes to one word, so at most one word per shape has the
     # full filling: its shape's extreme fillings are checked here, and the
@@ -497,20 +487,15 @@ def _check_extreme_fillings(
     low = _checked_decode(layout, _min_mask(layout))[0]
     result.require(
         not contains_231(low),
-        "minimal filling of {} decodes to a 2-3-1 container {}",
-        s,
-        _OneLine(low),
+        "minimal filling of {} decodes to a 2-3-1 container {}", s, _OneLine(low)
     )
     result.require(
         not contains_132(word),
-        "full filling of {} decodes to a 1-3-2 container {}",
-        s,
-        _OneLine(word),
+        "full filling of {} decodes to a 1-3-2 container {}", s, _OneLine(word)
     )
     result.require(
         shape_parts(low) == s.parts,
-        "extreme fillings of {} do not preserve the shape",
-        s,
+        "extreme fillings of {} do not preserve the shape", s
     )
 
 
@@ -522,7 +507,7 @@ def suite_tableau(result: SuiteResult, workers: int) -> None:
     for n in ns:
         if n <= 8:
             result.require(
-                images[n] == factorial(n), f"encode is not injective on S_{n}"
+                images[n] == factorial(n), "encode is not injective on S_{}", n
             )
     # Any count of full fillings but one per shape means that some shape's
     # extreme fillings went unchecked.
@@ -560,21 +545,17 @@ def suite_bijection(result: SuiteResult, workers: int) -> None:
             target, target_borders = _bijection_image(borders)
             result.require(
                 not contains_231(target),
-                "image {} of {} contains 2-3-1",
-                _OneLine(target),
-                word,
+                "image {} of {} contains 2-3-1", _OneLine(target), word
             )
             result.require(
                 _bijection_stats(word, borders)
                 == _bijection_stats(target, target_borders),
-                "statistics not preserved on {} -> {}",
-                word,
-                _OneLine(target),
+                "statistics not preserved on {} -> {}", word, _OneLine(target)
             )
             image.add(target)
         result.require(
             len(image) == _catalan(n),
-            f"image size {len(image)} != Catalan({n}) = {_catalan(n)}",
+            "image size {} != Catalan({}) = {}", len(image), n, _catalan(n)
         )
 
 
@@ -601,9 +582,7 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
                 if b != a:
                     result.require(
                         not up[b] >> a & 1,
-                        "antisymmetry fails at {}, {}",
-                        w,
-                        words[b],
+                        "antisymmetry fails at {}, {}", w, words[b]
                     )
                 result.require(
                     not up[b] & ~above, "transitivity fails at {}, {}", w, words[b]
@@ -634,10 +613,10 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
     for n in range(2, min(max_n, 7) + 1):
         report = verify_poset_equivalence(n)
         result.checks += report.pairs_checked
+        first = report.counterexamples[:1]
         result.require(
             report.equivalence_holds,
-            f"containment/order equivalence fails at n={n}: "
-            f"{report.counterexamples[:1]}",
+            "containment/order equivalence fails at n={}: {}", n, first
         )
     # Covers between avoiders add exactly one corner cell to the shape.
     for n in range(2, min(max_n, 7) + 1):
@@ -651,9 +630,7 @@ def suite_poset(result: SuiteResult, workers: int) -> None:
                 diffs = [i for i in range(n - 1) if sp[i] != sq[i]]
                 result.require(
                     len(diffs) == 1 and sq[diffs[0]] == sp[diffs[0]] + 1,
-                    "cover {} -> {} does not add one cell",
-                    word,
-                    cover,
+                    "cover {} -> {} does not add one cell", word, cover
                 )
     # The two fixed reference pairs behave as documented.
     if max_n >= 4:
@@ -687,21 +664,20 @@ def suite_parity(result: SuiteResult, workers: int) -> None:
         # Balance first: the recursion builds it in, so only enumeration breaks it.
         even, odd = oracle.distribution(n, "lbsum", workers=workers).parity_split()
         if n % 2 == 0 and n >= 2:
-            result.require(even == odd, f"even/odd counts differ at even n={n}")
+            result.require(even == odd, "even/odd counts differ at even n={}", n)
         result.require(
             (even, odd) == (table.even[n], table.odd[n]),
-            f"enumerated parity split disagrees with the recursion at n={n}",
+            "enumerated parity split disagrees with the recursion at n={}", n
         )
     for k, t in enumerate(tangent_numbers(7), start=1):
         result.require(
             t == table.delta[2 * k - 1],
-            "tangent number {} does not match the imbalance",
-            k,
+            "tangent number {} does not match the imbalance", k
         )
     for n in range(0, 21):
         result.require(
             lbsum_polynomial(n).evaluate(-1) == table.delta[n],
-            f"F_{n}(-1) disagrees with the imbalance",
+            "F_{}(-1) disagrees with the imbalance", n
         )
 
 
@@ -734,8 +710,7 @@ def _genfun_check_word(
     left, right = word[: k - 1], word[k:]
     result.require(
         area == sum(left_borders(left)) + sum(left_borders(right)) + k * (n - k),
-        "splitting law fails at {}",
-        word,
+        "splitting law fails at {}", word
     )
 
 
@@ -754,42 +729,42 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
     for n in ns:
         result.require(
             lbsum_polynomial(n).to_counts() == areas[n],
-            f"F_{n} disagrees with the enumerated distribution",
+            "F_{} disagrees with the enumerated distribution", n
         )
     for n in range(0, 21):
         result.require(
             lbsum_polynomial(n).evaluate(1) == factorial(n),
-            f"F_{n}(1) != {n}!",
+            "F_{}(1) != {}!", n, n
         )
     for n in range(0, 13):
         f = lbsum_polynomial(n)
         result.require(
             f.degree == comb(n, 2) and f.coefficient(comb(n, 2)) == 1,
-            f"degree bound fails for F_{n}",
+            "degree bound fails for F_{}", n
         )
         result.require(
-            quad_polynomial(n).marginal("x") == f, f"G_{n}(x,1,1,1) != F_{n}"
+            quad_polynomial(n).marginal("x") == f, "G_{}(x,1,1,1) != F_{}", n, n
         )
     for n in range(0, min(max_n, 8) + 1):
         result.require(
             dict(quad_polynomial(n).terms()) == joints[n],
-            f"G_{n} disagrees with the enumerated joint distribution",
+            "G_{} disagrees with the enumerated joint distribution", n
         )
     for n in range(0, min(max_n, 10) + 1):
         result.require(
             q_catalan(n).to_counts()
             == oracle.distribution(n, "inv", avoid="132").counts,
-            f"q-Catalan {n} disagrees with inversions over the avoiders",
+            "q-Catalan {} disagrees with inversions over the avoiders", n
         )
     for n in range(0, 16):
         result.require(
             q_catalan_alt(n) == q_catalan(n).reversed_on_degree(comb(n, 2)),
-            f"the two q-Catalan conventions are not degree-reversals at n={n}",
+            "the two q-Catalan conventions are not degree-reversals at n={}", n
         )
     for n in range(0, 21):
         result.require(
             q_catalan(n).evaluate(1) == _catalan(n),
-            f"q-Catalan {n} does not sum to the Catalan number",
+            "q-Catalan {} does not sum to the Catalan number", n
         )
     for n in range(2, 51):
         moments(n)  # the closed form against the recursion
@@ -801,7 +776,7 @@ def suite_genfun(result: SuiteResult, workers: int) -> None:
         report = moments(n)
         result.require(
             report.mean == mean and report.variance == second - mean * mean,
-            f"moments disagree with enumeration at n={n}",
+            "moments disagree with enumeration at n={}", n
         )
 
 
@@ -810,9 +785,7 @@ def suite_series(result: SuiteResult, workers: int) -> None:
     for k, ok in enumerate(report.equation_status):
         result.require(
             ok,
-            "functional equation residual at z^{}: {}",
-            k,
-            report.failing_residual,
+            "functional equation residual at z^{}: {}", k, report.failing_residual
         )
     for k, ok in enumerate(report.tanh_status):
         result.require(ok, "tanh specialization mismatch at z^{}", k)
@@ -843,6 +816,8 @@ def _check_input(name: str, depth: int, workers: int) -> None:
         raise ValueError(f"unknown suite {name!r}")
     if name == "series" and not 1 <= depth <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {depth}")
+    if depth < 0:
+        raise ValueError(f"max_n must be at least 0, got {depth}")
     oracle.effective_workers(workers, 0)  # also for suites that never fan out
 
 

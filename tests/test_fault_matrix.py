@@ -3,7 +3,8 @@ Every check of the verify suites can fail.  For each ``require`` message
 template in ``verify.py`` one planted fault, a single name patched in
 ``verify``'s namespace or in one library module's, makes that check the
 suite's first and only failure, with the same checks and message at
-``--workers`` 1 and 2.  An ``ast`` scan keeps the table complete.
+``--workers`` 1 and 2.  An ``ast`` scan keeps the table complete, and every
+message a literal template.
 """
 import ast
 import multiprocessing
@@ -381,22 +382,17 @@ MATRIX = {
 
 
 def _template(node):
-    """A message argument with every replacement field written ``{}``."""
-    if isinstance(node, ast.Constant):
+    """A message argument that is a string literal, as written; else None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
-    if isinstance(node, ast.JoinedStr):
-        return "".join(
-            part.value if isinstance(part, ast.Constant) else "{}"
-            for part in node.values
-        )
-    return ast.unparse(node)  # a computed message has no entry to match
+    return None
 
 
-def _require_templates():
-    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+def _require_templates(source):
+    """(line, template) for the message of every ``require`` call in ``source``."""
     return [
-        _template(node.args[1])
-        for node in ast.walk(tree)
+        (node.lineno, _template(node.args[1]))
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "require"
@@ -404,9 +400,24 @@ def _require_templates():
 
 
 def test_every_check_has_a_fault():
-    templates = _require_templates()
+    found = _require_templates(pathlib.Path(verify.__file__).read_text())
+    # Every message is a literal template, filled in only when its check fails.
+    assert [line for line, template in found if template is None] == []
+    templates = [template for _, template in found]
     assert len(templates) == len(set(templates))  # one entry names one check
     assert sorted(templates) == sorted(MATRIX)
+    # The scan itself sees a message built on every pass, in a loop or not.
+    sample = "\n".join(
+        [
+            "result.require(ok, f'at n={n}')",
+            "for word in words:",
+            "    result.require(ok, f'at {word}')",
+            "    result.require(ok, 'at {}', word)",
+            "    result.require(ok, 'at ' + str(word))",
+        ]
+    )
+    found = _require_templates(sample)
+    assert [line for line, template in found if template is None] == [1, 3, 5]
 
 
 @pytest.mark.parametrize("template", list(MATRIX))

@@ -171,6 +171,15 @@ class TestFanOut:
             with pytest.raises(ValueError, match="workers"):
                 walk((5,), _read, workers)
 
+    # The split is sized from n!, so a bad n must fail before it.
+    def test_a_bad_n_fails_before_any_process_starts(self, no_fan_out, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for ns in ((12,), (5, 12), (-1,)):
+            with pytest.raises(ValueError, match="0 <= n <= 11"):
+                walk(ns, _read, 2)
+        with pytest.raises(ValueError, match="0 <= n <= 11"):
+            tally(12, len, workers=2)
+
     def test_single_range_runs_inline(self, no_fan_out, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert walk((7,), _first, 4) == [(1, 2, 3, 4, 5, 6, 7)]

@@ -1,7 +1,5 @@
-import ast
 import multiprocessing
 import os
-import pathlib
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -779,7 +777,8 @@ def test_an_interrupt_passes_the_boundary(monkeypatch):
 # Bad input is a usage error raised before the boundary, not a failed suite.
 @pytest.mark.parametrize(
     "name, depth, workers",
-    [("everything", 3, 1), ("series", 11, 1), ("series", 0, 1), ("stats", 3, 0)],
+    [("everything", 3, 1), ("series", 11, 1), ("series", 0, 1), ("stats", 3, 0)]
+    + [(name, -1, 1) for name in verify.SUITE_NAMES if name != "series"],
 )
 def test_bad_input_raises_before_the_boundary(name, depth, workers, no_fan_out):
     with pytest.raises(ValueError):
@@ -911,52 +910,3 @@ def test_an_overlap_fails_the_count_as_the_cells_did(
         assert (result.passed, result.checks, result.failures) == (
             False, checks, [message]
         )
-
-
-def _eager_messages(source):
-    """
-    The lines of the ``require`` calls in ``source`` whose message is an
-    f-string, built on every pass, inside a loop that runs per word, pair,
-    avoider or shape: any loop but ``for n in ...``.
-    """
-    found = []
-
-    def visit(node, per_item):
-        if isinstance(node, ast.For):
-            per_item = per_item or not (
-                isinstance(node.target, ast.Name) and node.target.id == "n"
-            )
-        elif isinstance(node, ast.While):
-            per_item = True
-        if (
-            per_item
-            and isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "require"
-            and len(node.args) > 1
-            and isinstance(node.args[1], ast.JoinedStr)
-        ):
-            found.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, per_item)
-
-    visit(ast.parse(source), False)
-    return found
-
-
-def test_no_message_is_built_per_item():
-    source = pathlib.Path(verify.__file__).read_text()
-    assert _eager_messages(source) == []
-    # The guard itself sees an eager message in a per-word loop, and only there.
-    sample = "\n".join(
-        [
-            "for n in range(3):",
-            "    result.require(ok, f'at n={n}')",
-            "    for word in words:",
-            "        result.require(ok, f'at {word}')",
-            "        result.require(ok, 'at {}', word)",
-            "while rest:",
-            "    result.require(ok, f'at {rest}')",
-        ]
-    )
-    assert _eager_messages(sample) == [4, 7]
