@@ -131,7 +131,6 @@ def shape_contains(
 class PosetReport:
     """Outcome of the exhaustive containment-vs-Bruhat comparison."""
 
-    n: int
     pairs_checked: int
     counterexamples: tuple[tuple[tuple[int, ...], tuple[int, ...], str], ...]
 
@@ -170,8 +169,4 @@ def verify_poset_equivalence(n: int) -> PosetReport:
                 else "Bruhat-below but shape not strictly contained"
             )
             bad.append((word, words[b], side))
-    return PosetReport(
-        n=n,
-        pairs_checked=len(words) * (len(words) - 1),
-        counterexamples=tuple(bad),
-    )
+    return PosetReport(len(words) * (len(words) - 1), tuple(bad))

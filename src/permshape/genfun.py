@@ -67,14 +67,13 @@ class UniPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None) -> None:
-        data = {e: c for e, c in (coeffs or {}).items() if c}
-        object.__setattr__(self, "_coeffs", data)
+        self._coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
     @classmethod
     def _of(cls, data: dict[int, int]) -> "UniPolynomial":
         """A polynomial on ``data`` itself, which holds no zero coefficient."""
         poly = cls.__new__(cls)
-        object.__setattr__(poly, "_coeffs", data)
+        poly._coeffs = data
         return poly
 
     @classmethod
@@ -556,46 +555,26 @@ def _harmonic(n: int, order: int) -> Fraction:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Mean and variance of the area, by closed form and from the recursion."""
+    """
+    Mean and variance of the area, one value per moment: :func:`moments`
+    compares its two routes to each before it builds the report.
+    """
 
     n: int
-    harmonic1: Fraction
-    harmonic2: Fraction
-    mean_closed_form: Fraction
-    variance_closed_form: Fraction
-    mean_from_recursion: Fraction
-    variance_from_recursion: Fraction
-
-    def __post_init__(self) -> None:
-        if self.mean_closed_form != self.mean_from_recursion:
-            raise ValueError(
-                f"mean routes disagree at n={self.n}: "
-                f"{self.mean_closed_form} vs {self.mean_from_recursion}"
-            )
-        if self.variance_closed_form != self.variance_from_recursion:
-            raise ValueError(
-                f"variance routes disagree at n={self.n}: "
-                f"{self.variance_closed_form} vs {self.variance_from_recursion}"
-            )
-
-    @property
-    def mean(self) -> Fraction:
-        return self.mean_closed_form
-
-    @property
-    def variance(self) -> Fraction:
-        return self.variance_closed_form
+    mean: Fraction
+    variance: Fraction
 
 
 def moments(n: int) -> MomentReport:
     """
     Exact mean and variance of the area of a uniformly random permutation of
-    {1..n}, for n >= 2: the harmonic-number closed forms
+    {1..n}, for n >= 2, by the harmonic-number closed forms
 
         E = (n+1)(n/2 - H_{n,1}) + n
         Var = 2n(n+2) - (n+1)H_{n,1} - (n+1)^2 H_{n,2}
 
-    against the same quantities derived from the splitting recursion.
+    compared here with the same quantities derived from the splitting
+    recursion: ValueError names the first moment whose two routes disagree.
 
     >>> moments(3).mean
     Fraction(5, 3)
@@ -603,23 +582,19 @@ def moments(n: int) -> MomentReport:
     if n < 2:
         raise ValueError("moments are defined for n >= 2")
     h1 = _harmonic(n, 1)
-    h2 = _harmonic(n, 2)
-    mean_closed = (n + 1) * (Fraction(n, 2) - h1) + n
-    var_closed = 2 * n * (n + 2) - (n + 1) * h1 - (n + 1) ** 2 * h2
+    mean = (n + 1) * (Fraction(n, 2) - h1) + n
+    variance = 2 * n * (n + 2) - (n + 1) * h1 - (n + 1) ** 2 * _harmonic(n, 2)
     _, d1, d2 = _derivatives_at_one(n)
     total = factorial(n)
     mean_rec = Fraction(d1, total)
-    second_moment = Fraction(d2 + d1, total)
-    var_rec = second_moment - mean_rec * mean_rec
-    return MomentReport(
-        n=n,
-        harmonic1=h1,
-        harmonic2=h2,
-        mean_closed_form=mean_closed,
-        variance_closed_form=var_closed,
-        mean_from_recursion=mean_rec,
-        variance_from_recursion=var_rec,
-    )
+    variance_rec = Fraction(d2 + d1, total) - mean_rec * mean_rec
+    if mean != mean_rec:
+        raise ValueError(f"mean routes disagree at n={n}: {mean} vs {mean_rec}")
+    if variance != variance_rec:
+        raise ValueError(
+            f"variance routes disagree at n={n}: {variance} vs {variance_rec}"
+        )
+    return MomentReport(n, mean, variance)
 
 
 # -- The exponential-type series g and its identities ---------------------------
@@ -640,12 +615,9 @@ def _reversed_quad(m: int) -> QuadPolynomial:
 class SeriesReport:
     """Per-order outcome of the two series identities."""
 
-    order: int
     equation_status: tuple[bool, ...]
-    first_failing_order: int | None
     failing_residual: dict[str, str] | None
     tanh_status: tuple[bool, ...]
-    tanh_first_mismatch: int | None
 
     @property
     def ok(self) -> bool:
@@ -683,7 +655,7 @@ def verify_series_identities(order: int) -> SeriesReport:
         rhs = a[k].times_monomial((k, 0, 0, 0)) - product
         residuals.append(a[k + 1] - rhs)
     equation_status = tuple(not r for r in residuals)
-    first_fail = _first_false(equation_status)
+    first_fail = next((k for k, ok in enumerate(equation_status) if not ok), None)
     failing = None
     if first_fail is not None:
         scale = factorial(first_fail)
@@ -697,15 +669,4 @@ def verify_series_identities(order: int) -> SeriesReport:
         a_k.marginal("x").evaluate(-1) == t * factorial(k)
         for k, (a_k, t) in enumerate(zip(a, one_plus_tanh))
     )
-    return SeriesReport(
-        order=order,
-        equation_status=equation_status,
-        first_failing_order=first_fail,
-        failing_residual=failing,
-        tanh_status=tanh_status,
-        tanh_first_mismatch=_first_false(tanh_status),
-    )
-
-
-def _first_false(status: tuple[bool, ...]) -> int | None:
-    return next((k for k, ok in enumerate(status) if not ok), None)
+    return SeriesReport(equation_status, failing, tanh_status)

@@ -100,6 +100,8 @@ FILTERS = (None, "132", "231")
 
 
 def _check_enum_n(n: int) -> None:
+    if type(n) is not int:  # a bool is none
+        raise ValueError(f"n must be an int, got {n!r}")
     if not 0 <= n <= MAX_ENUM_N:
         raise ValueError(f"full enumeration supports 0 <= n <= {MAX_ENUM_N}")
 
@@ -135,9 +137,11 @@ def effective_workers(workers: int, total: int) -> int:
     """
     The number of processes :func:`walk` uses for ``total`` words of
     work: 1 below 7! words (S_7), otherwise ``workers`` clamped to the CPU
-    count and to ``total``, and at least 1.  ``workers`` below 1 raises
-    ValueError at every size.
+    count and to ``total``, and at least 1.  ``workers`` that is not an
+    int of at least 1 raises ValueError at every size.
     """
+    if type(workers) is not int:  # a bool is none
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     if total < _FAN_OUT_MIN_TOTAL:
@@ -326,9 +330,6 @@ def all_shapes(n: int) -> Iterator[ShapePartition]:
 class Distribution:
     """Exact counts of one statistic over S_n or an avoidance class."""
 
-    n: int
-    statistic: str
-    filter: str | None
     counts: dict[int, int]
 
     @property
@@ -380,7 +381,7 @@ def distribution(
     else:
         effective_workers(workers, 0)  # inline, but workers < 1 is still an error
         counts, _ = _tally(fn, (avoiders_132 if avoid == "132" else avoiders_231)(n))
-    return Distribution(n=n, statistic=statistic, filter=avoid, counts=counts)
+    return Distribution(counts)
 
 
 def shape_census(n: int, workers: int = 1) -> dict[tuple[int, ...], int]:

@@ -814,6 +814,8 @@ def _check_input(name: str, depth: int, workers: int) -> None:
     """Bad input raises ValueError here, before a suite's boundary."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if type(depth) is not int:  # a bool is none
+        raise ValueError(f"max_n must be an int, got {depth!r}")
     if name == "series" and not 1 <= depth <= SERIES_MAX_ORDER:
         raise ValueError(f"series order must be in 1..{SERIES_MAX_ORDER}, got {depth}")
     if depth < 0:

@@ -452,13 +452,4 @@ def fraction_series_report(order):
     tanh_status = tuple(
         dict_value(g_k, (-1, 1, 1, 1)) == t for g_k, t in zip(g, one_plus_tanh)
     )
-    return SeriesReport(
-        order=order,
-        equation_status=equation_status,
-        first_failing_order=first_fail,
-        failing_residual=failing,
-        tanh_status=tanh_status,
-        tanh_first_mismatch=next(
-            (k for k, ok in enumerate(tanh_status) if not ok), None
-        ),
-    )
+    return SeriesReport(equation_status, failing, tanh_status)

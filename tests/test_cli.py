@@ -435,21 +435,33 @@ class TestSelfCheckDisagreement:
         return captured.out.splitlines()
 
     def test_moments(self, monkeypatch, capsys):
-        real = verify.moments
+        real = genfun._derivatives_at_one
 
-        def disagreeing(n):
-            report = real(n)
-            if n != 7:
-                return report
-            return replace(report, mean_from_recursion=report.mean + 1)
+        def disagreeing(n):  # only the recursion's first derivative, at n = 7
+            value, d1, d2 = real(n)
+            return value, d1 + (n == 7), d2
 
-        monkeypatch.setattr(verify, "moments", disagreeing)
+        monkeypatch.setattr(genfun, "_derivatives_at_one", disagreeing)
         lines = self.run_failing(["verify", "genfun", "--max-n", "7"], capsys)
         assert lines[0].startswith("FAIL genfun")
         assert lines[1].startswith(
             "     first counterexample: mean routes disagree at n=7: "
         )
         assert lines[2:] == ["result: FAILED"]
+
+    def test_moment_variance(self, monkeypatch, capsys):
+        real = genfun._derivatives_at_one
+
+        def disagreeing(n):  # only the recursion's second derivative, at n = 7
+            value, d1, d2 = real(n)
+            return value, d1, d2 + (n == 7)
+
+        monkeypatch.setattr(genfun, "_derivatives_at_one", disagreeing)
+        with pytest.raises(ValueError, match="^variance routes disagree at n=7: ") as raised:
+            genfun.moments(7)
+        lines = self.run_failing(["verify", "genfun", "--max-n", "7"], capsys)
+        assert lines[0].startswith("FAIL genfun")
+        assert lines[1:] == [f"     first counterexample: {raised.value}", "result: FAILED"]
 
     def test_moment_recursion(self, monkeypatch, capsys):
         real = genfun.factorial

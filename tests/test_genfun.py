@@ -8,7 +8,6 @@ import pytest
 
 from permshape import genfun
 from permshape.genfun import (
-    MomentReport,
     QuadPolynomial,
     UniPolynomial,
     lbsum_polynomial,
@@ -321,10 +320,13 @@ class TestMoments:
         assert moments(8).mean == Fraction(5471, 280)
 
     def test_routes_agree_up_to_50(self):
+        # The closed forms the report holds, against the recursion's moments.
         for n in range(2, 51):
             report = moments(n)
-            assert report.mean_closed_form == report.mean_from_recursion
-            assert report.variance_closed_form == report.variance_from_recursion
+            _, d1, d2 = genfun._derivatives_at_one(n)
+            mean = Fraction(d1, factorial(n))
+            assert report.mean == mean
+            assert report.variance == Fraction(d2 + d1, factorial(n)) - mean * mean
 
     def test_matches_enumeration(self):
         for n in range(2, 8):
@@ -364,17 +366,16 @@ class TestMoments:
         with pytest.raises(ValueError, match="recursion mass check failed"):
             moments(5)
 
-    def test_report_requires_agreement(self):
-        with pytest.raises(ValueError):
-            MomentReport(
-                n=2,
-                harmonic1=Fraction(3, 2),
-                harmonic2=Fraction(5, 4),
-                mean_closed_form=Fraction(1, 2),
-                variance_closed_form=Fraction(1, 4),
-                mean_from_recursion=Fraction(1, 3),
-                variance_from_recursion=Fraction(1, 4),
-            )
+    def test_report_requires_agreement(self, monkeypatch):
+        real = genfun._derivatives_at_one
+
+        def disagreeing(n):  # the recursion's mean at n = 2 one too high
+            value, d1, d2 = real(n)
+            return value, d1 + 2, d2
+
+        monkeypatch.setattr(genfun, "_derivatives_at_one", disagreeing)
+        with pytest.raises(ValueError, match="^mean routes disagree at n=2: 1/2 vs 3/2$"):
+            moments(2)
 
 
 class TestSeries:
@@ -393,7 +394,7 @@ class TestSeries:
         assert report.ok
         assert report.equation_status == (True,) * 9
         assert report.tanh_status == (True,) * 10
-        assert report.first_failing_order is None
+        assert report.failing_residual is None
 
     def test_tanh_coefficients(self):
         values = [dict_value(g_k, (-1, 1, 1, 1)) for g_k in series_coefficients(7)]

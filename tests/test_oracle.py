@@ -391,6 +391,9 @@ class TestDistribution:
             distribution(3, "nope")
         with pytest.raises(ValueError):
             distribution(3, "lbsum", avoid="321")
+        for n, workers, avoid in [(7.0, 1, None), (True, 1, None), (3, True, None), (3, 1.5, "132")]:
+            with pytest.raises(ValueError, match="must be an int"):
+                distribution(n, "lbsum", avoid=avoid, workers=workers)
 
     def test_workers_merge_equality(self):
         single = distribution(7, "lbsum", workers=1)

@@ -10,7 +10,7 @@ import permshape
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SOURCE = str(pathlib.Path(permshape.__file__).resolve().parent.parent)
 # What reach.py reports unreached at the size below: the most it may report.
-REACH_FUNCTIONS, REACH_LINES = 26, 174
+REACH_FUNCTIONS, REACH_LINES = 25, 170
 
 
 # Every script under scripts/, at a size that runs in about a second.  The

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -38,6 +39,24 @@ PUBLIC = """
 
 def test_the_public_surface_is_pinned():
     assert sorted(permshape.__all__) == PUBLIC
+
+
+# The fields of the public result types, pinned so that one that no caller
+# reads cannot come back unnoticed.
+FIELDS = {
+    "Distribution": ["counts"],
+    "MomentReport": ["n", "mean", "variance"],
+    "PosetReport": ["pairs_checked", "counterexamples"],
+    "SeriesReport": ["equation_status", "failing_residual", "tanh_status"],
+}
+
+
+def test_the_result_fields_are_pinned():
+    found = {
+        name: [field.name for field in dataclasses.fields(getattr(permshape, name))]
+        for name in FIELDS
+    }
+    assert found == FIELDS
 
 
 @pytest.mark.parametrize("name", WITH_ALL)

@@ -778,7 +778,10 @@ def test_an_interrupt_passes_the_boundary(monkeypatch):
 @pytest.mark.parametrize(
     "name, depth, workers",
     [("everything", 3, 1), ("series", 11, 1), ("series", 0, 1), ("stats", 3, 0)]
-    + [(name, -1, 1) for name in verify.SUITE_NAMES if name != "series"],
+    + [(name, -1, 1) for name in verify.SUITE_NAMES if name != "series"]
+    # Depths and worker counts are ints, and a bool is none.
+    + [("stats", 2.5, 1), ("stats", 7, 1.5), ("stats", "3", 1), ("stats", 3, True)]
+    + [("series", True, 1)],
 )
 def test_bad_input_raises_before_the_boundary(name, depth, workers, no_fan_out):
     with pytest.raises(ValueError):
