@@ -59,15 +59,7 @@ def map_report(p: Permutation) -> dict:
         "shape": t.shape.to_text(),
         "left_borders": list(borders),
         "right_borders": list(right_borders(word)),
-        "stats": {
-            "des": sv.des,
-            "maj": sv.maj,
-            "lrmax": sv.lrmax,
-            "maxdes": sv.maxdes,
-            "lbsum": sv.lbsum,
-            "inv": sv.inv,
-            "descent_set": sorted(sv.descent_set),
-        },
+        "stats": {**vars(sv), "descent_set": sorted(sv.descent_set)},
         "tableau": tableau_to_json(t),
     }
 
@@ -130,7 +122,7 @@ def _print_map(args: argparse.Namespace) -> int:
         stats = report["stats"]
         print(
             "stats: "
-            + " ".join(f"{k}={stats[k]}" for k in ("des", "maj", "lrmax", "maxdes", "lbsum", "inv"))
+            + " ".join(f"{k}={v}" for k, v in stats.items() if k != "descent_set")
         )
         print(f"descent_set: {','.join(map(str, stats['descent_set']))}")
         print(f"tableau: {json.dumps(report['tableau'], sort_keys=True)}")

@@ -61,6 +61,19 @@ __all__ = [
 ]
 
 
+def _check_int(value, name: str = "n") -> None:
+    """The check of every public entry's size argument: a bool is no int."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_size(entry: str, value, low: int, high: int, name: str = "n") -> None:
+    """An int size in [low, high] for the public function ``entry``."""
+    _check_int(value, name)
+    if not low <= value <= high:
+        raise ValueError(f"{entry} supports {low} <= {name} <= {high}")
+
+
 class UniPolynomial:
     """A sparse polynomial in x with int coefficients."""
 
@@ -332,8 +345,7 @@ def lbsum_polynomial(n: int) -> UniPolynomial:
     >>> lbsum_polynomial(3).terms()
     [(0, 1), (1, 1), (2, 3), (3, 1)]
     """
-    if not 0 <= n <= _F_MAX:
-        raise ValueError(f"lbsum_polynomial supports 0 <= n <= {_F_MAX}")
+    _check_size("lbsum_polynomial", n, 0, _F_MAX)
     return _split_recursion(_f_cache, n, lambda m, k: (comb(m - 1, k - 1), k * (m - k)))
 
 
@@ -364,8 +376,7 @@ def parity_table(n_max: int) -> ParityTable:
     independently through its own recursion over even split points and the
     two routes are required to agree.
     """
-    if not 0 <= n_max <= 40:
-        raise ValueError("parity_table supports 0 <= n_max <= 40")
+    _check_size("parity_table", n_max, 0, 40, "n_max")
     even = [1]
     odd = [0]
     for m in range(1, n_max + 1):
@@ -419,8 +430,7 @@ def tangent_numbers(m: int) -> list[int]:
     The first m tangent numbers 1, 2, 16, 272, ... read off the exact
     series of tanh(z): T_k = |[z^{2k-1}] tanh(z)| * (2k-1)!.
     """
-    if not 1 <= m <= 15:
-        raise ValueError("tangent_numbers supports 1 <= m <= 15")
+    _check_size("tangent_numbers", m, 1, 15, "m")
     series = _tanh_series(2 * m - 1)
     out: list[int] = []
     for k in range(1, m + 1):
@@ -455,8 +465,7 @@ def quad_polynomial(n: int) -> QuadPolynomial:
     >>> quad_polynomial(2).terms()
     [((0, 0, 0, 0), 1), ((1, 1, 1, 1), 1)]
     """
-    if not 0 <= n <= _G_MAX:
-        raise ValueError(f"quad_polynomial supports 0 <= n <= {_G_MAX}")
+    _check_size("quad_polynomial", n, 0, _G_MAX)
     while len(_g_cache) <= n:
         m = len(_g_cache)
         _g_sides.extend(
@@ -487,8 +496,7 @@ def q_catalan(n: int) -> UniPolynomial:
     >>> q_catalan(3).terms()
     [(0, 1), (1, 1), (2, 2), (3, 1)]
     """
-    if not 0 <= n <= _QC_MAX:
-        raise ValueError(f"q_catalan supports 0 <= n <= {_QC_MAX}")
+    _check_size("q_catalan", n, 0, _QC_MAX)
     return _split_recursion(_qc_cache, n, lambda m, k: (1, k * (m - k)))
 
 
@@ -501,8 +509,7 @@ def q_catalan_alt(n: int) -> UniPolynomial:
     >>> q_catalan_alt(3).terms()
     [(0, 1), (1, 2), (2, 1), (3, 1)]
     """
-    if not 0 <= n <= _QC_MAX:
-        raise ValueError(f"q_catalan_alt supports 0 <= n <= {_QC_MAX}")
+    _check_size("q_catalan_alt", n, 0, _QC_MAX)
     return _split_recursion(_qc_alt_cache, n, lambda m, k: (1, k - 1))
 
 
@@ -560,7 +567,6 @@ class MomentReport:
     compares its two routes to each before it builds the report.
     """
 
-    n: int
     mean: Fraction
     variance: Fraction
 
@@ -579,6 +585,7 @@ def moments(n: int) -> MomentReport:
     >>> moments(3).mean
     Fraction(5, 3)
     """
+    _check_int(n)
     if n < 2:
         raise ValueError("moments are defined for n >= 2")
     h1 = _harmonic(n, 1)
@@ -594,7 +601,7 @@ def moments(n: int) -> MomentReport:
         raise ValueError(
             f"variance routes disagree at n={n}: {variance} vs {variance_rec}"
         )
-    return MomentReport(n, mean, variance)
+    return MomentReport(mean, variance)
 
 
 # -- The exponential-type series g and its identities ---------------------------
@@ -637,10 +644,7 @@ def verify_series_identities(order: int) -> SeriesReport:
     sum_i binom(k, i) A_i B_{k-i} at z^k.  A failing residual is reported
     divided by k!, as a coefficient of the series itself.
     """
-    if not 1 <= order <= SERIES_MAX_ORDER:
-        raise ValueError(
-            f"verify_series_identities supports 1 <= order <= {SERIES_MAX_ORDER}"
-        )
+    _check_size("verify_series_identities", order, 1, SERIES_MAX_ORDER, "order")
     a = [_reversed_quad(k) for k in range(order + 1)]
     # g(x,y,1,q,xpz) and 1 - g(x,y,p,1,qz).
     left = [a_i.with_p_one().times_monomial((i, 0, i, 0)) for i, a_i in enumerate(a)]

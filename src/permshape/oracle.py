@@ -10,7 +10,8 @@ one parallel layer: it deals the stream of S_n, for the n's asked for, out
 in blocks to the workers and hands each block to a visitor.  :func:`tally`
 counts a key over S_n with a counting visitor; the suites of
 :mod:`permshape.verify` check each block's words and count the keys of
-their checks.
+their checks.  :data:`STATISTICS`, the statistics :func:`distribution`
+tallies, is the one table of them in :mod:`permshape.permutations`.
 """
 from __future__ import annotations
 
@@ -23,12 +24,7 @@ from functools import partial
 from math import factorial
 from typing import Callable, Iterator, Sequence
 
-from .permutations import (
-    descent_positions,
-    inversion_count,
-    left_borders,
-    lr_maxima_count,
-)
+from .permutations import _STATISTICS as STATISTICS
 from .shapes import ShapePartition, shape_parts
 
 __all__ = [
@@ -66,35 +62,6 @@ _FAN_OUT_MIN_TOTAL = factorial(7)
 # S_0..S_7 stream cost the tableau check 86 and 57 ms; dealt out in 8
 # interleaved blocks per worker, the two shares cost 56 and 57 ms.
 _BLOCKS_PER_WORKER = 8
-
-
-def _stat_lbsum(word: tuple[int, ...]) -> int:
-    return sum(left_borders(word))
-
-
-def _stat_des(word: tuple[int, ...]) -> int:
-    return sum(1 for i in range(1, len(word)) if word[i - 1] > word[i])
-
-
-def _stat_maj(word: tuple[int, ...]) -> int:
-    return sum(descent_positions(word))
-
-
-def _stat_maxdes(word: tuple[int, ...]) -> int:
-    for i in range(len(word) - 1, 0, -1):
-        if word[i - 1] > word[i]:
-            return i
-    return 0
-
-
-STATISTICS: dict[str, Callable[[tuple[int, ...]], int]] = {
-    "lbsum": _stat_lbsum,
-    "des": _stat_des,
-    "maj": _stat_maj,
-    "lrmax": lr_maxima_count,
-    "maxdes": _stat_maxdes,
-    "inv": inversion_count,
-}
 
 FILTERS = (None, "132", "231")
 

@@ -9,12 +9,19 @@ matching the usual combinatorial conventions.
 The module-level functions operate on plain value tuples; they are the hot
 path for exhaustive enumeration.  The :class:`Permutation` wrapper adds
 validation on top of them.
+
+The six per-word statistics (lbsum, des, maj, lrmax, maxdes, inv) are
+defined once, in the ordered table ``_STATISTICS``: it is
+``permshape.oracle.STATISTICS``, whose functions ``dist`` tallies, and the
+verify suites read it for the statistics the bijection preserves and for
+the G_n key.  :class:`StatVector` carries the same six, under the same
+names, computed together from one descent pass for ``map``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "InvalidPermutationError",
@@ -56,7 +63,7 @@ def _check_word(word: Sequence[int]) -> None:
 
 @dataclass(frozen=True)
 class StatVector:
-    """The classical statistics of a permutation, computed together."""
+    """The statistics of ``_STATISTICS`` of one word, and its descent set."""
 
     des: int
     maj: int
@@ -213,6 +220,37 @@ def lr_maxima_count(word: Sequence[int]) -> int:
             best = v
             count += 1
     return count
+
+
+def _lbsum(word: Sequence[int]) -> int:
+    return sum(left_borders(word))
+
+
+def _des(word: Sequence[int]) -> int:
+    return sum(1 for i in range(1, len(word)) if word[i - 1] > word[i])
+
+
+def _maj(word: Sequence[int]) -> int:
+    return sum(descent_positions(word))
+
+
+def _maxdes(word: Sequence[int]) -> int:
+    """The last descent position, 0 for none: a scan from the right."""
+    for i in range(len(word) - 1, 0, -1):
+        if word[i - 1] > word[i]:
+            return i
+    return 0
+
+
+# The six per-word statistics, one definition each (see the module docstring).
+_STATISTICS: dict[str, Callable[[Sequence[int]], int]] = {
+    "lbsum": _lbsum,
+    "des": _des,
+    "maj": _maj,
+    "lrmax": lr_maxima_count,
+    "maxdes": _maxdes,
+    "inv": inversion_count,
+}
 
 
 def stat_vector(word: Sequence[int]) -> StatVector:

@@ -59,6 +59,7 @@ from .genfun import (
     verify_series_identities,
 )
 from .permutations import (
+    _STATISTICS,
     Permutation,
     _count_132_231,
     contains_132,
@@ -525,31 +526,20 @@ def suite_tableau(result: SuiteResult, workers: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bijection_stats(
-    word: tuple[int, ...], borders: tuple[int, ...]
-) -> tuple[int, int, int, int, int]:
-    """des, maj, lrmax, maxdes and lbsum of a word with left borders ``borders``."""
-    descents = descent_positions(word)
-    last = descents[-1] if descents else 0
-    return len(descents), sum(descents), lr_maxima_count(word), last, sum(borders)
-
-
 def suite_bijection(result: SuiteResult, workers: int) -> None:
+    preserved = [_STATISTICS[s] for s in ("des", "maj", "lrmax", "maxdes", "lbsum")]
     for n in range(0, min(result.max_n, 10) + 1):
         image: set[tuple[int, ...]] = set()
         # The avoiders are 1-3-2-free by construction, so each takes the
-        # bijection's private route; each word's borders serve its shape and
-        # its statistics.
+        # bijection's private route.
         for word in oracle.avoiders_132(n):
-            borders = left_borders(word)
-            target, target_borders = _bijection_image(borders)
+            target = _bijection_image(left_borders(word))[0]
             result.require(
                 not contains_231(target),
                 "image {} of {} contains 2-3-1", _OneLine(target), word
             )
             result.require(
-                _bijection_stats(word, borders)
-                == _bijection_stats(target, target_borders),
+                [f(word) for f in preserved] == [f(target) for f in preserved],
                 "statistics not preserved on {} -> {}", word, _OneLine(target)
             )
             image.add(target)
@@ -698,9 +688,8 @@ def _genfun_check_word(
     n = len(word)
     area = sum(left_borders(word))
     if n <= 8:
-        descents = descent_positions(word)
-        last = descents[-1] if descents else 0
-        key = (n, area, len(descents), last, n - lr_maxima_count(word))
+        stat = _STATISTICS
+        key = (n, area, stat["des"](word), stat["maxdes"](word), n - stat["lrmax"](word))
     else:
         key = (n, area)
     keys[key] = keys.get(key, 0) + 1

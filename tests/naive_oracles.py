@@ -267,6 +267,32 @@ def naive_permutations(n):
     return sorted(itertools.permutations(range(1, n + 1)))
 
 
+def _naive_descents(word):
+    """Every descent position, 1-based, by adjacent comparisons."""
+    return [i for i in range(1, len(word)) if word[i - 1] > word[i]]
+
+
+def naive_lrmax(word):
+    """The values above every earlier one, counted with a running maximum."""
+    count, best = 0, 0
+    for v in word:
+        if v > best:
+            count, best = count + 1, v
+    return count
+
+
+# The six per-word statistics by their raw definitions, in the library's
+# order, for the table's second route.
+NAIVE_STATISTICS = {
+    "lbsum": lambda word: sum(naive_left_borders(word)),
+    "des": lambda word: len(_naive_descents(word)),
+    "maj": lambda word: sum(_naive_descents(word)),
+    "lrmax": naive_lrmax,
+    "maxdes": lambda word: max(_naive_descents(word), default=0),
+    "inv": lambda word: len(naive_inversions(word)),
+}
+
+
 def naive_statistic_distribution(n, fn):
     counts = Counter()
     for word in itertools.permutations(range(1, n + 1)):

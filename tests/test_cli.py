@@ -286,6 +286,30 @@ class TestPredictions:
             "65edf68f4f09f94c0ddbf50ec37c7969d6bf7a53addc8c407ae7ff1f39e2d4ee",
         ),
         (
+            ["dist", "--n", "7", "--stat", "des"],
+            "e91ab6d851b86c3734983549492f43ceb957442466819f9e211fff4471c8eddd",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "des", "--format", "csv"],
+            "28318b01f38e964f6ea1fecbbf60e3273fd0ef13eba454d3a7a38ddec97c7178",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "maj"],
+            "dce09584e4069db8fedf95ab1d466cb3683962198a37b0e7f7047dea3f6d1300",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "lrmax"],
+            "27ed7087f7fe48cbe574e21fce306b1dc9ff77db1d7bca9c287951b6e27a125c",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "maxdes"],
+            "cb6c7176b40037e2241adc766a963efe604092990a464739d05a4d89e047a6fd",
+        ),
+        (
+            ["dist", "--n", "7", "--stat", "maxdes", "--format", "json"],
+            "7a9739f76f88600715fdbee669baf4f34aaf102e9934546ed4844adf740daa70",
+        ),
+        (
             ["verify", "all", "--max-n", "5", "--format", "json"],
             "d037939be9a18065beff8500f7f3c58708abf2ed958beaba5cd484c58a18791f",
         ),
@@ -297,6 +321,12 @@ class TestPredictions:
         "shape-json",
         "shape-csv",
         "inv-avoid132-json",
+        "des-plain",
+        "des-csv",
+        "maj-plain",
+        "lrmax-plain",
+        "maxdes-plain",
+        "maxdes-json",
         "verify-json",
     ],
 )

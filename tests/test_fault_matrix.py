@@ -15,7 +15,7 @@ from itertools import chain, repeat
 
 import pytest
 
-from permshape import bruhat, genfun, oracle, tableaux, verify
+from permshape import bruhat, genfun, oracle, permutations, tableaux, verify
 from permshape.genfun import QuadPolynomial, UniPolynomial
 from permshape.permutations import Permutation
 from permshape.verify import run_suite
@@ -293,12 +293,12 @@ MATRIX = {
     ),
     # parity
     "even/odd counts differ at even n={}": (
-        "parity", 4, oracle, "left_borders",
+        "parity", 4, permutations, "left_borders",
         _where(_at((1, 2)), lambda a: (0, 1)),
         "even/odd counts differ at even n=2",
     ),
     "enumerated parity split disagrees with the recursion at n={}": (
-        "parity", 4, oracle, "left_borders",
+        "parity", 4, permutations, "left_borders",
         _where(_at((1,)), lambda a: (1,)),
         "enumerated parity split disagrees with the recursion at n=1",
     ),
@@ -436,3 +436,21 @@ def test_the_planted_fault_is_the_first_failure(template, fan_outs, monkeypatch)
         serial.checks,
         serial.failures,
     )
+
+
+def _first_descent(word):
+    return next((i for i in range(1, len(word)) if word[i - 1] > word[i]), 0)
+
+
+def test_a_fault_in_a_tallied_statistic_fails_genfun(fan_outs, monkeypatch):
+    # The G_n key reads the statistics that dist tallies, so a maxdes that
+    # gives the first descent shows at n = 3, where 3,2,1 has two descents.
+    monkeypatch.setitem(oracle.STATISTICS, "maxdes", _first_descent)
+    assert oracle.distribution(3, "maxdes").counts == {0: 1, 1: 3, 2: 2}
+    message = "G_3 disagrees with the enumerated joint distribution"
+    serial = run_suite("genfun", 7, workers=1)
+    assert (serial.passed, serial.failures) == (False, [message])
+    if FORK:
+        parallel = run_suite("genfun", 7, workers=2)
+        assert (parallel.checks, parallel.failures) == (serial.checks, serial.failures)
+        assert fan_outs

@@ -456,3 +456,24 @@ class TestSeries:
     def test_report_json(self):
         report = verify_series_identities(4)
         assert report.ok
+
+
+# Every public entry takes an int size; a float, even a whole one, or a bool
+# is a ValueError before any work, as in the enumeration's own check.
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lbsum_polynomial,
+        quad_polynomial,
+        q_catalan,
+        q_catalan_alt,
+        moments,
+        parity_table,
+        tangent_numbers,
+        verify_series_identities,
+    ],
+)
+@pytest.mark.parametrize("size", [2.5, 3.0, True])
+def test_a_size_that_is_not_an_int_is_a_value_error(entry, size):
+    with pytest.raises(ValueError, match=r"^\w+ must be an int, got (2\.5|3\.0|True)$"):
+        entry(size)

@@ -29,6 +29,7 @@ from permshape.shapes import ShapePartition, count_permutations_with_shape
 from permshape.verify import run_suite
 
 from naive_oracles import (
+    NAIVE_STATISTICS,
     naive_avoiders,
     naive_permutations,
     naive_statistic_distribution,
@@ -378,12 +379,11 @@ class TestDistribution:
         assert even == odd == 20160
 
     def test_all_statistics_match_naive(self):
-        from permshape.oracle import STATISTICS
-
-        for name, fn in STATISTICS.items():
-            for n in range(6):
+        assert list(NAIVE_STATISTICS) == list(oracle.STATISTICS)
+        for name, naive in NAIVE_STATISTICS.items():
+            for n in range(7):
                 assert distribution(n, name).counts == naive_statistic_distribution(
-                    n, fn
+                    n, naive
                 )
 
     def test_unknown_inputs(self):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permshape.permutations import (
+    _STATISTICS,
     InvalidPermutationError,
     Permutation,
     _count_132_231,
@@ -132,6 +133,15 @@ class TestStats:
             11,
         )
         assert sv.descent_set == frozenset({1, 2, 5, 7})
+
+    def test_the_fused_vector_agrees_with_the_table(self):
+        # map's one descent pass against the per-statistic definitions that
+        # dist tallies, on every word of S_0..S_7.
+        for n in range(8):
+            for word in itertools.permutations(range(1, n + 1)):
+                sv = stat_vector(word)
+                for name, fn in _STATISTICS.items():
+                    assert getattr(sv, name) == fn(word), (name, word)
 
     def test_identity(self):
         for n in (0, 1, 4):

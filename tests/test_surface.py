@@ -45,7 +45,7 @@ def test_the_public_surface_is_pinned():
 # reads cannot come back unnoticed.
 FIELDS = {
     "Distribution": ["counts"],
-    "MomentReport": ["n", "mean", "variance"],
+    "MomentReport": ["mean", "variance"],
     "PosetReport": ["pairs_checked", "counterexamples"],
     "SeriesReport": ["equation_status", "failing_residual", "tanh_status"],
 }
@@ -57,6 +57,18 @@ def test_the_result_fields_are_pinned():
         for name in FIELDS
     }
     assert found == FIELDS
+
+
+def test_one_table_of_word_statistics():
+    # dist tallies the table that permutations defines, and map's fused
+    # StatVector carries the same statistics: one cannot gain a seventh alone.
+    from permshape import oracle, permutations
+
+    assert oracle.STATISTICS is permutations._STATISTICS
+    assert list(oracle.STATISTICS) == ["lbsum", "des", "maj", "lrmax", "maxdes", "inv"]
+    fields = dataclasses.fields(permshape.StatVector)
+    ints = {f.name for f in fields if f.type in (int, "int")}
+    assert ints == set(oracle.STATISTICS)
 
 
 @pytest.mark.parametrize("name", WITH_ALL)

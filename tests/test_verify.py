@@ -7,7 +7,7 @@ from itertools import chain
 
 import pytest
 
-from permshape import bruhat, oracle, shapes, tableaux, verify
+from permshape import bruhat, oracle, permutations, shapes, tableaux, verify
 from permshape.permutations import left_borders
 from permshape.verify import run_suite
 
@@ -169,18 +169,20 @@ def _wrong_at_last(real, wrong, log):
     return fake
 
 
-# Per counting suite, the oracle kernel a planted fault goes into, the fault
-# at LAST, and the suite's one failure.  LAST lies in the last block of the
+# Per counting suite, the module and kernel a planted fault goes into, the
+# fault at LAST, and the suite's one failure.  LAST lies in the last block of the
 # tally of S_7, so a 2-worker run meets the fault in its child alone.  The
 # shape of LAST, 6,5,4,3,2,1, counted as the identity's, leaves 428 shapes;
 # its area one border at a time higher, by 7, moves it to the other parity.
 TALLY_PLANTS = {
     "count": (
+        oracle,
         "shape_parts",
         lambda parts: (0,) * len(parts),
         "census of S_7 has 428 shapes, expected 429",
     ),
     "parity": (
+        permutations,
         "left_borders",
         lambda borders: tuple(v + 1 for v in borders),
         "enumerated parity split disagrees with the recursion at n=7",
@@ -194,10 +196,10 @@ TALLY_PLANTS = {
 )
 @pytest.mark.parametrize("name", list(TALLY_PLANTS))
 def test_failing_tallies_agree_across_workers(name, fan_outs, monkeypatch, tmp_path):
-    attribute, wrong, message = TALLY_PLANTS[name]
+    module, attribute, wrong, message = TALLY_PLANTS[name]
     log = tmp_path / "met"
     monkeypatch.setattr(
-        oracle, attribute, _wrong_at_last(getattr(oracle, attribute), wrong, log)
+        module, attribute, _wrong_at_last(getattr(module, attribute), wrong, log)
     )
     runs, meeting = [], []
     for workers in (1, 2):
